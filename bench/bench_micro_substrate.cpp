@@ -9,7 +9,6 @@
 #include "core/synthesizer.h"
 #include "core/topology.h"
 #include "core/introspect.h"
-#include "ebpf/jit.h"
 #include "ebpf/kernel_helpers.h"
 #include "ebpf/verifier.h"
 #include "ebpf/vm.h"
@@ -182,37 +181,6 @@ void BM_VmNsPerInsn(benchmark::State& state) {
                           static_cast<std::int64_t>(insns_per_run));
 }
 BENCHMARK(BM_VmNsPerInsn);
-
-// The same 130-instruction ALU kernel through the direct-threaded translator
-// (DESIGN.md §14): the add/and pairs fuse into AluPairImm superinstructions,
-// so the gap to BM_VmNsPerInsn is the dispatch+fusion win (gated in ci.sh:
-// JIT <= 12 ns/insn vs the interpreter's 60 ns budget).
-void BM_VmNsPerInsnJit(benchmark::State& state) {
-  kern::CostModel cost;
-  ebpf::HelperRegistry helpers;
-  ebpf::register_all_helpers(helpers, cost);
-  ebpf::MapSet maps;
-  ebpf::ProgramBuilder b("alu_per_insn_jit", ebpf::HookType::kXdp);
-  b.mov(ebpf::kR0, 0);
-  for (int i = 0; i < 64; ++i) {
-    b.add(ebpf::kR0, i);
-    b.and_(ebpf::kR0, 0xffff);
-  }
-  b.exit();
-  ebpf::Program prog = b.build().value();
-  prog.jit = ebpf::jit_translate(prog);
-  const std::size_t insns_per_run = prog.insns.size();
-  ebpf::Vm vm(cost, helpers, maps, nullptr);
-  vm.set_engine(ebpf::ExecEngine::kJit);
-  net::Packet pkt(64);
-  for (auto _ : state) {
-    auto r = vm.run(prog, pkt, 1, nullptr);
-    benchmark::DoNotOptimize(r.ret);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(insns_per_run));
-}
-BENCHMARK(BM_VmNsPerInsnJit);
 
 void BM_VerifierRouterProgram(benchmark::State& state) {
   sim::ScenarioConfig cfg;

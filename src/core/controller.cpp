@@ -35,7 +35,6 @@ Controller::Controller(kern::Kernel& kernel, ControllerOptions options)
   // counters into the kernel's registry, next to the slowpath.* stages.
   deployer_.set_metrics(&kernel_.metrics());
   if (options_.flow_cache) deployer_.set_flow_cache(true);
-  deployer_.set_exec_engine(options_.exec_engine);
   if (options_.guard.enabled) {
     guard_ = std::make_unique<EquivalenceGuard>(kernel_, options_.guard);
     deployer_.set_guard(guard_.get());

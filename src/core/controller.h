@@ -51,10 +51,6 @@ struct ControllerOptions {
   bool mainline_helpers_only = false;
   // Microflow verdict cache (DESIGN.md §12) on every deployed attachment.
   bool flow_cache = false;
-  // Execution backend for every deployed attachment (DESIGN.md §14): the
-  // pre-decoded interpreter, or the direct-threaded translator with
-  // per-program interpreter fallback.
-  ebpf::ExecEngine exec_engine = ebpf::ExecEngine::kInterpreter;
   BackoffPolicy backoff;
   // Runtime equivalence guard (DESIGN.md §13): canary deployment, sampled
   // shadow execution and per-FPM circuit breakers. Off by default.

@@ -36,26 +36,6 @@ void Deployer::set_flow_cache(bool on) {
   }
 }
 
-void Deployer::set_exec_engine(ebpf::ExecEngine engine) {
-  exec_engine_ = engine;
-  for (auto& [key, slot] : attachments_) {
-    if (slot.attachment) slot.attachment->set_exec_engine(engine);
-  }
-}
-
-Deployer::JitSummary Deployer::jit_summary() const {
-  JitSummary total;
-  for (const auto& [key, slot] : attachments_) {
-    if (!slot.attachment) continue;
-    total.translated += slot.attachment->jit_translated();
-    total.untranslatable += slot.attachment->jit_untranslatable();
-    auto stats = slot.attachment->stats();
-    total.runs += stats.jit_runs;
-    total.fallbacks += stats.jit_fallbacks;
-  }
-  return total;
-}
-
 engine::FlowCacheStats Deployer::flow_cache_stats() const {
   engine::FlowCacheStats total;
   for (const auto& [key, slot] : attachments_) {
@@ -82,7 +62,6 @@ util::Result<Deployer::Slot*> Deployer::slot_for(const std::string& device,
       "lfp@" + device, hook, kernel_, helpers_);
   if (metrics_) slot.attachment->set_metrics(metrics_);
   if (flow_cache_) slot.attachment->set_flow_cache(true);
-  slot.attachment->set_exec_engine(exec_engine_);
   slot.attachment->enable_dispatcher();
   // With a guard, the hook runs the guard's decorator unit, which fronts the
   // attachment with the canary/sampling/breaker state machine.

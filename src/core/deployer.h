@@ -103,25 +103,12 @@ class Deployer {
   // controller when the guard reports a tripped unit.
   void quarantine(const std::string& device, ebpf::HookType hook);
 
-// present and future. Control-plane call.
+  // Turns the microflow verdict cache (DESIGN.md §12) on or off for every
+  // attachment, present and future. Control-plane call.
   void set_flow_cache(bool on);
   bool flow_cache_enabled() const { return flow_cache_; }
   // Summed over all attachments' per-CPU caches.
   engine::FlowCacheStats flow_cache_stats() const;
-
-  // Execution backend for every attachment, present and future (DESIGN.md
-  // §14). Control-plane call.
-  void set_exec_engine(ebpf::ExecEngine engine);
-  ebpf::ExecEngine exec_engine() const { return exec_engine_; }
-
-  // Translator census + runtime fallback totals, summed over attachments.
-  struct JitSummary {
-    std::uint64_t translated = 0;      // programs with a threaded stream
-    std::uint64_t untranslatable = 0;  // programs the translator refused
-    std::uint64_t runs = 0;            // runs that entered the translator
-    std::uint64_t fallbacks = 0;       // interpreter demotions within them
-  };
-  JitSummary jit_summary() const;
 
  private:
   struct Slot {
@@ -146,7 +133,6 @@ class Deployer {
   std::uint64_t rollbacks_ = 0;
   util::MetricsRegistry* metrics_ = nullptr;
   bool flow_cache_ = false;
-  ebpf::ExecEngine exec_engine_ = ebpf::ExecEngine::kInterpreter;
   EquivalenceGuard* guard_ = nullptr;
 };
 

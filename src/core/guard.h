@@ -4,7 +4,7 @@
 //
 // LinuxFP's safety argument — synthesized FPMs are semantically equivalent
 // to the slow path — is checked offline (verifier + differential fuzz) but
-// was never enforced at runtime: one latent synthesizer/JIT/coherence bug
+// was never enforced at runtime: one latent synthesizer/VM/coherence bug
 // would misforward at line rate forever. The guard closes that gap with one
 // mechanism used in two regimes:
 //

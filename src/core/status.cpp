@@ -1,10 +1,12 @@
 #include "core/status.h"
 
 #include <sstream>
+#include <vector>
 
 #include "core/controller.h"
 #include "ebpf/loader.h"
 #include "util/fault.h"
+#include "util/strings.h"
 
 namespace linuxfp::core {
 
@@ -105,68 +107,37 @@ util::Json status_json(Controller& controller) {
   datapath["drops"] = drops;
   out["datapath"] = datapath;
 
-  // Parallel engine observability: per-queue counters reconciled at
-  // Engine::stop() (engine.queue<i>.polls/bursts/drops/occupancy/processed
-  // plus the slow-path funnel totals). Grouped here for operators; the raw
-  // counters also flow through "metrics" and prometheus_status.
+  // Parallel engine observability: the engine.* counters Engine::reconcile
+  // folds in at Engine::stop(), grouped for operators. Derived from the
+  // registry names, so a new engine counter cannot go missing here:
+  // engine.queue<i>.<name> lands in queues[i].<name>, any other
+  // engine.<group>.<name> in <group>.<name> (slow, tx, gro, steering,
+  // watchdog). The raw counters also flow through "metrics" and
+  // prometheus_status.
   util::Json metrics = kernel.metrics().to_json();
   util::Json engine = util::Json::object();
-  util::Json queues = util::Json::array();
-  for (int q = 0;; ++q) {
-    const std::string prefix = "engine.queue" + std::to_string(q) + ".";
-    const util::Json& counters = metrics.at("counters");
-    if (!counters.object_items().contains(prefix + "processed")) break;
-    util::Json qj = util::Json::object();
-    qj["queue"] = static_cast<std::int64_t>(q);
-    for (const char* name : {"polls", "bursts", "drops", "occupancy",
-                             "processed"}) {
-      qj[name] = counters.at(prefix + name);
+  std::vector<util::Json> queues;
+  for (const auto& [name, value] : metrics.at("counters").object_items()) {
+    if (!util::starts_with(name, "engine.")) continue;
+    const std::string rest = name.substr(std::string("engine.").size());
+    const std::size_t dot = rest.find('.');
+    const std::string group = rest.substr(0, dot);
+    const std::string leaf = rest.substr(dot + 1);
+    unsigned long long q = 0;
+    if (util::starts_with(group, "queue") &&
+        util::parse_u64(group.substr(std::string("queue").size()), q)) {
+      while (queues.size() <= q) {
+        util::Json qj = util::Json::object();
+        qj["queue"] = static_cast<std::int64_t>(queues.size());
+        queues.push_back(qj);
+      }
+      queues[q][leaf] = value;
+    } else {
+      engine[group][leaf] = value;
     }
-    queues.push_back(qj);
   }
-  if (queues.size() > 0) {
-    engine["queues"] = queues;
-    engine["slow_processed"] = kernel.metrics().value("engine.slow.processed");
-    engine["slow_cycles"] = kernel.metrics().value("engine.slow.cycles");
-    // Adaptive steering counters (DESIGN.md §15), reconciled the same way;
-    // present only when a steering-enabled engine ran against this kernel.
-    const util::Json& counters = metrics.at("counters");
-    if (counters.object_items().contains("engine.steering.decisions")) {
-      util::Json steering = util::Json::object();
-      for (const char* name :
-           {"decisions", "adapt_passes", "rebalances", "reta_rewrites",
-            "rfs_hits", "rfs_inserts", "rfs_migrations", "sprayed",
-            "spray_flows", "unspray_flows"}) {
-        steering[name] = counters.at(std::string("engine.steering.") + name);
-      }
-      engine["steering"] = steering;
-    }
-    // TX subsystem (DESIGN.md §16): ring/doorbell totals reconciled at
-    // Engine::stop(); present whenever an engine ran (TX rings are always
-    // on).
-    if (counters.object_items().contains("engine.tx.descriptors")) {
-      util::Json tx = util::Json::object();
-      for (const char* name :
-           {"enqueued", "stalls", "drops", "transmitted", "bytes", "bursts",
-            "full_bursts", "bad_redirect", "cycles", "descriptors",
-            "doorbells"}) {
-        tx[name] = counters.at(std::string("engine.tx.") + name);
-      }
-      engine["tx"] = tx;
-    }
-    // GRO stage (DESIGN.md §16); present only when a GRO-enabled engine ran.
-    if (counters.object_items().contains("engine.gro.folds")) {
-      util::Json gro = util::Json::object();
-      for (const char* name :
-           {"folds", "coalesced", "superpackets", "bypassed", "flush_idle",
-            "flush_timeout", "flush_mismatch", "flush_ooo", "flush_max_segs",
-            "flush_capacity"}) {
-        gro[name] = counters.at(std::string("engine.gro.") + name);
-      }
-      engine["gro"] = gro;
-    }
-    out["engine"] = engine;
-  }
+  if (!queues.empty()) engine["queues"] = util::Json(std::move(queues));
+  if (!engine.object_items().empty()) out["engine"] = engine;
   out["metrics"] = metrics;
 
   // Microflow verdict cache (DESIGN.md §12): summed over every attachment's
@@ -187,20 +158,6 @@ util::Json status_json(Controller& controller) {
                          : static_cast<double>(fs.hits) /
                                static_cast<double>(lookups);
     out["flowcache"] = fc;
-  }
-
-  // Direct-threaded execution engine (DESIGN.md §14), present only when the
-  // deployer runs the translator: translation census plus runtime fallback
-  // totals (the per-attachment jit.* counters also flow through "metrics").
-  if (controller.deployer().exec_engine() == ebpf::ExecEngine::kJit) {
-    const Deployer::JitSummary js = controller.deployer().jit_summary();
-    util::Json jj = util::Json::object();
-    jj["engine"] = ebpf::exec_engine_name(controller.deployer().exec_engine());
-    jj["translated"] = static_cast<std::int64_t>(js.translated);
-    jj["untranslatable"] = static_cast<std::int64_t>(js.untranslatable);
-    jj["runs"] = static_cast<std::int64_t>(js.runs);
-    jj["fallbacks"] = static_cast<std::int64_t>(js.fallbacks);
-    out["jit"] = jj;
   }
 
   out["health"] = health_json(controller.health());

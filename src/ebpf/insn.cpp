@@ -4,14 +4,6 @@
 
 namespace linuxfp::ebpf {
 
-const char* exec_engine_name(ExecEngine engine) {
-  switch (engine) {
-    case ExecEngine::kInterpreter: return "interpreter";
-    case ExecEngine::kJit: return "jit";
-  }
-  return "?";
-}
-
 const char* op_name(Op op) {
   switch (op) {
     case Op::kMov: return "mov";

@@ -30,13 +30,6 @@ inline constexpr std::size_t kStackSize = 512;
 inline constexpr std::size_t kMaxInsns = 4096;
 inline constexpr int kMaxTailCalls = 33;  // kernel's MAX_TAIL_CALL_CNT
 
-// Execution backend for a Vm: the pre-decoded interpreter, or the
-// direct-threaded translator (ebpf/jit.h). Selected per attachment by the
-// loader; the translator falls back to the interpreter for anything it
-// cannot prove (untranslated tail-call targets, XSK redirect programs).
-enum class ExecEngine : std::uint8_t { kInterpreter = 0, kJit = 1 };
-const char* exec_engine_name(ExecEngine engine);
-
 // XDP/TC action codes returned in r0 (XDP numbering; TC programs reuse it
 // via the attachment adapter).
 inline constexpr std::uint64_t kActAborted = 0;

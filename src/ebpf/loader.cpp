@@ -1,7 +1,6 @@
 #include "ebpf/loader.h"
 
 #include "ebpf/builder.h"
-#include "ebpf/jit.h"
 #include "util/fault.h"
 #include "util/logging.h"
 
@@ -21,7 +20,6 @@ void Attachment::prepare_cpus(unsigned n) {
                                    &programs_);
     vm->set_cpu(static_cast<unsigned>(vms_.size()));
     vm->set_metrics(metrics_registry_);
-    vm->set_engine(exec_engine_);
     vms_.push_back(std::move(vm));
   }
   if (cpu_stats_.size() < vms_.size()) cpu_stats_.resize(vms_.size());
@@ -66,39 +64,13 @@ AttachmentStats Attachment::stats() const {
     total.aborted += s.aborted;
     total.total_cycles += s.total_cycles;
     total.total_insns += s.total_insns;
-    total.jit_runs += s.jit_runs;
-    total.jit_fallbacks += s.jit_fallbacks;
   }
   return total;
 }
 
-void Attachment::translate_program(Program& prog) {
-  if (exec_engine_ != ExecEngine::kJit || prog.jit) return;
-  std::string reason;
-  prog.jit = jit_translate(prog, &reason);
-  if (prog.jit) {
-    ++jit_translated_;
-  } else {
-    ++jit_untranslatable_;
-    LFP_DEBUG("ebpf") << name_ << ": program '" << prog.name
-                      << "' stays on the interpreter: " << reason;
-  }
-}
-
-void Attachment::set_exec_engine(ExecEngine engine) {
-  exec_engine_ = engine;
-  for (auto& vm : vms_) vm->set_engine(engine);
-  // Translate everything already loaded (later loads translate eagerly in
-  // load()); re-arming the interpreter keeps existing streams — they are
-  // immutable and simply go unused.
-  if (engine == ExecEngine::kJit) {
-    for (Program& prog : programs_) translate_program(prog);
-  }
-}
-
 util::Result<std::uint32_t> Attachment::load(Program prog) {
   // Injected load failure: models bpf(BPF_PROG_LOAD) returning an error
-  // (memlock limits, JIT allocation failure) before verification even runs.
+  // (memlock limits, allocation failure) before verification even runs.
   if (auto st = util::FaultInjector::global().check(util::kFaultLoaderLoad);
       !st.ok()) {
     return st.error();
@@ -109,11 +81,9 @@ util::Result<std::uint32_t> Attachment::load(Program prog) {
   auto status = verify(prog, opts);
   if (!status.ok()) return status.error();
   programs_.push_back(std::move(prog));
-  // Decode (and, under kJit, translate) eagerly: per-CPU VMs run this
-  // program concurrently and must only ever read the finished streams,
-  // never build them.
+  // Decode eagerly: per-CPU VMs run this program concurrently and must only
+  // ever read the finished stream, never build it.
   programs_.back().decode();
-  translate_program(programs_.back());
   return static_cast<std::uint32_t>(programs_.size() - 1);
 }
 
@@ -226,7 +196,6 @@ void Attachment::set_metrics(util::MetricsRegistry* registry) {
   for (auto& vm : vms_) vm->set_metrics(registry);
   if (!registry) {
     m_runs_ = m_cycles_ = nullptr;
-    m_jit_runs_ = m_jit_fallbacks_ = nullptr;
     for (auto& v : m_verdicts_) v = nullptr;
     fc_metrics_ = engine::FlowCacheMetrics{};
     for (auto& fc : flow_caches_) fc->set_metrics(fc_metrics_);
@@ -235,8 +204,6 @@ void Attachment::set_metrics(util::MetricsRegistry* registry) {
   std::string prefix = "fastpath." + name_ + "." + hook_type_name(hook_) + ".";
   m_runs_ = registry->counter(prefix + "runs");
   m_cycles_ = registry->counter(prefix + "cycles");
-  m_jit_runs_ = registry->counter(prefix + "jit.runs");
-  m_jit_fallbacks_ = registry->counter(prefix + "jit.fallbacks");
   const char* verdict_names[6] = {"pass",      "drop",    "tx",
                                   "redirect",  "to_userspace", "aborted"};
   for (int i = 0; i < 6; ++i) {
@@ -335,15 +302,9 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
   ++sh.runs;
   sh.total_cycles += r.cycles;
   sh.total_insns += r.insns_executed;
-  if (r.jit) {
-    ++sh.jit_runs;
-    sh.jit_fallbacks += r.jit_fallbacks;
-  }
   if (metrics_on()) {
     util::bump(m_runs_);
     util::bump(m_cycles_, r.cycles);
-    if (r.jit) util::bump(m_jit_runs_);
-    if (r.jit_fallbacks) util::bump(m_jit_fallbacks_, r.jit_fallbacks);
   }
   out.cycles = r.cycles;
   if (r.aborted) {

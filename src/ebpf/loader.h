@@ -35,11 +35,6 @@ struct AttachmentStats {
   std::uint64_t aborted = 0;
   std::uint64_t total_cycles = 0;
   std::uint64_t total_insns = 0;
-  // Execution-engine split: runs that entered the direct-threaded translator,
-  // and interpreter fallbacks within them (untranslated entry program or a
-  // tail call into an untranslated target).
-  std::uint64_t jit_runs = 0;
-  std::uint64_t jit_fallbacks = 0;
 };
 
 // Map requested by an object about to be loaded (the BTF map section
@@ -120,17 +115,6 @@ class Attachment : public kern::PacketProgram {
   // Null unbinds. AttachmentStats stays authoritative either way.
   void set_metrics(util::MetricsRegistry* registry);
 
-  // --- execution engine (DESIGN.md §14) --------------------------------------
-  // Selects the backend for every VM of this attachment. Switching to kJit
-  // translates all loaded programs (and every later load translates eagerly);
-  // programs the translator refuses run interpreted per-run. Control-plane
-  // call (no workers running).
-  void set_exec_engine(ExecEngine engine);
-  ExecEngine exec_engine() const { return exec_engine_; }
-  // Translation census over the program table (stable after load/swap).
-  std::uint64_t jit_translated() const { return jit_translated_; }
-  std::uint64_t jit_untranslatable() const { return jit_untranslatable_; }
-
   // --- microflow verdict cache (DESIGN.md §12) -------------------------------
   // Opt-in per-CPU exact-match verdict cache probed before the interpreter.
   // Control-plane call (no workers running). Off by default.
@@ -178,13 +162,6 @@ class Attachment : public kern::PacketProgram {
   RunResult finish_cache_hit(const engine::FlowCache::Hit& hit,
                              AttachmentStats& sh);
 
-  // Translates `prog` when the engine is kJit; counts the outcome.
-  void translate_program(Program& prog);
-
-  ExecEngine exec_engine_ = ExecEngine::kInterpreter;
-  std::uint64_t jit_translated_ = 0;
-  std::uint64_t jit_untranslatable_ = 0;
-
   bool dispatcher_enabled_ = false;
   std::uint32_t prog_array_id_ = 0;
   std::uint32_t entry_prog_ = 0;
@@ -202,8 +179,6 @@ class Attachment : public kern::PacketProgram {
   util::Counter* m_runs_ = nullptr;
   util::Counter* m_cycles_ = nullptr;
   util::Counter* m_verdicts_[6] = {};  // indexed by Verdict
-  util::Counter* m_jit_runs_ = nullptr;
-  util::Counter* m_jit_fallbacks_ = nullptr;
 };
 
 // Attach/detach convenience wrappers (libbpf-style API). The program is any

@@ -33,19 +33,6 @@ const char* hook_type_name(HookType type);
 const char* helper_name(std::uint32_t id);
 const char* action_name(std::uint64_t ret);
 
-struct JitProgram;  // ebpf/jit.h: direct-threaded translation of a Program
-
-// Facts the verifier proves about a program, stashed on it for the loader
-// and the translator (the real kernel keeps the analogous aux info on
-// bpf_prog_aux). `analyzed` is false for directly-constructed programs that
-// never went through verify().
-struct VerifierInfo {
-  bool analyzed = false;
-  bool uses_tail_call = false;
-  bool calls_redirect_map = false;  // XSK / devmap redirect helper
-  std::uint32_t helper_calls = 0;   // static count of kCall sites
-};
-
 struct Program {
   std::string name;
   HookType hook = HookType::kXdp;
@@ -63,16 +50,6 @@ struct Program {
   }
   void decode() const;
   mutable std::vector<DecodedInsn> decoded;
-
-  // Direct-threaded translation (ebpf/jit.h), built at load time when the
-  // attachment's execution engine is kJit; null means the translator refused
-  // and runs demote to the interpreter. Shared (not unique) so Program stays
-  // copyable; the stream is immutable once built. Mutating insns after
-  // translation requires jit.reset().
-  mutable std::shared_ptr<const JitProgram> jit;
-
-  // Filled by verify() on acceptance.
-  mutable VerifierInfo vinfo;
 };
 
 // Well-known helper ids (kernel-numbering where one exists).

@@ -541,21 +541,7 @@ Status verify(const Program& prog, const VerifyOptions& options,
       !st.ok()) {
     return st;
   }
-  auto st = Verifier(prog, options, stats).run();
-  if (!st.ok()) return st;
-  // Accepted: stash the facts the loader and the direct-threaded translator
-  // key off (the kernel's bpf_prog_aux analogue).
-  VerifierInfo info;
-  info.analyzed = true;
-  for (const Insn& insn : prog.insns) {
-    if (insn.op != Op::kCall) continue;
-    ++info.helper_calls;
-    auto id = static_cast<std::uint32_t>(insn.imm);
-    if (id == kHelperTailCall) info.uses_tail_call = true;
-    if (id == kHelperRedirectMap) info.calls_redirect_map = true;
-  }
-  prog.vinfo = info;
-  return st;
+  return Verifier(prog, options, stats).run();
 }
 
 }  // namespace linuxfp::ebpf

@@ -27,6 +27,8 @@ void Program::decode() const {
   }
 }
 
+namespace {
+
 // Helpers whose behaviour is a pure function of the packet bytes, the
 // generation-guarded kernel subsystems and the recorded replay ops. Anything
 // else (map access, ktime, custom test helpers) makes a run uncacheable.
@@ -44,6 +46,63 @@ bool flowcache_replayable_helper(std::uint32_t id) {
       return false;
   }
 }
+
+std::uint64_t load_sized(const std::uint8_t* p, MemSize size) {
+  switch (size) {
+    case MemSize::kU8: return *p;
+    case MemSize::kU16: {
+      std::uint16_t v;
+      std::memcpy(&v, p, 2);
+      return v;
+    }
+    case MemSize::kU32: {
+      std::uint32_t v;
+      std::memcpy(&v, p, 4);
+      return v;
+    }
+    case MemSize::kU64: {
+      std::uint64_t v;
+      std::memcpy(&v, p, 8);
+      return v;
+    }
+  }
+  return 0;
+}
+
+void store_sized(std::uint8_t* p, MemSize size, std::uint64_t v) {
+  switch (size) {
+    case MemSize::kU8: {
+      std::uint8_t b = static_cast<std::uint8_t>(v);
+      std::memcpy(p, &b, 1);
+      break;
+    }
+    case MemSize::kU16: {
+      std::uint16_t h = static_cast<std::uint16_t>(v);
+      std::memcpy(p, &h, 2);
+      break;
+    }
+    case MemSize::kU32: {
+      std::uint32_t w = static_cast<std::uint32_t>(v);
+      std::memcpy(p, &w, 4);
+      break;
+    }
+    case MemSize::kU64:
+      std::memcpy(p, &v, 8);
+      break;
+  }
+}
+
+// Adds a displacement to a tagged pointer (regions propagate through
+// pointer arithmetic, as in eBPF).
+std::uint64_t ptr_add(std::uint64_t tagged, std::int64_t delta) {
+  if (ptr_region(tagged) == Region::kNone) {
+    return tagged + static_cast<std::uint64_t>(delta);
+  }
+  return make_ptr(ptr_region(tagged),
+                  ptr_payload(tagged) + static_cast<std::uint64_t>(delta));
+}
+
+}  // namespace
 
 const char* hook_type_name(HookType type) {
   switch (type) {
@@ -248,14 +307,9 @@ util::Result<std::uint8_t*> Vm::translate(std::uint64_t tagged,
   return util::Error::make("vm.badptr", "dereference of scalar value");
 }
 
-using vmops::load_sized;
-using vmops::ptr_add;
-using vmops::store_sized;
-
 VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
                  int ingress_ifindex, kern::Kernel* kernel,
                  engine::FlowCacheRecorder* recorder) {
-  VmResult result;
   RunState state;
   state.pkt = &pkt;
   state.recorder = recorder;
@@ -282,17 +336,13 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
   } guard{*this};
 
   HelperContext hctx(*this, &pkt, kernel, ingress_ifindex);
-
-  if (engine_ == ExecEngine::kJit) {
-    return run_jit(entry_prog, hctx, std::move(result));
-  }
-  return interpret(entry_prog, hctx, std::move(result));
+  return interpret(entry_prog, hctx);
 }
 
-VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx,
-                       VmResult result) {
+VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
   RunState& state = *state_;
   engine::FlowCacheRecorder* recorder = state.recorder;
+  VmResult result;
 
   const Program* prog = &entry_prog;
   // Hot loop runs over the pre-decoded instruction stream: operand selector
@@ -300,9 +350,7 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx,
   const DecodedInsn* code = prog->code().data();
   std::size_t prog_size = prog->insns.size();
   std::size_t pc = 0;
-  // Carried in from the translator on a mid-run demotion (zero otherwise) so
-  // cycle accounting is identical whichever engine ran each instruction.
-  std::uint64_t executed = result.insns_executed;
+  std::uint64_t executed = 0;
   constexpr std::uint64_t kMaxExecuted = 1u << 20;
 
   auto fail = [&](const std::string& why) {
@@ -311,7 +359,6 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx,
     result.ret = kActAborted;
     result.insns_executed = executed;
     result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
-    for (int r = 0; r < kNumRegs; ++r) result.regs[r] = state.regs[r];
     return result;
   };
 
@@ -535,7 +582,6 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx,
         result.redirect_xsk = state.redirect_xsk;
         result.insns_executed = executed;
         result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
-        for (int r = 0; r < kNumRegs; ++r) result.regs[r] = state.regs[r];
         if (auto* t = util::active_packet_trace()) {
           t->add("ebpf", "exit", result.cycles, action_name(result.ret));
         }

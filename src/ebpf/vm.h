@@ -6,9 +6,7 @@
 // penalty per transition — the source of the Fig 10 result.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,77 +20,6 @@ class FlowCacheRecorder;
 
 namespace linuxfp::ebpf {
 
-namespace jit_detail {
-struct ExecState;  // ebpf/jit.cpp: the translator's threaded run state
-}
-
-// True for helpers whose behaviour is a pure function of the packet bytes,
-// the generation-guarded kernel subsystems and the recorded replay ops;
-// anything else makes a flow-cache miss run uncacheable. Shared by the
-// interpreter and the direct-threaded translator so both engines mark runs
-// identically.
-bool flowcache_replayable_helper(std::uint32_t id);
-
-// Sized loads/stores and region-tagged pointer arithmetic shared verbatim by
-// the interpreter and the translator — any divergence here would split the
-// two engines' semantics.
-namespace vmops {
-inline std::uint64_t load_sized(const std::uint8_t* p, MemSize size) {
-  switch (size) {
-    case MemSize::kU8: return *p;
-    case MemSize::kU16: {
-      std::uint16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    case MemSize::kU32: {
-      std::uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    case MemSize::kU64: {
-      std::uint64_t v;
-      std::memcpy(&v, p, 8);
-      return v;
-    }
-  }
-  return 0;
-}
-
-inline void store_sized(std::uint8_t* p, MemSize size, std::uint64_t v) {
-  switch (size) {
-    case MemSize::kU8: {
-      std::uint8_t b = static_cast<std::uint8_t>(v);
-      std::memcpy(p, &b, 1);
-      break;
-    }
-    case MemSize::kU16: {
-      std::uint16_t h = static_cast<std::uint16_t>(v);
-      std::memcpy(p, &h, 2);
-      break;
-    }
-    case MemSize::kU32: {
-      std::uint32_t w = static_cast<std::uint32_t>(v);
-      std::memcpy(p, &w, 4);
-      break;
-    }
-    case MemSize::kU64:
-      std::memcpy(p, &v, 8);
-      break;
-  }
-}
-
-// Adds a displacement to a tagged pointer (regions propagate through
-// pointer arithmetic, as in eBPF).
-inline std::uint64_t ptr_add(std::uint64_t tagged, std::int64_t delta) {
-  if (ptr_region(tagged) == Region::kNone) {
-    return tagged + static_cast<std::uint64_t>(delta);
-  }
-  return make_ptr(ptr_region(tagged),
-                  ptr_payload(tagged) + static_cast<std::uint64_t>(delta));
-}
-}  // namespace vmops
-
 struct VmResult {
   std::uint64_t ret = kActAborted;
   std::uint64_t cycles = 0;
@@ -102,14 +29,6 @@ struct VmResult {
   int redirect_xsk = -1;  // XSK map slot on AF_XDP redirect
   std::uint64_t insns_executed = 0;
   std::uint32_t tail_calls = 0;
-  // Execution-engine record: whether the run entered the direct-threaded
-  // translator, and how many times it demoted to the interpreter (entry
-  // program untranslated, or tail call into an untranslated target).
-  bool jit = false;
-  std::uint32_t jit_fallbacks = 0;
-  // Final register file (r0..r10) at exit/abort — the differential oracle's
-  // strongest observable.
-  std::array<std::uint64_t, kNumRegs> regs{};
 };
 
 class Vm {
@@ -133,14 +52,6 @@ class Vm {
   void set_cpu(unsigned cpu) { cpu_ = cpu; }
   unsigned cpu() const { return cpu_; }
 
-  // Execution backend. kJit runs a program's direct-threaded stream
-  // (Program::jit, built by jit_translate) and demotes to the interpreter
-  // mid-run when a tail call lands in an untranslated program; programs with
-  // no stream at all run fully interpreted (counted in VmResult::jit_fallbacks
-  // either way). Control-plane call; a Vm is single-threaded.
-  void set_engine(ExecEngine engine) { engine_ = engine; }
-  ExecEngine engine() const { return engine_; }
-
   // Binds per-helper-call counters ("ebpf.helper.<name>.calls"), map
   // hit/miss counters and the tail-call counter to `registry` (null
   // unbinds). Counter pointers for every registered helper are resolved
@@ -151,7 +62,6 @@ class Vm {
 
  private:
   friend class HelperContext;
-  friend struct jit_detail::ExecState;
 
   struct RunState {
     net::Packet* pkt = nullptr;
@@ -175,22 +85,14 @@ class Vm {
   util::Result<std::uint8_t*> translate(std::uint64_t tagged, std::size_t len);
   util::Counter* helper_counter(std::uint32_t helper_id);
 
-  // The pre-decoded interpreter loop. `result` carries counters already
-  // charged (insns_executed, tail_calls, jit bookkeeping) so the translator
-  // can demote mid-run and the interpreter continues seamlessly; state_ must
-  // be live. Defined in vm.cpp.
-  VmResult interpret(const Program& prog, HelperContext& hctx,
-                     VmResult result);
-  // The direct-threaded dispatch loop over Program::jit. Defined in
-  // ebpf/jit.cpp, next to the handlers it threads through.
-  VmResult run_jit(const Program& prog, HelperContext& hctx, VmResult result);
+  // The pre-decoded interpreter loop; state_ must be live.
+  VmResult interpret(const Program& prog, HelperContext& hctx);
 
   const kern::CostModel& cost_;
   const HelperRegistry& helpers_;
   MapSet& maps_;
   const std::vector<Program>* prog_table_;
   unsigned cpu_ = 0;
-  ExecEngine engine_ = ExecEngine::kInterpreter;
   RunState* state_ = nullptr;  // valid during run()
 
   util::MetricsRegistry* metrics_ = nullptr;

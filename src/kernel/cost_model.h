@@ -97,7 +97,7 @@ struct CostModel {
   std::uint64_t tc_path_extra = 810;
   std::uint64_t bpf_insn = 2;             // per interpreted instruction
   std::uint64_t bpf_helper_base = 40;     // call overhead for any helper
-  std::uint64_t bpf_tail_call = 12;       // prog-array jump (JITed cost)
+  std::uint64_t bpf_tail_call = 12;       // prog-array jump (native cost)
   std::uint64_t bpf_map_array = 25;
   std::uint64_t bpf_map_hash = 70;
   std::uint64_t bpf_map_lpm = 130;

@@ -80,7 +80,6 @@ LinuxTestbed::LinuxTestbed(const ScenarioConfig& config)
     opts.hook = config_.accel == Accel::kLinuxFpTc ? "tc" : "xdp";
     opts.chain = config_.chain;
     opts.flow_cache = config_.flow_cache;
-    opts.exec_engine = config_.exec_engine;
     opts.guard = config_.guard;
     controller_ = std::make_unique<core::Controller>(kernel_, opts);
     controller_->start();

@@ -40,8 +40,6 @@ struct ScenarioConfig {
   core::ChainMode chain = core::ChainMode::kInlineCalls;
   // Microflow verdict cache (DESIGN.md §12) on the deployed fast paths.
   bool flow_cache = false;
-  // Execution backend for the deployed fast paths (DESIGN.md §14).
-  ebpf::ExecEngine exec_engine = ebpf::ExecEngine::kInterpreter;
   // Runtime equivalence guard (DESIGN.md §13). guard.enabled routes every
   // deployed hook through canary/sampled-shadow comparison with per-FPM
   // circuit breakers; the remaining GuardPolicy knobs apply as-is.

@@ -1,10 +1,10 @@
 // End-to-end classifier differential (DESIGN.md §17): twin gateway testbeds —
 // identical except one compiles its rule tables into the tuple-space
 // classifier — must produce identical verdicts and identical per-rule hit
-// counters for every packet, under both execution engines, while the compiled
-// twin spends measurably fewer cycles. A second suite is the generation-
-// coherence regression: a flowcache-cached verdict must die the moment a rule
-// mutation triggers a classifier rebuild mid-stream.
+// counters for every packet, while the compiled twin spends measurably fewer
+// cycles. A second test is the generation-coherence regression: a
+// flowcache-cached verdict must die the moment a rule mutation triggers a
+// classifier rebuild mid-stream.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,11 +16,10 @@
 namespace linuxfp::core {
 namespace {
 
-sim::ScenarioConfig gateway_config(ebpf::ExecEngine engine, bool classifier) {
+sim::ScenarioConfig gateway_config(bool classifier) {
   sim::ScenarioConfig cfg;
   cfg.filter_rules = 300;
   cfg.accel = sim::Accel::kLinuxFpXdp;
-  cfg.exec_engine = engine;
   cfg.rule_classifier = classifier;
   return cfg;
 }
@@ -41,11 +40,9 @@ void compare_rule_hits(kern::Kernel& a, kern::Kernel& b, const char* where) {
   }
 }
 
-class ClassifierDiff : public ::testing::TestWithParam<ebpf::ExecEngine> {};
-
-TEST_P(ClassifierDiff, GatewayVerdictsAndHitCountersIdentical) {
-  sim::LinuxTestbed lin(gateway_config(GetParam(), false));
-  sim::LinuxTestbed clf(gateway_config(GetParam(), true));
+TEST(ClassifierDiff, GatewayVerdictsAndHitCountersIdentical) {
+  sim::LinuxTestbed lin(gateway_config(false));
+  sim::LinuxTestbed clf(gateway_config(true));
   ASSERT_TRUE(clf.kernel().netfilter().classifier_enabled());
   ASSERT_FALSE(lin.kernel().netfilter().classifier_enabled());
 
@@ -81,8 +78,8 @@ TEST_P(ClassifierDiff, GatewayVerdictsAndHitCountersIdentical) {
   EXPECT_LT(clf_cycles * 4, lin_cycles * 3);
 }
 
-TEST_P(ClassifierDiff, UserChainJumpsStayIdentical) {
-  sim::ScenarioConfig base = gateway_config(GetParam(), false);
+TEST(ClassifierDiff, UserChainJumpsStayIdentical) {
+  sim::ScenarioConfig base = gateway_config(false);
   base.filter_rules = 0;
   sim::ScenarioConfig compiled = base;
   compiled.rule_classifier = true;
@@ -110,12 +107,12 @@ TEST_P(ClassifierDiff, UserChainJumpsStayIdentical) {
   compare_rule_hits(lin.kernel(), clf.kernel(), "user-chains");
 }
 
-TEST_P(ClassifierDiff, CachedVerdictDiesAcrossClassifierRebuild) {
+TEST(ClassifierDiff, CachedVerdictDiesAcrossClassifierRebuild) {
   // Flow cache + classifier together: a memoized ACCEPT verdict recorded
   // against the compiled index must be invalidated by the generation-vector
   // check when a rule mutation rebuilds the classifier mid-stream — the very
   // next packet of the cached flow must hit the new DROP rule.
-  sim::ScenarioConfig cfg = gateway_config(GetParam(), true);
+  sim::ScenarioConfig cfg = gateway_config(true);
   cfg.filter_rules = 50;
   cfg.flow_cache = true;
   sim::LinuxTestbed tb(cfg);
@@ -144,14 +141,6 @@ TEST_P(ClassifierDiff, CachedVerdictDiesAcrossClassifierRebuild) {
   EXPECT_GT(after.invalidations + after.replay_mismatch, warm.invalidations +
                                                              warm.replay_mismatch);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ClassifierDiff,
-    ::testing::Values(ebpf::ExecEngine::kInterpreter, ebpf::ExecEngine::kJit),
-    [](const ::testing::TestParamInfo<ebpf::ExecEngine>& info) {
-      return std::string(info.param == ebpf::ExecEngine::kJit ? "jit"
-                                                              : "interp");
-    });
 
 }  // namespace
 }  // namespace linuxfp::core

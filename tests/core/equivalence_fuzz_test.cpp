@@ -15,18 +15,6 @@ namespace {
 
 using linuxfp::testing::RouterDut;
 
-// The whole suite runs once per execution engine: the fast/slow equivalence
-// contract must hold whether the deployed programs run interpreted or
-// direct-threaded (DESIGN.md §14).
-class EquivalenceFuzz : public ::testing::TestWithParam<ebpf::ExecEngine> {
- protected:
-  ControllerOptions controller_options() const {
-    ControllerOptions opts;
-    opts.exec_engine = GetParam();
-    return opts;
-  }
-};
-
 std::string random_prefix(util::Rng& rng) {
   return "10." + std::to_string(100 + rng.next_below(20)) + "." +
          std::to_string(rng.next_below(4)) + ".0/24";
@@ -55,7 +43,7 @@ std::string random_rule(util::Rng& rng, bool with_set) {
   return rule;
 }
 
-TEST_P(EquivalenceFuzz, RandomFirewallsIdenticalVerdicts) {
+TEST(EquivalenceFuzz, RandomFirewallsIdenticalVerdicts) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     util::Rng rng(seed * 7919);
     RouterDut fast, slow;
@@ -77,7 +65,7 @@ TEST_P(EquivalenceFuzz, RandomFirewallsIdenticalVerdicts) {
     }
     if (rng.next_below(3) == 0) both("iptables -P FORWARD DROP");
 
-    Controller controller(fast.kernel, controller_options());
+    Controller controller(fast.kernel);
     controller.start();
 
     for (int pkt_i = 0; pkt_i < 150; ++pkt_i) {
@@ -149,7 +137,7 @@ TEST_P(EquivalenceFuzz, RandomFirewallsIdenticalVerdicts) {
   }
 }
 
-TEST_P(EquivalenceFuzz, FaultScheduleNeverBreaksEquivalence) {
+TEST(EquivalenceFuzz, FaultScheduleNeverBreaksEquivalence) {
   // The §IV-B2 contract must hold while the deploy pipeline is actively
   // failing: with injected faults at every registered point, the accelerated
   // DUT — cycling through fast path, rollback, PASS degradation and backoff
@@ -177,7 +165,7 @@ TEST_P(EquivalenceFuzz, FaultScheduleNeverBreaksEquivalence) {
       ASSERT_EQ(s1.ok(), s2.ok()) << "seed " << seed << " cmd " << cmd;
     };
 
-    Controller controller(fast.kernel, controller_options());
+    Controller controller(fast.kernel);
     controller.start();
 
     // Keeps both kernels' clocks in lockstep and fires due backoff retries.
@@ -253,7 +241,7 @@ TEST_P(EquivalenceFuzz, FaultScheduleNeverBreaksEquivalence) {
   EXPECT_GT(total_deploy_failures, 0u);
 }
 
-TEST_P(EquivalenceFuzz, RandomTrafficShapesNeverDesync) {
+TEST(EquivalenceFuzz, RandomTrafficShapesNeverDesync) {
   // Truncated/fragmented/odd-TTL/multicast traffic mixed in: both DUTs must
   // agree on every emission even when everything punts.
   util::Rng rng(424242);
@@ -266,7 +254,7 @@ TEST_P(EquivalenceFuzz, RandomTrafficShapesNeverDesync) {
     ASSERT_TRUE(kern::run_command(fast.kernel, cmd).ok());
     ASSERT_TRUE(kern::run_command(slow.kernel, cmd).ok());
   }
-  Controller controller(fast.kernel, controller_options());
+  Controller controller(fast.kernel);
   controller.start();
 
   for (int i = 0; i < 400; ++i) {
@@ -309,14 +297,6 @@ TEST_P(EquivalenceFuzz, RandomTrafficShapesNeverDesync) {
     ASSERT_EQ(fast.tx_eth1.size(), slow.tx_eth1.size()) << "pkt " << i;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, EquivalenceFuzz,
-    ::testing::Values(ebpf::ExecEngine::kInterpreter, ebpf::ExecEngine::kJit),
-    [](const ::testing::TestParamInfo<ebpf::ExecEngine>& info) {
-      return std::string(info.param == ebpf::ExecEngine::kJit ? "jit"
-                                                              : "interp");
-    });
 
 }  // namespace
 }  // namespace linuxfp::core

@@ -21,11 +21,6 @@ namespace {
 
 using linuxfp::testing::RouterDut;
 
-// Runs once per execution engine: the flow cache must stay invisible whether
-// the miss runs it records come from the interpreter or the direct-threaded
-// translator (DESIGN.md §14).
-class FlowCacheDiff : public ::testing::TestWithParam<ebpf::ExecEngine> {};
-
 void compare_counters(const kern::Kernel& on, const kern::Kernel& off,
                       const char* where) {
   const kern::KernelCounters& a = on.counters();
@@ -68,7 +63,7 @@ void compare_attachments(Controller& on, Controller& off, const char* where) {
   }
 }
 
-TEST_P(FlowCacheDiff, ChurnedConfigNeverDiverges) {
+TEST(FlowCacheDiff, ChurnedConfigNeverDiverges) {
   for (std::uint64_t seed : {17ull, 29ull, 53ull}) {
     util::Rng rng(seed * 9973);
     RouterDut on_dut, off_dut;
@@ -97,11 +92,8 @@ TEST_P(FlowCacheDiff, ChurnedConfigNeverDiverges) {
 
     ControllerOptions on_opts;
     on_opts.flow_cache = true;
-    on_opts.exec_engine = GetParam();
     Controller on_ctl(on_dut.kernel, on_opts);
-    ControllerOptions off_opts;
-    off_opts.exec_engine = GetParam();
-    Controller off_ctl(off_dut.kernel, off_opts);
+    Controller off_ctl(off_dut.kernel);
     on_ctl.start();
     off_ctl.start();
     ASSERT_TRUE(on_ctl.deployer().flow_cache_enabled());
@@ -193,7 +185,7 @@ TEST_P(FlowCacheDiff, ChurnedConfigNeverDiverges) {
   }
 }
 
-TEST_P(FlowCacheDiff, FaultRollbackFlushesEpochAndStaysEquivalent) {
+TEST(FlowCacheDiff, FaultRollbackFlushesEpochAndStaysEquivalent) {
   // The cached DUT under an aggressive fault schedule — deploys failing,
   // devices rolling back to the PASS slow path, backoff retries recovering —
   // against a pure-Linux twin. Every rollback swap must bump the flow epoch
@@ -221,7 +213,6 @@ TEST_P(FlowCacheDiff, FaultRollbackFlushesEpochAndStaysEquivalent) {
 
     ControllerOptions opts;
     opts.flow_cache = true;
-    opts.exec_engine = GetParam();
     Controller controller(cached.kernel, opts);
     controller.start();
 
@@ -322,14 +313,6 @@ TEST_P(FlowCacheDiff, FaultRollbackFlushesEpochAndStaysEquivalent) {
   // assertions above covered genuine rollback swaps, not only clean deploys.
   EXPECT_GT(total_failures, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, FlowCacheDiff,
-    ::testing::Values(ebpf::ExecEngine::kInterpreter, ebpf::ExecEngine::kJit),
-    [](const ::testing::TestParamInfo<ebpf::ExecEngine>& info) {
-      return std::string(info.param == ebpf::ExecEngine::kJit ? "jit"
-                                                              : "interp");
-    });
 
 }  // namespace
 }  // namespace linuxfp::core

@@ -20,11 +20,6 @@ namespace {
 
 using linuxfp::testing::RouterDut;
 
-// Runs once per execution engine: quarantine, shadow comparison and breaker
-// state machines must behave identically over interpreted and
-// direct-threaded fast paths (DESIGN.md §14).
-class GuardFuzz : public ::testing::TestWithParam<ebpf::ExecEngine> {};
-
 std::string random_rule(util::Rng& rng) {
   std::string rule = "iptables -A FORWARD";
   if (rng.next_below(4) == 0) rule += " !";
@@ -44,8 +39,7 @@ struct GuardedTwins {
   util::Rng rng;
   std::uint64_t sent = 0;
 
-  explicit GuardedTwins(std::uint64_t seed, ebpf::ExecEngine engine)
-      : rng(seed * 16127 + 3) {
+  explicit GuardedTwins(std::uint64_t seed) : rng(seed * 16127 + 3) {
     fast.add_prefixes(20);
     slow.add_prefixes(20);
     int n_rules = 1 + static_cast<int>(rng.next_below(8));
@@ -63,7 +57,6 @@ struct GuardedTwins {
     opts.guard.half_open_packets = 4;
     opts.guard.reprobe_base_ns = 1'000'000;
     opts.guard.reprobe_jitter = 0.0;
-    opts.exec_engine = engine;
     controller = std::make_unique<Controller>(fast.kernel, opts);
     controller->start();
     unit = controller->guard()->unit("eth0", ebpf::HookType::kXdp);
@@ -106,10 +99,10 @@ struct GuardedTwins {
   }
 };
 
-TEST_P(GuardFuzz, ForcedDivergenceQuarantinesWithoutEverDiverging) {
+TEST(GuardFuzz, ForcedDivergenceQuarantinesWithoutEverDiverging) {
   for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
     util::FaultScope faults(seed);
-    GuardedTwins t(seed, GetParam());
+    GuardedTwins t(seed);
     ASSERT_NE(t.unit, nullptr);
 
     // Phase 1: canary + promotion under random policy. Equivalence holds
@@ -189,10 +182,10 @@ TEST_P(GuardFuzz, ForcedDivergenceQuarantinesWithoutEverDiverging) {
   }
 }
 
-TEST_P(GuardFuzz, BreakerTripRacingRedeployStaysEquivalent) {
+TEST(GuardFuzz, BreakerTripRacingRedeployStaysEquivalent) {
   for (std::uint64_t seed : {21ull, 22ull}) {
     util::FaultScope faults(seed);
-    GuardedTwins t(seed, GetParam());
+    GuardedTwins t(seed);
     ASSERT_NE(t.unit, nullptr);
     for (int i = 0; i < 30; ++i) {
       t.step();
@@ -237,14 +230,6 @@ TEST_P(GuardFuzz, BreakerTripRacingRedeployStaysEquivalent) {
     t.check_drop_parity();
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, GuardFuzz,
-    ::testing::Values(ebpf::ExecEngine::kInterpreter, ebpf::ExecEngine::kJit),
-    [](const ::testing::TestParamInfo<ebpf::ExecEngine>& info) {
-      return std::string(info.param == ebpf::ExecEngine::kJit ? "jit"
-                                                              : "interp");
-    });
 
 }  // namespace
 }  // namespace linuxfp::core

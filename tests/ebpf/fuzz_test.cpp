@@ -68,7 +68,7 @@ TEST(VerifierFuzz, GarbageProgramsNeverCrashAndAcceptedOnesNeverAbort) {
       net::Packet pkt(len);
       auto r = rig.run(p, pkt);
       // Division by zero is the one runtime trap the verifier does not
-      // track (the kernel JIT inserts a runtime guard instead; our VM's
+      // track (the kernel patches in a runtime guard instead; our VM's
       // abort models that guard).
       if (r.aborted) {
         EXPECT_TRUE(r.error.find("zero") != std::string::npos)

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "ebpf/builder.h"
-#include "ebpf/jit.h"
 #include "ebpf/kernel_helpers.h"
 #include "kernel/kernel.h"
 #include "net/headers.h"
@@ -19,18 +18,6 @@ class VmTest : public ::testing::Test {
     Vm vm(cost_, helpers_, maps_, &progs_);
     return vm.run(prog, pkt, 1, nullptr);
   }
-
-  // Runs under the requested engine (translating first for the JIT); edge
-  // tests call this once per engine so both backends cover the same corner.
-  VmResult run_engine(Program prog, net::Packet& pkt, ExecEngine engine) {
-    if (engine == ExecEngine::kJit) prog.jit = jit_translate(prog);
-    Vm vm(cost_, helpers_, maps_, &progs_);
-    vm.set_engine(engine);
-    return vm.run(prog, pkt, 1, nullptr);
-  }
-
-  static constexpr ExecEngine kEngines[] = {ExecEngine::kInterpreter,
-                                            ExecEngine::kJit};
 
   kern::CostModel cost_;
   HelperRegistry helpers_;
@@ -269,34 +256,31 @@ TEST_F(VmTest, MapLookupThroughHelper) {
 }
 
 // be16/be32 are 16/32-bit conversions: on a register whose high bits are
-// set they must truncate before swapping, on both engines (the fused
-// ldx+be handlers share this edge).
-TEST_F(VmTest, ByteswapTruncatesHighBitsOnBothEngines) {
-  for (ExecEngine engine : kEngines) {
-    ProgramBuilder b16("be16hi", HookType::kXdp);
-    b16.mov(kR0, 0x11223344);
-    b16.lsh(kR0, 16);
-    b16.or_(kR0, 0x5566);  // r0 = 0x1122_3344_5566
-    b16.be16(kR0);
-    b16.exit();
-    net::Packet pkt(64);
-    auto r = run_engine(b16.build().value(), pkt, engine);
-    EXPECT_EQ(r.ret, 0x6655u) << exec_engine_name(engine);
+// set they must truncate before swapping.
+TEST_F(VmTest, ByteswapTruncatesHighBits) {
+  ProgramBuilder b16("be16hi", HookType::kXdp);
+  b16.mov(kR0, 0x11223344);
+  b16.lsh(kR0, 16);
+  b16.or_(kR0, 0x5566);  // r0 = 0x1122_3344_5566
+  b16.be16(kR0);
+  b16.exit();
+  net::Packet pkt(64);
+  auto r = run(b16.build().value(), pkt);
+  EXPECT_EQ(r.ret, 0x6655u);
 
-    ProgramBuilder b32("be32hi", HookType::kXdp);
-    b32.mov(kR0, 0x11223344);
-    b32.lsh(kR0, 16);
-    b32.or_(kR0, 0x5566);
-    b32.be32(kR0);
-    b32.exit();
-    r = run_engine(b32.build().value(), pkt, engine);
-    EXPECT_EQ(r.ret, 0x66554433u) << exec_engine_name(engine);
-  }
+  ProgramBuilder b32("be32hi", HookType::kXdp);
+  b32.mov(kR0, 0x11223344);
+  b32.lsh(kR0, 16);
+  b32.or_(kR0, 0x5566);
+  b32.be32(kR0);
+  b32.exit();
+  r = run(b32.build().value(), pkt);
+  EXPECT_EQ(r.ret, 0x66554433u);
 }
 
 // Sub-64-bit loads zero-extend: a u64 of all-ones read back at u32/u16/u8
 // widths must yield exactly the low bytes.
-TEST_F(VmTest, NarrowLoadsZeroExtendOnBothEngines) {
+TEST_F(VmTest, NarrowLoadsZeroExtend) {
   struct Case {
     MemSize size;
     std::uint64_t want;
@@ -304,25 +288,24 @@ TEST_F(VmTest, NarrowLoadsZeroExtendOnBothEngines) {
   const Case cases[] = {{MemSize::kU32, 0xFFFFFFFFu},
                         {MemSize::kU16, 0xFFFFu},
                         {MemSize::kU8, 0xFFu}};
-  for (ExecEngine engine : kEngines) {
-    for (const Case& c : cases) {
-      ProgramBuilder b("zext", HookType::kXdp);
-      b.mov_reg(kR2, kR10);
-      b.add(kR2, -8);
-      b.mov(kR3, -1);  // 0xFFFF...FF
-      b.stx(kR2, 0, kR3, MemSize::kU64);
-      b.ldx(kR0, kR2, 0, c.size);
-      b.exit();
-      net::Packet pkt(64);
-      auto r = run_engine(b.build().value(), pkt, engine);
-      EXPECT_EQ(r.ret, c.want) << exec_engine_name(engine);
-    }
+  for (const Case& c : cases) {
+    ProgramBuilder b("zext", HookType::kXdp);
+    b.mov_reg(kR2, kR10);
+    b.add(kR2, -8);
+    b.mov(kR3, -1);  // 0xFFFF...FF
+    b.stx(kR2, 0, kR3, MemSize::kU64);
+    b.ldx(kR0, kR2, 0, c.size);
+    b.exit();
+    net::Packet pkt(64);
+    auto r = run(b.build().value(), pkt);
+    EXPECT_EQ(r.ret, c.want);
   }
 }
 
-// Division/modulo by zero abort identically (same flag, same error string,
-// same charged cycles) and kArsh stays an arithmetic (sign-extending) shift.
-TEST_F(VmTest, DivModByZeroAndArshEdgesOnBothEngines) {
+// Division/modulo by zero abort at the faulting instruction (error string
+// names the zero divisor, cycles charged for exactly the three executed
+// instructions) and kArsh stays an arithmetic (sign-extending) shift.
+TEST_F(VmTest, DivModByZeroAndArshEdges) {
   auto raw = [](Op op, std::int64_t lhs, std::int64_t rhs) {
     Program p;
     p.name = "aluedge";
@@ -335,24 +318,19 @@ TEST_F(VmTest, DivModByZeroAndArshEdgesOnBothEngines) {
 
   net::Packet pkt(64);
   for (Op op : {Op::kDiv, Op::kMod}) {
-    auto ri = run_engine(raw(op, 5, 0), pkt, ExecEngine::kInterpreter);
-    auto rj = run_engine(raw(op, 5, 0), pkt, ExecEngine::kJit);
-    EXPECT_TRUE(ri.aborted);
-    EXPECT_TRUE(rj.aborted);
-    EXPECT_EQ(ri.error, rj.error);
-    EXPECT_EQ(ri.cycles, rj.cycles);
-    EXPECT_EQ(ri.insns_executed, rj.insns_executed);
-    EXPECT_NE(rj.error.find("zero"), std::string::npos) << rj.error;
+    auto r = run(raw(op, 5, 0), pkt);
+    EXPECT_TRUE(r.aborted);
+    EXPECT_NE(r.error.find("zero"), std::string::npos) << r.error;
+    EXPECT_EQ(r.insns_executed, 3u);
+    EXPECT_EQ(r.cycles, 3 * cost_.bpf_insn);
   }
-  for (ExecEngine engine : kEngines) {
-    EXPECT_EQ(run_engine(raw(Op::kDiv, 7, 2), pkt, engine).ret, 3u);
-    EXPECT_EQ(run_engine(raw(Op::kMod, 7, 2), pkt, engine).ret, 1u);
-    // -8 >> 1 arithmetic = -4; logical would give a huge positive.
-    EXPECT_EQ(run_engine(raw(Op::kArsh, -8, 1), pkt, engine).ret,
-              static_cast<std::uint64_t>(-4));
-    EXPECT_EQ(run_engine(raw(Op::kRsh, -8, 1), pkt, engine).ret,
-              static_cast<std::uint64_t>(-8) >> 1);
-  }
+  EXPECT_EQ(run(raw(Op::kDiv, 7, 2), pkt).ret, 3u);
+  EXPECT_EQ(run(raw(Op::kMod, 7, 2), pkt).ret, 1u);
+  // -8 >> 1 arithmetic = -4; logical would give a huge positive.
+  EXPECT_EQ(run(raw(Op::kArsh, -8, 1), pkt).ret,
+            static_cast<std::uint64_t>(-4));
+  EXPECT_EQ(run(raw(Op::kRsh, -8, 1), pkt).ret,
+            static_cast<std::uint64_t>(-8) >> 1);
 }
 
 TEST_F(VmTest, InstructionBudgetGuard) {

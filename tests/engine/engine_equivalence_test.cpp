@@ -23,11 +23,6 @@ namespace {
 
 using linuxfp::testing::RouterDut;
 
-// Runs once per execution engine: queue-partition invariance must hold for
-// the interpreter and the direct-threaded translator alike (DESIGN.md §14).
-class EngineEquivalence : public ::testing::TestWithParam<ebpf::ExecEngine> {
-};
-
 // Everything about a run that must be queue-count invariant.
 struct RunCounters {
   std::uint64_t processed = 0;
@@ -54,13 +49,11 @@ struct RunCounters {
 // fully seeded: Zipf(1.1) skew over 256 flows, every 5th packet unroutable
 // (FIB miss -> XDP pass -> slow-path drop), so both fast and slow verdict
 // paths are exercised.
-RunCounters run_scenario(unsigned queues, ebpf::ExecEngine engine,
-                         const SteeringConfig& steering = {},
+RunCounters run_scenario(unsigned queues, const SteeringConfig& steering = {},
                          SteeringStats* steering_out = nullptr) {
   sim::ScenarioConfig cfg;
   cfg.prefixes = 50;
   cfg.accel = sim::Accel::kLinuxFpXdp;
-  cfg.exec_engine = engine;
   cfg.steering = steering;
   sim::LinuxTestbed bed(cfg);
   sim::FlowPattern pattern(50, 256, 64, /*zipf_s=*/1.1);
@@ -115,9 +108,9 @@ RunCounters run_scenario(unsigned queues, ebpf::ExecEngine engine,
   return rc;
 }
 
-TEST_P(EngineEquivalence, FourQueueRunMatchesSingleQueue) {
-  RunCounters one = run_scenario(1, GetParam());
-  RunCounters four = run_scenario(4, GetParam());
+TEST(EngineEquivalence, FourQueueRunMatchesSingleQueue) {
+  RunCounters one = run_scenario(1);
+  RunCounters four = run_scenario(4);
 
   // Sanity on the baseline itself: the mix really drove both paths.
   EXPECT_EQ(one.processed, 5000u);
@@ -129,17 +122,17 @@ TEST_P(EngineEquivalence, FourQueueRunMatchesSingleQueue) {
   EXPECT_EQ(one, four);
 }
 
-TEST_P(EngineEquivalence, AdaptiveSteeringPreservesEquivalence) {
+TEST(EngineEquivalence, AdaptiveSteeringPreservesEquivalence) {
   // The tentpole invariant: adaptive steering — live RETA rewrites, RFS
   // re-pins, elephant spray, all re-steering flows mid-run — changes only
   // WHERE packets process. Every verdict, drop and forwarding counter of an
   // 8-queue adaptively-steered run must exactly equal the plain 1-queue run.
-  RunCounters one = run_scenario(1, GetParam());
+  RunCounters one = run_scenario(1);
 
   SteeringConfig steering = SteeringConfig::adaptive();
   steering.interval = 256;  // many live adaptation passes inside 5000 packets
   SteeringStats ss;
-  RunCounters eight = run_scenario(8, GetParam(), steering, &ss);
+  RunCounters eight = run_scenario(8, steering, &ss);
 
   // The steering machinery demonstrably acted: this is not a vacuous pass.
   EXPECT_EQ(ss.decisions, 5000u);
@@ -150,15 +143,14 @@ TEST_P(EngineEquivalence, AdaptiveSteeringPreservesEquivalence) {
   EXPECT_EQ(one, eight);
 }
 
-TEST_P(EngineEquivalence, PercpuAggregationIsPartitionInvariant) {
+TEST(EngineEquivalence, PercpuAggregationIsPartitionInvariant) {
   // A per-CPU counter map sees a different slot partition under 1 and 4
   // queues, but its control-plane aggregate must be identical.
-  auto aggregate_after_run = [](unsigned queues, ebpf::ExecEngine engine) {
+  auto aggregate_after_run = [](unsigned queues) {
     RouterDut dut;
     ebpf::HelperRegistry helpers;
     ebpf::register_all_helpers(helpers, dut.kernel.cost());
     ebpf::Attachment att("pc", ebpf::HookType::kXdp, dut.kernel, helpers);
-    att.set_exec_engine(engine);
     std::uint32_t map_id =
         att.maps().create("cnt", ebpf::MapType::kPercpuArray, 4, 8, 2);
 
@@ -199,17 +191,16 @@ TEST_P(EngineEquivalence, PercpuAggregationIsPartitionInvariant) {
         reinterpret_cast<std::uint8_t*>(&key));
   };
 
-  std::uint64_t one = aggregate_after_run(1, GetParam());
-  std::uint64_t four = aggregate_after_run(4, GetParam());
+  std::uint64_t one = aggregate_after_run(1);
+  std::uint64_t four = aggregate_after_run(4);
   EXPECT_EQ(one, 3000u);
   EXPECT_EQ(one, four);
 }
 
-TEST_P(EngineEquivalence, StatusJsonExposesPerQueueStats) {
+TEST(EngineEquivalence, StatusJsonExposesPerQueueStats) {
   sim::ScenarioConfig cfg;
   cfg.prefixes = 4;
   cfg.accel = sim::Accel::kLinuxFpXdp;
-  cfg.exec_engine = GetParam();
   sim::LinuxTestbed bed(cfg);
 
   EngineConfig ecfg;
@@ -241,26 +232,30 @@ TEST_P(EngineEquivalence, StatusJsonExposesPerQueueStats) {
   std::string prom = core::prometheus_status(*bed.controller());
   EXPECT_NE(prom.find("engine_queue0_processed"), std::string::npos);
 
-  // Under the JIT the status document reports the translator's coverage and
-  // the packets above really ran threaded.
-  if (GetParam() == ebpf::ExecEngine::kJit) {
-    ASSERT_TRUE(status.object_items().contains("jit"));
-    const util::Json& jit = status.at("jit");
-    EXPECT_GT(jit.at("translated").as_int(), 0);
-    EXPECT_GT(jit.at("runs").as_int(), 0);
-    EXPECT_EQ(jit.at("fallbacks").as_int(), 0);
-  } else {
-    EXPECT_FALSE(status.object_items().contains("jit"));
+  // Every engine.* counter in the registry appears in the document where
+  // status_json derives it: engine.queue<i>.<name> under queues[i], any other
+  // engine.<group>.<name> under <group>. Nothing is dropped by a name list.
+  const util::Json metrics = bed.kernel().metrics().to_json();
+  std::size_t engine_counters = 0;
+  for (const auto& [name, value] : metrics.at("counters").object_items()) {
+    if (name.rfind("engine.", 0) != 0) continue;
+    ++engine_counters;
+    const std::string rest = name.substr(std::string("engine.").size());
+    const std::string group = rest.substr(0, rest.find('.'));
+    const std::string leaf = rest.substr(rest.find('.') + 1);
+    const util::Json& shown =
+        group.rfind("queue", 0) == 0
+            ? queues.at(std::stoul(group.substr(std::string("queue").size())))
+                  .at(leaf)
+            : engine.at(group).at(leaf);
+    EXPECT_EQ(shown, value) << name;
   }
+  EXPECT_GT(engine_counters, 0u);
+  // Among them the per-queue stall and watchdog counters.
+  EXPECT_TRUE(queues.at(0).contains("backpressure_stalls"));
+  EXPECT_TRUE(engine.at("watchdog").contains("resteers"));
+  EXPECT_TRUE(engine.at("watchdog").contains("recoveries"));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, EngineEquivalence,
-    ::testing::Values(ebpf::ExecEngine::kInterpreter, ebpf::ExecEngine::kJit),
-    [](const ::testing::TestParamInfo<ebpf::ExecEngine>& info) {
-      return std::string(info.param == ebpf::ExecEngine::kJit ? "jit"
-                                                              : "interp");
-    });
 
 }  // namespace
 }  // namespace linuxfp::engine

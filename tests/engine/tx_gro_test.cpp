@@ -7,7 +7,7 @@
 //  * DevStats symmetry: fast-path kTx/redirect egress and slow-path egress
 //    account tx_packets/tx_bytes identically (both flow through dev_xmit).
 //  * Closed-loop equivalence: TX batching + GRO on vs off changes no
-//    counter and no per-flow output byte stream — interp and jit, 1q and 8q.
+//    counter and no per-flow output byte stream, at 1q and 8q.
 //  * Redirect audit: a verdict naming an attachment-less device transmits
 //    through the TX ring; one naming a ghost ifindex counts drop.no_device
 //    with a trace record — never silent.
@@ -682,10 +682,6 @@ TEST(TxGroObservabilityTest, SuperpacketTraceShowsGroAndResegmentation) {
 
 // --- Closed-loop equivalence (ISSUE 9 satellite 3) --------------------------
 
-// Runs once per execution engine: TX batching and GRO must be invisible under
-// the interpreter and the JIT alike.
-class TxGroEquivalence : public ::testing::TestWithParam<ebpf::ExecEngine> {};
-
 // Everything about a forwarding run that batching/GRO must not change.
 // Cycle budgets and doorbell counts legitimately differ and are excluded.
 struct FwdCounters {
@@ -722,15 +718,14 @@ struct FwdRun {
   FlowSigs sigs;
 };
 
-FwdRun run_forwarding(sim::Accel accel, ebpf::ExecEngine exec, unsigned queues,
-                      unsigned burst, bool gro,
+FwdRun run_forwarding(sim::Accel accel, unsigned queues, unsigned burst,
+                      bool gro,
                       const std::function<net::Packet(sim::LinuxTestbed&,
                                                       std::uint64_t)>& factory,
                       std::uint64_t packets) {
   sim::ScenarioConfig cfg;
   cfg.prefixes = 8;
   cfg.accel = accel;
-  cfg.exec_engine = exec;
   sim::LinuxTestbed bed(cfg);
 
   FwdRun run;
@@ -784,7 +779,7 @@ FwdRun run_forwarding(sim::Accel accel, ebpf::ExecEngine exec, unsigned queues,
   return run;
 }
 
-TEST_P(TxGroEquivalence, BatchingIsInvisibleOnTheXdpRouter) {
+TEST(TxGroEquivalence, BatchingIsInvisibleOnTheXdpRouter) {
   // The router mix from the engine equivalence suite: every 5th packet is
   // unroutable (XDP punt -> slow-path drop), the rest forward on the fast
   // path through the TX rings.
@@ -805,12 +800,12 @@ TEST_P(TxGroEquivalence, BatchingIsInvisibleOnTheXdpRouter) {
   };
   constexpr std::uint64_t kPackets = 3000;
   for (unsigned queues : {1u, 8u}) {
-    FwdRun base = run_forwarding(sim::Accel::kLinuxFpXdp, GetParam(), queues,
+    FwdRun base = run_forwarding(sim::Accel::kLinuxFpXdp, queues,
                                  /*burst=*/1, /*gro=*/false, factory,
                                  kPackets);
-    FwdRun batched = run_forwarding(sim::Accel::kLinuxFpXdp, GetParam(),
-                                    queues, /*burst=*/64, /*gro=*/true,
-                                    factory, kPackets);
+    FwdRun batched = run_forwarding(sim::Accel::kLinuxFpXdp, queues,
+                                    /*burst=*/64, /*gro=*/true, factory,
+                                    kPackets);
     // The baseline itself drove both paths and the TX rings.
     EXPECT_EQ(base.c.processed, kPackets);
     EXPECT_GT(base.c.tx_transmitted, 0u);
@@ -820,7 +815,7 @@ TEST_P(TxGroEquivalence, BatchingIsInvisibleOnTheXdpRouter) {
   }
 }
 
-TEST_P(TxGroEquivalence, GroIsInvisibleOnTheSlowPathForwarder) {
+TEST(TxGroEquivalence, GroIsInvisibleOnTheSlowPathForwarder) {
   // Six in-order TCP streams with UDP sprinkled in, all through the plain
   // Linux stack (every packet takes the slow path, the shape GRO folds).
   constexpr std::uint32_t kPayload = 256 - 54;
@@ -836,10 +831,10 @@ TEST_P(TxGroEquivalence, GroIsInvisibleOnTheSlowPathForwarder) {
   };
   constexpr std::uint64_t kPackets = 2400;
   for (unsigned queues : {1u, 8u}) {
-    FwdRun off = run_forwarding(sim::Accel::kNone, GetParam(), queues,
-                                /*burst=*/1, /*gro=*/false, factory, kPackets);
-    FwdRun on = run_forwarding(sim::Accel::kNone, GetParam(), queues,
-                               /*burst=*/64, /*gro=*/true, factory, kPackets);
+    FwdRun off = run_forwarding(sim::Accel::kNone, queues, /*burst=*/1,
+                                /*gro=*/false, factory, kPackets);
+    FwdRun on = run_forwarding(sim::Accel::kNone, queues, /*burst=*/64,
+                               /*gro=*/true, factory, kPackets);
     EXPECT_EQ(off.c.processed, kPackets);
     EXPECT_EQ(off.c.slow_processed, kPackets);
     EXPECT_EQ(off.c.eth1_tx_packets, kPackets);  // everything routable
@@ -847,14 +842,6 @@ TEST_P(TxGroEquivalence, GroIsInvisibleOnTheSlowPathForwarder) {
     EXPECT_EQ(off.sigs, on.sigs) << "queues=" << queues;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, TxGroEquivalence,
-    ::testing::Values(ebpf::ExecEngine::kInterpreter, ebpf::ExecEngine::kJit),
-    [](const ::testing::TestParamInfo<ebpf::ExecEngine>& info) {
-      return std::string(info.param == ebpf::ExecEngine::kJit ? "jit"
-                                                              : "interp");
-    });
 
 }  // namespace
 }  // namespace linuxfp::engine

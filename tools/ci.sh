@@ -23,17 +23,6 @@ run_pass build-asan -DLINUXFP_SANITIZE=ON
 
 echo "=== tier-1 OK (plain + sanitized) ==="
 
-# --- JIT differential tier -------------------------------------------------
-# The direct-threaded translator (DESIGN.md §14) must be bit-identical to
-# the interpreter: run the differential oracle (JitDiff) plus every
-# engine-parameterized suite with the JIT forced (the '/jit' TEST_P
-# variants), in the plain and the ASan build -- the translator's fused
-# handlers do raw packet/stack byte access, exactly where ASan bites.
-echo "=== JIT differential tier (plain + ASan) ==="
-(cd build && ctest --output-on-failure -j "${jobs}" -R 'JitDiff|/jit')
-(cd build-asan && ctest --output-on-failure -j "${jobs}" -R 'JitDiff|/jit')
-echo "JIT differential tier OK"
-
 # --- TSan pass: the parallel engine's threads for real ---------------------
 # The engine runs a worker pool + slow-path thread; its tests and the atomic
 # metrics regression push real concurrency through the rings, the per-CPU
@@ -46,7 +35,7 @@ cmake -B build-tsan -S . -DLINUXFP_SANITIZE=thread
 cmake --build build-tsan -j "${jobs}" --target engine_test util_test ebpf_test kernel_test core_test
 (cd build-tsan &&
  ctest --output-on-failure -j "${jobs}" \
-   -R 'Engine|BoundedRing|Rss|Steering|MetricsConcurrency|FlowCache|JitDiff|Tx|Gro|NfClassifier|ClassifierDiff|DeltaSynth')
+   -R 'Engine|BoundedRing|Rss|Steering|MetricsConcurrency|FlowCache|Tx|Gro|NfClassifier|ClassifierDiff|DeltaSynth')
 echo "TSan pass OK"
 
 # --- UBSan pass: guard + engine suites -------------------------------------
@@ -208,7 +197,8 @@ echo "overhead guard OK"
 # The VM hot loop runs over the pre-decoded instruction array (operand
 # selection and jump targets resolved at load time). Guard the raw per-insn
 # interpretation cost so the decode stage can never silently regress back
-# into the dispatch loop.
+# into the dispatch loop. The interpreter measures 3-4.5 ns/insn; the 12 ns
+# budget leaves headroom for a shared host, not for a slower dispatch loop.
 echo "=== interpreter ns/insn guard ==="
 build/bench/bench_micro_substrate \
   --benchmark_filter='BM_VmNsPerInsn$' \
@@ -217,42 +207,10 @@ python3 - <<'EOF'
 import json
 bench = json.load(open("/tmp/perinsn.json"))["benchmarks"][0]
 ns_per_insn = 1e9 / bench["items_per_second"]
-budget = 60.0
+budget = 12.0
 print(f"BM_VmNsPerInsn: {ns_per_insn:.2f} ns/insn (budget {budget})")
 if ns_per_insn > budget:
     raise SystemExit(f"interpreter cost {ns_per_insn:.2f} ns/insn "
                      f"exceeds {budget} budget")
 EOF
 echo "ns/insn guard OK"
-
-# --- JIT ns/insn guard + bench JSON ----------------------------------------
-# The translator twin of the interpreter guard: the same 130-insn ALU kernel
-# through the direct-threaded stream must stay within its own (much tighter)
-# per-insn budget and must beat the interpreter -- cost-model cycles are
-# charged identically by construction (the differential tier proves that),
-# so this gate is purely about host dispatch speed.
-echo "=== jit ns/insn guard ==="
-build/bench/bench_micro_substrate \
-  --benchmark_filter='BM_VmNsPerInsn(Jit)?$' \
-  --benchmark_format=json > /tmp/perinsn_jit.json
-python3 - <<'EOF'
-import json
-res = {}
-for b in json.load(open("/tmp/perinsn_jit.json"))["benchmarks"]:
-    if b.get("run_type", "iteration") == "iteration":
-        res[b["name"]] = 1e9 / b["items_per_second"]
-interp, jit = res["BM_VmNsPerInsn"], res["BM_VmNsPerInsnJit"]
-speedup = interp / jit
-budget = 12.0
-print(f"BM_VmNsPerInsnJit: {jit:.2f} ns/insn (budget {budget}); "
-      f"interpreter {interp:.2f} ns/insn; speedup {speedup:.2f}x")
-json.dump({"interp_ns_per_insn": interp, "jit_ns_per_insn": jit,
-           "speedup": speedup},
-          open("build/bench/BENCH_vm_jit.json", "w"), indent=2)
-if jit > budget:
-    raise SystemExit(f"jit cost {jit:.2f} ns/insn exceeds {budget} budget")
-if jit >= interp:
-    raise SystemExit(f"jit ({jit:.2f} ns/insn) not faster than the "
-                     f"interpreter ({interp:.2f} ns/insn)")
-EOF
-echo "jit guard OK"
