@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
 
   for (int cores = 1; cores <= max_cores; ++cores) {
     auto linux_r =
-        runner.run(linux_dut, forward_factory(linux_dut, 50, flows), cores, 64);
+        runner.run(linux_dut, forward_factory(linux_dut, 50, flows), cores);
     auto lfp_r =
-        runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), cores, 64);
-    auto pcn_r = runner.run(*pcn.router, pcn_factory, cores, 64);
-    auto vpp_r = runner.run(vpp.router, vpp_factory, cores, 64);
+        runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), cores);
+    auto pcn_r = runner.run(*pcn.router, pcn_factory, cores);
+    auto vpp_r = runner.run(vpp.router, vpp_factory, cores);
     print_row({std::to_string(cores), fmt_mpps(linux_r.total_pps),
                fmt_mpps(pcn_r.total_pps), fmt_mpps(vpp_r.total_pps),
                fmt_mpps(lfp_r.total_pps)},
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
     reporter.add_row(row);
   }
 
-  auto l1 = runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1, 64);
-  auto f1 = runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1, 64);
-  auto p1 = runner.run(*pcn.router, pcn_factory, 1, 64);
+  auto l1 = runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1);
+  auto f1 = runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1);
+  auto p1 = runner.run(*pcn.router, pcn_factory, 1);
   std::printf("\nshape checks (single core):\n");
   std::printf("  LinuxFP/Linux     = %.2f   (paper: ~1.77)\n",
               f1.total_pps / l1.total_pps);

@@ -36,9 +36,9 @@ int main() {
       return s;
     };
     auto linux_r = runner.run(
-        linux_dut, forward_factory(linux_dut, 50, flows, size), 1, size);
+        linux_dut, forward_factory(linux_dut, 50, flows, size), 1);
     auto lfp_r =
-        runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows, size), 1, size);
+        runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows, size), 1);
     auto pcn_r = runner.run(
         *pcn.router,
         [&](std::uint64_t i) {
@@ -46,7 +46,7 @@ int main() {
                                           static_cast<std::uint16_t>(i % flows),
                                           size);
         },
-        1, size);
+        1);
     auto vpp_r = runner.run(
         vpp.router,
         [&](std::uint64_t i) {
@@ -54,7 +54,7 @@ int main() {
                                           static_cast<std::uint16_t>(i % flows),
                                           size);
         },
-        1, size);
+        1);
     print_row({std::to_string(size), cell(linux_r), cell(pcn_r), cell(vpp_r),
                cell(lfp_r)},
               widths);

@@ -43,14 +43,14 @@ int main() {
   };
 
   for (int cores = 1; cores <= 6; ++cores) {
-    auto l = runner.run(linux_dut, forward_factory(linux_dut, 50, flows),
-                        cores, 64);
+    auto l =
+        runner.run(linux_dut, forward_factory(linux_dut, 50, flows), cores);
     auto f =
-        runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), cores, 64);
+        runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), cores);
     auto fi = runner.run(lfp_ipset_dut,
-                         forward_factory(lfp_ipset_dut, 50, flows), cores, 64);
-    auto p = runner.run(*pcn.router, ext_factory, cores, 64);
-    auto v = runner.run(vpp.router, ext_factory, cores, 64);
+                         forward_factory(lfp_ipset_dut, 50, flows), cores);
+    auto p = runner.run(*pcn.router, ext_factory, cores);
+    auto v = runner.run(vpp.router, ext_factory, cores);
     print_row({std::to_string(cores), fmt_mpps(l.total_pps),
                fmt_mpps(p.total_pps), fmt_mpps(v.total_pps),
                fmt_mpps(f.total_pps), fmt_mpps(fi.total_pps)},
@@ -58,11 +58,11 @@ int main() {
   }
 
   auto l1 =
-      runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1, 64);
-  auto f1 = runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1, 64);
+      runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1);
+  auto f1 = runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1);
   auto fi1 = runner.run(lfp_ipset_dut,
-                        forward_factory(lfp_ipset_dut, 50, flows), 1, 64);
-  auto p1 = runner.run(*pcn.router, ext_factory, 1, 64);
+                        forward_factory(lfp_ipset_dut, 50, flows), 1);
+  auto p1 = runner.run(*pcn.router, ext_factory, 1);
   std::printf("\nshape checks (single core):\n");
   std::printf("  LinuxFP/Linux            = %.2f  (paper: ~2x)\n",
               f1.total_pps / l1.total_pps);

@@ -47,13 +47,12 @@ int main() {
                                       static_cast<std::uint16_t>(i % flows));
     };
 
-    auto l = runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1,
-                        64);
-    auto f = runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1, 64);
-    auto fc = runner.run(clf_dut, forward_factory(clf_dut, 50, flows), 1, 64);
+    auto l = runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1);
+    auto f = runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1);
+    auto fc = runner.run(clf_dut, forward_factory(clf_dut, 50, flows), 1);
     auto fi =
-        runner.run(ipset_dut, forward_factory(ipset_dut, 50, flows), 1, 64);
-    auto p = runner.run(*pcn.router, pcn_factory, 1, 64);
+        runner.run(ipset_dut, forward_factory(ipset_dut, 50, flows), 1);
+    auto p = runner.run(*pcn.router, pcn_factory, 1);
     print_row({std::to_string(rules), fmt_mpps(l.total_pps),
                fmt_mpps(f.total_pps), fmt_mpps(fc.total_pps),
                fmt_mpps(fi.total_pps), fmt_mpps(p.total_pps)},
@@ -84,14 +83,14 @@ int main() {
     ipset_cfg.use_ipset = true;
     sim::LinuxTestbed ipset_dut(ipset_cfg);
 
-    auto l = mega_runner.run(linux_dut, forward_factory(linux_dut, 50, flows),
-                             1, 64);
+    auto l =
+        mega_runner.run(linux_dut, forward_factory(linux_dut, 50, flows), 1);
     auto f =
-        mega_runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1, 64);
+        mega_runner.run(lfp_dut, forward_factory(lfp_dut, 50, flows), 1);
     auto fc =
-        mega_runner.run(clf_dut, forward_factory(clf_dut, 50, flows), 1, 64);
-    auto fi = mega_runner.run(ipset_dut, forward_factory(ipset_dut, 50, flows),
-                              1, 64);
+        mega_runner.run(clf_dut, forward_factory(clf_dut, 50, flows), 1);
+    auto fi =
+        mega_runner.run(ipset_dut, forward_factory(ipset_dut, 50, flows), 1);
     print_row({std::to_string(rules), fmt_mpps(l.total_pps),
                fmt_mpps(f.total_pps), fmt_mpps(fc.total_pps),
                fmt_mpps(fi.total_pps), "-"},

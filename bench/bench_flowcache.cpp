@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
     auto off_factory = flow_factory(off_dut, fp, kPrefixes);
     auto on_factory = flow_factory(on_dut, fp, kPrefixes);
 
-    auto off_r = runner.run(off_dut, off_factory, 1, 64);
+    auto off_r = runner.run(off_dut, off_factory, 1);
 
     // Warm-up pass fills the cache; steady state is the second pass.
-    (void)runner.run(on_dut, on_factory, 1, 64);
+    (void)runner.run(on_dut, on_factory, 1);
     engine::FlowCacheStats before =
         on_dut.controller()->deployer().flow_cache_stats();
-    auto on_r = runner.run(on_dut, on_factory, 1, 64);
+    auto on_r = runner.run(on_dut, on_factory, 1);
     engine::FlowCacheStats after =
         on_dut.controller()->deployer().flow_cache_stats();
 

@@ -38,13 +38,13 @@ TputPoint measure(std::uint32_t sample_every, std::uint64_t samples) {
   if (sample_every > 0) {
     // Warm through the canary so the measured run is steady-state active
     // mode (sampled shadowing), not the all-slow-path shadow phase.
-    (void)runner.run(dut, forward_factory(dut, 50, flows), 1, 64);
+    (void)runner.run(dut, forward_factory(dut, 50, flows), 1);
     core::GuardUnit* unit =
         dut.controller()->guard()->unit("eth0", ebpf::HookType::kXdp);
     LFP_CHECK_MSG(unit && unit->mode() == core::GuardMode::kActive,
                   "guard canary failed to promote during warmup");
   }
-  auto r = runner.run(dut, forward_factory(dut, 50, flows), 1, 64);
+  auto r = runner.run(dut, forward_factory(dut, 50, flows), 1);
   return {r.total_pps, r.mean_cycles_per_pkt, r.fast_path_fraction};
 }
 

@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
 
     // Forward traffic misses the whole blacklist: the linear twin scans all
     // `rules` entries per packet, the compiled twin probes one tuple group.
-    auto l = runner.run(lin_dut, forward_factory(lin_dut, 50, flows), 1, 64);
-    auto c = runner.run(clf_dut, forward_factory(clf_dut, 50, flows), 1, 64);
+    auto l = runner.run(lin_dut, forward_factory(lin_dut, 50, flows), 1);
+    auto c = runner.run(clf_dut, forward_factory(clf_dut, 50, flows), 1);
     double speedup = l.total_pps > 0 ? c.total_pps / l.total_pps : 0;
     if (rules == 10000) speedup_10k = speedup;
 

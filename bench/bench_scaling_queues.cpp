@@ -2,9 +2,10 @@
 // datapath engine as rx queues (and worker threads) grow, on the virtual
 // router scenario (50 prefixes, 64 B, XDP driver mode).
 //
-// The engine really runs RSS -> per-queue workers -> slow-path funnel on
-// threads (engine/engine.h); sustained throughput is modeled from each
-// queue's measured cycle cost (sim::QueueScalingRunner). Expected shape
+// The engine really runs RSS -> per-queue workers -> slow-path funnel and TX
+// rings on threads (engine/engine.h); sustained throughput is modeled from
+// each queue's measured cycle cost and the slow thread's budget
+// (sim::ForwardingRunner, TX burst 64). Expected shape
 // (EXPERIMENTS.md): near-linear scaling while verdicts settle in XDP,
 // flattening once the single slow-path thread or line rate saturates. The
 // second table shows the Zipf elephant-flow regime, where RSS pins the hot
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   sim::LinuxTestbed dut(cfg);
 
   const std::uint64_t samples = reporter.smoke() ? 2000 : 8000;
-  sim::QueueScalingRunner runner(25e9, samples);
+  sim::ForwardingRunner runner(25e9, samples);
   sim::FlowPattern uniform(50, 512, 64);
   auto factory = [&](std::uint64_t i) {
     auto [prefix, flow] = uniform.at(i);
@@ -47,8 +48,10 @@ int main(int argc, char** argv) {
 
   double base_pps = 0;
   double speedup_4q = 0;
+  sim::ForwardingOptions opts;
   for (unsigned queues : {1u, 2u, 4u, 8u}) {
-    auto r = runner.run(dut.kernel(), dut.ingress_ifindex(), factory, queues);
+    opts.queues = queues;
+    auto r = runner.run(dut.kernel(), dut.ingress_ifindex(), factory, opts);
     if (queues == 1) base_pps = r.total_pps;
     double speedup = base_pps > 0 ? r.total_pps / base_pps : 0;
     if (queues == 4) speedup_4q = speedup;
@@ -92,8 +95,9 @@ int main(int argc, char** argv) {
     print_row({"", "(Mpps)", "(vs 1q)", "share", ""}, widths);
   double skew_base = 0;
   for (unsigned queues : {1u, 2u, 4u, 8u}) {
+    opts.queues = queues;
     auto r =
-        runner.run(dut.kernel(), dut.ingress_ifindex(), skew_factory, queues);
+        runner.run(dut.kernel(), dut.ingress_ifindex(), skew_factory, opts);
     if (queues == 1) skew_base = r.total_pps;
     double hot_share = 0;
     for (double share : r.per_queue_share) hot_share = std::max(hot_share, share);
@@ -134,7 +138,7 @@ int main(int argc, char** argv) {
     };
     engine::SteeringConfig adaptive = engine::SteeringConfig::adaptive();
     adaptive.interval = 512;  // adapts even inside the smoke sample budget
-    sim::QueueScalingRunner fat_runner(100e9, samples);
+    sim::ForwardingRunner fat_runner(100e9, samples);
 
     print_row({"queues", "steering", "aggregate", "hot queue", "vs 1q"},
               widths);
@@ -145,10 +149,10 @@ int main(int argc, char** argv) {
       bool steering;
     };
     for (Case c : {Case{1, false}, Case{8, false}, Case{8, true}}) {
+      opts.queues = c.queues;
+      opts.steering = c.steering ? adaptive : engine::SteeringConfig{};
       auto r = fat_runner.run(dut.kernel(), dut.ingress_ifindex(),
-                              elephant_factory, c.queues,
-                              c.steering ? adaptive
-                                         : engine::SteeringConfig{});
+                              elephant_factory, opts);
       if (c.queues == 1) recovery_base = r.total_pps;
       if (c.queues == 8 && !c.steering) off_8q = r.total_pps;
       if (c.queues == 8 && c.steering) on_8q = r.total_pps;

@@ -25,7 +25,7 @@ void run_variant(const char* name, sim::ScenarioConfig cfg) {
         return dut.forward_packet(static_cast<int>(i % 50),
                                   static_cast<std::uint16_t>(i % 256));
       },
-      /*cores=*/1, 64);
+      /*cores=*/1);
 
   std::printf("%-22s drop-blacklist=%s forward-clean=%s  %6.3f Mpps "
               "(%.0f cycles/pkt)\n",

@@ -330,15 +330,14 @@ void Engine::slow_main() {
       pop_one(std::move(pkt));
       continue;
     }
-    // Slow funnel idle: close the GRO window (napi_complete analogue) and
-    // ring any doorbells deferred by inline slow-path transmits.
+    // Slow funnel idle: close the GRO window (napi_complete analogue).
+    // Deferred doorbells wait for their burst watermark or for shutdown.
     if (gro_ && gro_->held() > 0) {
       gro_out.clear();
       gro_->flush_all(gro_out);
       for (net::Packet& out : gro_out) handle(std::move(out));
       continue;
     }
-    (void)tx_->flush_doorbells();
     if (live_workers_.load(std::memory_order_acquire) == 0) {
       // Workers have exited; everything they pushed is visible. Drain the
       // funnel, close GRO, then empty the TX rings and ring the last
@@ -354,7 +353,7 @@ void Engine::slow_main() {
         for (unsigned q = 0; q < cfg_.queues; ++q) moved += tx_->drain(q);
         if (moved == 0) break;
       }
-      (void)tx_->flush_doorbells();
+      tx_->flush_doorbells();
       break;
     }
     if (tx_moved == 0) std::this_thread::yield();

@@ -20,17 +20,6 @@ TxEngine::TxEngine(kern::Kernel& kernel, const RssClassifier& rss,
   }
 }
 
-std::uint64_t TxEngine::ring_all() {
-  std::uint64_t cycles = 0;
-  for (auto& [ifindex, count] : pending_) {
-    if (count == 0) continue;
-    cycles += kernel_.cost().tx_doorbell;
-    ++doorbells_;
-    count = 0;
-  }
-  return cycles;
-}
-
 void TxEngine::post_descriptor(kern::NetDevice& dev, std::size_t /*bytes*/,
                                kern::CycleTrace& trace) {
   trace.charge("tx_descriptor", kernel_.cost().tx_descriptor);
@@ -93,17 +82,17 @@ std::size_t TxEngine::drain(unsigned txq) {
   if (n > 0) {
     ++st.bursts;
     if (n == cfg_.burst) ++st.full_bursts;
-    // xmit_more closes at the end of the TX round: no more descriptors are
-    // known to be coming right now, so ring the deferred doorbells.
-    st.cycles += ring_all();
   }
   return n;
 }
 
-std::uint64_t TxEngine::flush_doorbells() {
-  const std::uint64_t cycles = ring_all();
-  flush_cycles_ += cycles;
-  return cycles;
+void TxEngine::flush_doorbells() {
+  for (auto& [ifindex, count] : pending_) {
+    if (count == 0) continue;
+    flush_cycles_ += kernel_.cost().tx_doorbell;
+    ++doorbells_;
+    count = 0;
+  }
 }
 
 bool TxEngine::all_empty() const {

@@ -16,11 +16,14 @@
 // Doorbell coalescing (skb->xmit_more): TxEngine implements kern::TxBatcher.
 // While installed on the kernel, every physical transmit charges only the
 // descriptor write per packet; the doorbell MMIO is deferred and rung once
-// per burst (config.burst descriptors, or at the end of a drain round / on
-// idle, whichever comes first). burst=1 degenerates to the classic
-// one-doorbell-per-packet driver and is the "unbatched" leg of the
-// forwarding benchmark. Packets are always delivered to the device
-// immediately and in order — only the *cost* of the doorbell moves.
+// per config.burst descriptors per device, plus one flush_doorbells() at
+// engine shutdown for the short tail. That is the saturated regime the
+// closed-loop runner models, where every xmit_more window fills; ringing
+// at round ends or on idle would make the doorbell count follow host thread
+// scheduling. burst=1 degenerates to the classic one-doorbell-per-packet
+// driver and is the "unbatched" leg of the forwarding benchmark. Packets
+// are always delivered to the device immediately and in order — only the
+// *cost* of the doorbell moves.
 //
 // Threading: workers produce onto the MPMC rings (a worker may select any TX
 // queue); ONLY the slow-path thread drains, transmits, and touches
@@ -81,13 +84,12 @@ class TxEngine : public kern::TxBatcher {
   }
 
   // --- consumer side (slow-path thread only) --------------------------------
-  // Pops up to config().burst descriptors from queue `txq`, transmits each
-  // through dev_xmit, and rings any deferred doorbells at the end of the
-  // round. Returns the number of descriptors moved.
+  // Pops up to config().burst descriptors from queue `txq` and transmits each
+  // through dev_xmit. Returns the number of descriptors moved.
   std::size_t drain(unsigned txq);
-  // Rings every deferred doorbell (idle / shutdown). Returns cycles charged;
-  // the caller attributes them to its own budget.
-  std::uint64_t flush_doorbells();
+  // Rings every deferred doorbell (shutdown), charging them to
+  // flush_cycles().
+  void flush_doorbells();
   bool all_empty() const;
 
   // kern::TxBatcher: dev_xmit calls this for every physical transmit while
@@ -103,9 +105,6 @@ class TxEngine : public kern::TxBatcher {
   std::uint64_t flush_cycles() const { return flush_cycles_; }
 
  private:
-  // Rings every pending doorbell; returns the cycles to charge.
-  std::uint64_t ring_all();
-
   kern::Kernel& kernel_;
   const RssClassifier& rss_;
   TxConfig cfg_;
@@ -119,7 +118,7 @@ class TxEngine : public kern::TxBatcher {
   std::map<int, unsigned> pending_;
   std::uint64_t descriptors_ = 0;
   std::uint64_t doorbells_ = 0;
-  std::uint64_t flush_cycles_ = 0;  // doorbells rung outside a drain round
+  std::uint64_t flush_cycles_ = 0;  // doorbells rung by flush_doorbells()
 };
 
 }  // namespace linuxfp::engine

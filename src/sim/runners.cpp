@@ -7,17 +7,41 @@
 
 namespace linuxfp::sim {
 
+namespace {
+
+// Line-rate cap: the ingress wire delivers at most nic_bps of framed bits
+// (frame + FCS + 20 B preamble/IFG, see Packet::wire_size), at the mean wire
+// size of the `frames` frames injected (`wire_bytes` in total). Sets the
+// result's rate fields from the uncapped rate `pps`.
+template <typename Result>
+void set_rate(Result& result, double pps, double nic_bps,
+              std::uint64_t wire_bytes, std::uint64_t frames) {
+  const double wire_bits =
+      frames > 0 ? 8.0 * static_cast<double>(wire_bytes) /
+                       static_cast<double>(frames)
+                 : 0.0;
+  if (wire_bits > 0 && pps >= nic_bps / wire_bits) {
+    pps = nic_bps / wire_bits;
+    result.line_rate_limited = true;
+  }
+  result.total_pps = pps;
+  result.total_bps = pps * wire_bits;
+}
+
+}  // namespace
+
 ThroughputResult ThroughputRunner::run(DeviceUnderTest& dut,
                                        const PacketFactory& factory,
-                                       int cores, std::size_t frame_len) const {
+                                       int cores) const {
   LFP_CHECK(cores >= 1);
   ThroughputResult result;
   std::vector<util::OnlineStats> per_core(static_cast<std::size_t>(cores));
   util::OnlineStats all;
-  std::uint64_t fast = 0;
+  std::uint64_t fast = 0, wire_bytes = 0;
 
   for (std::uint64_t i = 0; i < samples_; ++i) {
     net::Packet pkt = factory(i);
+    wire_bytes += pkt.wire_size();
     // RSS: spread flows over queues/cores by the engine's Toeplitz flow
     // hash — the same hash every other consumer uses, so fragments and
     // non-IP frames stay flow-affine instead of round-robining per packet
@@ -41,103 +65,10 @@ ThroughputResult ThroughputRunner::run(DeviceUnderTest& dut,
     total_pps += pps;
   }
 
-  // Line-rate cap: the ingress wire can deliver at most nic_bps of framed
-  // bits (min frame 64 B + 20 B preamble/IFG).
-  net::Packet probe = factory(0);
-  (void)frame_len;
-  double wire_bits = static_cast<double>(probe.wire_size()) * 8.0;
-  double wire_pps_cap = nic_bps_ / wire_bits;
-  if (total_pps >= wire_pps_cap) {
-    total_pps = wire_pps_cap;
-    result.line_rate_limited = true;
-  }
-
-  result.total_pps = total_pps;
-  result.total_bps = total_pps * wire_bits;
+  set_rate(result, total_pps, nic_bps_, wire_bytes, samples_);
   result.mean_cycles_per_pkt = all.mean();
   result.fast_path_fraction =
       static_cast<double>(fast) / static_cast<double>(samples_);
-  return result;
-}
-
-QueueScalingResult QueueScalingRunner::run(
-    kern::Kernel& kernel, int ingress_ifindex, const PacketFactory& factory,
-    unsigned queues, const engine::SteeringConfig& steering) const {
-  LFP_CHECK(queues >= 1);
-  engine::EngineConfig cfg;
-  cfg.queues = queues;
-  cfg.backpressure = true;  // exact cycle means: no sample may tail-drop
-  cfg.steering = steering;
-  engine::Engine eng(kernel, ingress_ifindex, cfg);
-  eng.start();
-  for (std::uint64_t i = 0; i < samples_; ++i) eng.inject(factory(i));
-  eng.stop();
-
-  QueueScalingResult result;
-  result.queues = queues;
-  const double cpu_hz = kernel.cost().cpu_hz;
-  std::uint64_t fast_cycles_total = 0;
-  for (unsigned q = 0; q < queues; ++q) {
-    result.processed += eng.queue_stats(q).processed;
-    fast_cycles_total += eng.queue_stats(q).fast_cycles;
-  }
-  // Bottleneck model: RSS pins each flow to one queue, so spare workers
-  // cannot steal from a hot sibling. At offered rate R, queue q absorbs
-  // R * share_q; the first queue to hit its capacity throttles the system.
-  double fast_pps = 0;
-  bool any_queue = false;
-  for (unsigned q = 0; q < queues; ++q) {
-    const engine::QueueStats& st = eng.queue_stats(q);
-    if (st.processed == 0) {
-      result.per_queue_pps.push_back(0);
-      result.per_queue_share.push_back(0);
-      continue;
-    }
-    double capacity = cpu_hz * static_cast<double>(st.processed) /
-                      static_cast<double>(st.fast_cycles);
-    double share = static_cast<double>(st.processed) /
-                   static_cast<double>(result.processed);
-    result.per_queue_pps.push_back(capacity);
-    result.per_queue_share.push_back(share);
-    double sustainable = capacity / share;
-    if (!any_queue || sustainable < fast_pps) fast_pps = sustainable;
-    any_queue = true;
-  }
-  if (!any_queue) fast_pps = 0;
-  result.slow_processed = eng.slow_stats().processed;
-  if (result.processed > 0) {
-    result.mean_fast_cycles = static_cast<double>(fast_cycles_total) /
-                              static_cast<double>(result.processed);
-    result.fast_path_fraction =
-        static_cast<double>(eng.total_fast_verdicts()) /
-        static_cast<double>(result.processed);
-  }
-
-  double total_pps = fast_pps;
-  if (result.slow_processed > 0 && eng.slow_stats().cycles > 0) {
-    result.mean_slow_cycles = static_cast<double>(eng.slow_stats().cycles) /
-                              static_cast<double>(result.slow_processed);
-    double slow_fraction = static_cast<double>(result.slow_processed) /
-                           static_cast<double>(result.processed);
-    // The single slow-path thread serializes its share of the traffic: at
-    // sustained rate R, it must absorb R * slow_fraction packets/s.
-    double slow_cap_pps = cpu_hz / result.mean_slow_cycles / slow_fraction;
-    if (total_pps >= slow_cap_pps) {
-      total_pps = slow_cap_pps;
-      result.slow_path_limited = true;
-    }
-  }
-
-  net::Packet probe = factory(0);
-  double wire_bits = static_cast<double>(probe.wire_size()) * 8.0;
-  double wire_pps_cap = nic_bps_ / wire_bits;
-  if (total_pps >= wire_pps_cap) {
-    total_pps = wire_pps_cap;
-    result.line_rate_limited = true;
-  }
-
-  result.total_pps = total_pps;
-  result.total_bps = total_pps * wire_bits;
   return result;
 }
 
@@ -157,9 +88,15 @@ ForwardingResult ForwardingRunner::run(kern::Kernel& kernel,
   cfg.backpressure = true;  // exact cycle means: no sample may drop
   cfg.tx = opts.tx;
   cfg.gro = opts.gro;
+  cfg.steering = opts.steering;
   engine::Engine eng(kernel, ingress_ifindex, cfg);
+  std::uint64_t wire_bytes = 0;
   eng.start();
-  for (std::uint64_t i = 0; i < samples_; ++i) eng.inject(factory(i));
+  for (std::uint64_t i = 0; i < samples_; ++i) {
+    net::Packet pkt = factory(i);
+    wire_bytes += pkt.wire_size();
+    eng.inject(std::move(pkt));
+  }
   eng.stop();
 
   ForwardingResult result;
@@ -178,22 +115,25 @@ ForwardingResult ForwardingRunner::run(kern::Kernel& kernel,
     processed += eng.queue_stats(q).processed;
     fast_cycles_total += eng.queue_stats(q).fast_cycles;
   }
-  // Worker bottleneck, as in QueueScalingRunner: RSS pins flows, the hottest
-  // queue's capacity/share throttles the offered rate.
+  // Worker bottleneck: RSS pins flows, so spare workers cannot steal from a
+  // hot sibling; the first queue to hit its capacity throttles the system.
   double fast_pps = 0;
   bool any_queue = false;
   for (unsigned q = 0; q < opts.queues; ++q) {
     const engine::QueueStats& st = eng.queue_stats(q);
-    if (st.processed == 0) continue;
+    if (st.processed == 0) {
+      result.per_queue_share.push_back(0);
+      continue;
+    }
     double capacity = cpu_hz * static_cast<double>(st.processed) /
                       static_cast<double>(st.fast_cycles);
     double share = static_cast<double>(st.processed) /
                    static_cast<double>(processed);
+    result.per_queue_share.push_back(share);
     double sustainable = capacity / share;
     if (!any_queue || sustainable < fast_pps) fast_pps = sustainable;
     any_queue = true;
   }
-  if (!any_queue) fast_pps = 0;
   if (processed > 0) {
     result.mean_fast_cycles = static_cast<double>(fast_cycles_total) /
                               static_cast<double>(processed);
@@ -231,16 +171,7 @@ ForwardingResult ForwardingRunner::run(kern::Kernel& kernel,
     }
   }
 
-  net::Packet probe = factory(0);
-  double wire_bits = static_cast<double>(probe.wire_size()) * 8.0;
-  double wire_pps_cap = nic_bps_ / wire_bits;
-  if (total_pps >= wire_pps_cap) {
-    total_pps = wire_pps_cap;
-    result.line_rate_limited = true;
-  }
-
-  result.total_pps = total_pps;
-  result.total_bps = total_pps * wire_bits;
+  set_rate(result, total_pps, nic_bps_, wire_bytes, samples_);
   return result;
 }
 

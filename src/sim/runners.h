@@ -4,18 +4,19 @@
 // `cores` RX queues by RSS on the flow hash; each core's capacity follows
 // from the mean measured per-packet cycle cost of the packets it actually
 // processed (the code really runs); aggregate throughput is capped by the
-// 25 Gbps line rate including Ethernet framing overhead.
+// line rate, including Ethernet framing, at the mean wire size of the frames
+// injected. It drives any DeviceUnderTest, so the Polycube/VPP baselines run
+// on it too.
+//
+// ForwardingRunner drives the real parallel engine (engine/engine.h) end to
+// end: packets flow through RSS -> per-queue workers -> slow-path funnel and
+// TX rings on actual threads, and throughput is modeled from the measured
+// per-thread cycle budgets (see the class comment).
 //
 // RrLatencyRunner models the netperf TCP_RR experiments: a closed-loop
 // discrete-event simulation with S concurrent sessions, a single FIFO
 // service core on the DUT (per the paper's single-core latency setup), and
 // measured per-direction service times with multiplicative jitter.
-//
-// QueueScalingRunner drives the real parallel engine (engine/engine.h):
-// packets flow through RSS -> per-queue workers -> slow-path funnel on actual
-// threads; aggregate throughput is then modeled from each queue's measured
-// fast-path cycle cost, capped by the single slow-path thread's capacity and
-// by line rate.
 #pragma once
 
 #include <cstdint>
@@ -47,52 +48,7 @@ class ThroughputRunner {
       : nic_bps_(nic_bps), samples_(samples) {}
 
   ThroughputResult run(DeviceUnderTest& dut, const PacketFactory& factory,
-                       int cores, std::size_t frame_len) const;
-
- private:
-  double nic_bps_;
-  std::uint64_t samples_;
-};
-
-struct QueueScalingResult {
-  unsigned queues = 0;
-  double total_pps = 0;
-  double total_bps = 0;            // wire bits/s including framing
-  bool line_rate_limited = false;
-  bool slow_path_limited = false;  // single slow thread was the bottleneck
-  std::vector<double> per_queue_pps;    // each queue's standalone capacity
-  std::vector<double> per_queue_share;  // fraction of traffic RSS steered to it
-  double mean_fast_cycles = 0;     // driver + XDP, averaged over all queues
-  double mean_slow_cycles = 0;     // stack cycles per slow-path packet
-  double fast_path_fraction = 0;   // verdict settled without the stack
-  std::uint64_t processed = 0;
-  std::uint64_t slow_processed = 0;
-};
-
-// Runs the engine's worker pool for real (threads, rings, per-CPU VMs) over
-// `samples` generated packets, then models sustained throughput from the
-// measured per-queue costs. RSS pins each flow to one queue, so at offered
-// rate R queue q absorbs R * share_q and saturates at capacity_q; the
-// system sustains
-//   R = min over queues of (capacity_q / share_q)
-// further capped by the single slow-path thread ((cpu_hz / mean slow
-// cycles) / slow fraction) and by line rate. Under uniform traffic this is
-// N x single-queue capacity (near-linear scaling); under Zipf skew the
-// elephant queue's share throttles R no matter how many workers idle.
-// Backpressure mode is used so every sample is processed and the cycle means
-// are exact — the drop regime is the tail-drop engine tests' concern.
-class QueueScalingRunner {
- public:
-  using PacketFactory = std::function<net::Packet(std::uint64_t index)>;
-
-  QueueScalingRunner(double nic_bps = 25e9, std::uint64_t samples = 4000)
-      : nic_bps_(nic_bps), samples_(samples) {}
-
-  // `steering` (default: all off) enables the engine's adaptive steering —
-  // the Zipf-recovery benchmark passes SteeringConfig::adaptive() here.
-  QueueScalingResult run(kern::Kernel& kernel, int ingress_ifindex,
-                         const PacketFactory& factory, unsigned queues,
-                         const engine::SteeringConfig& steering = {}) const;
+                       int cores) const;
 
  private:
   double nic_bps_;
@@ -103,6 +59,9 @@ struct ForwardingOptions {
   unsigned queues = 8;
   engine::TxConfig tx;   // burst=1 is the per-packet-doorbell leg
   engine::GroConfig gro;
+  // Adaptive steering (default: all off); the Zipf-recovery benchmark
+  // passes SteeringConfig::adaptive() here.
+  engine::SteeringConfig steering;
 };
 
 struct ForwardingResult {
@@ -124,20 +83,28 @@ struct ForwardingResult {
   double slow_thread_cycles = 0;    // stack + GRO + TX drain, per injected
   double fast_path_fraction = 0;
   std::uint64_t slow_processed = 0;  // wire packets through the stack
+  std::vector<double> per_queue_share;  // fraction of traffic RSS steered
 };
 
-// The closed-loop forwarding harness (DESIGN.md §16): drives the full
+// The closed-loop forwarding harness (DESIGN.md §11, §16): drives the full
 // RX engine -> fast path -> TX engine pipeline on real threads — packets in
-// at eth0, frames out at a physical egress — then models sustained
-// throughput from the measured per-thread cycle budgets:
+// at eth0, frames out at a physical egress — over `samples` generated
+// packets, then models the sustained zero-loss rate from the measured
+// per-thread cycle budgets. RSS pins each flow to one queue, so at offered
+// rate R queue q absorbs R * share_q and saturates at capacity_q:
 //   R = min over queues of (worker capacity_q / share_q),
 //       capped by the slow thread, which serializes the stack traversal of
 //       kPass traffic AND the TX-ring drains/doorbells of fast-path egress:
 //       slow_cap = cpu_hz * packets_in / slow_thread_cycles_total,
-//       and by line rate on the probe's wire size.
-// Unlike QueueScalingRunner this makes TX cost visible: at burst=1 every
-// packet pays the doorbell MMIO on the TX drain thread; at burst=64 the
-// doorbell amortizes and the bottleneck moves back to the workers.
+//       and by line rate at the mean wire size of the injected frames.
+// Under uniform traffic this is N x single-queue capacity; under Zipf skew
+// the elephant queue's share throttles R no matter how many workers idle.
+// TX cost is visible: at burst=1 every packet pays the doorbell MMIO on the
+// slow thread; at burst=64 the doorbell amortizes and the bottleneck moves
+// back to the workers. Every run is deterministic in its modeled numbers
+// except with adaptive steering or GRO, whose decisions read live ring
+// occupancy and idle time. Backpressure mode is used so every sample is
+// processed and the cycle means are exact.
 class ForwardingRunner {
  public:
   using PacketFactory = std::function<net::Packet(std::uint64_t index)>;

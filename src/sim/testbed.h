@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/controller.h"
-#include "engine/engine.h"
 #include "kernel/commands.h"
 #include "kernel/kernel.h"
 #include "net/headers.h"
@@ -50,14 +49,6 @@ struct ScenarioConfig {
   // topology itself always configures cleanly.
   std::string fault_schedule;
   std::uint64_t fault_seed = 0x1fa017;
-  // Adaptive flow steering (DESIGN.md §15) for engines driven against this
-  // scenario's kernel; engine_config() folds it in. All off by default.
-  engine::SteeringConfig steering;
-  // TX engine (DESIGN.md §16): doorbell burst etc.; engine_config() folds it
-  // in. burst=1 models the per-packet-doorbell driver.
-  engine::TxConfig tx;
-  // Slow-path GRO (DESIGN.md §16); off by default.
-  engine::GroConfig gro;
 };
 
 // Linux / LinuxFP testbed: a kern::Kernel DUT with two physical links,
@@ -98,19 +89,6 @@ class LinuxTestbed : public DeviceUnderTest {
 
   int ingress_ifindex() const { return ingress_ifindex_; }
   std::uint64_t forwarded_count() const { return forwarded_; }
-
-  // EngineConfig for driving a parallel engine against this scenario's
-  // kernel: backpressure mode (deterministic counters) with the scenario's
-  // steering options applied.
-  engine::EngineConfig engine_config(unsigned queues) const {
-    engine::EngineConfig cfg;
-    cfg.queues = queues;
-    cfg.backpressure = true;
-    cfg.steering = config_.steering;
-    cfg.tx = config_.tx;
-    cfg.gro = config_.gro;
-    return cfg;
-  }
 
   // Per-packet tracing (pwru-style): after enable_tracing, every process()
   // call records its ordered stage/helper/verdict journey into a ring of the

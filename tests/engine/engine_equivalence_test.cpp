@@ -54,11 +54,13 @@ RunCounters run_scenario(unsigned queues, const SteeringConfig& steering = {},
   sim::ScenarioConfig cfg;
   cfg.prefixes = 50;
   cfg.accel = sim::Accel::kLinuxFpXdp;
-  cfg.steering = steering;
   sim::LinuxTestbed bed(cfg);
   sim::FlowPattern pattern(50, 256, 64, /*zipf_s=*/1.1);
 
-  EngineConfig ecfg = bed.engine_config(queues);
+  EngineConfig ecfg;
+  ecfg.queues = queues;
+  ecfg.backpressure = true;
+  ecfg.steering = steering;
   Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);
   eng.start();
   constexpr std::uint64_t kPackets = 5000;

@@ -359,9 +359,16 @@ TEST(TxEngineTest, DoorbellCoalescingChargesOncePerBurst) {
   EXPECT_EQ(tx.drain(0), 2u);
   EXPECT_TRUE(tx.all_empty());
 
-  // One descriptor write per packet; the doorbell rings at the burst
-  // watermark (x2) and once more when the final short round closes.
+  // One descriptor write per packet; the doorbell rings only at the burst
+  // watermark (x2). The short tail waits for the shutdown flush, whose
+  // doorbell is charged to flush_cycles(), not to a queue.
   EXPECT_EQ(tx.descriptors(), 10u);
+  EXPECT_EQ(tx.doorbells(), 2u);
+  EXPECT_EQ(tx.flush_cycles(), 0u);
+  tx.flush_doorbells();
+  EXPECT_EQ(tx.doorbells(), 3u);
+  EXPECT_EQ(tx.flush_cycles(), dut.kernel.cost().tx_doorbell);
+  tx.flush_doorbells();  // nothing pending: no further doorbell
   EXPECT_EQ(tx.doorbells(), 3u);
   const TxQueueStats& st = tx.queue_stats(0);
   EXPECT_EQ(st.transmitted, 10u);
@@ -449,7 +456,10 @@ TEST(TxDevStatsTest, FastAndSlowPathEgressAccountIdentically) {
     RunOut out;
     bed.kernel().dev_by_name("eth1")->set_phys_tx(
         [&out](net::Packet&& p) { out.frames.push_back(bytes_of(p)); });
-    Engine eng(bed.kernel(), bed.ingress_ifindex(), bed.engine_config(4));
+    EngineConfig ecfg;
+    ecfg.queues = 4;
+    ecfg.backpressure = true;
+    Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);
     eng.start();
     for (std::uint64_t i = 0; i < 1200; ++i) {
       eng.inject(bed.forward_packet(static_cast<int>(i % 8),
@@ -579,11 +589,14 @@ TEST(TxGroObservabilityTest, StatusJsonExposesTxAndGroSections) {
   sim::ScenarioConfig cfg;
   cfg.prefixes = 4;
   cfg.accel = sim::Accel::kLinuxFpXdp;
-  cfg.gro.enabled = true;
-  cfg.tx.burst = 8;
   sim::LinuxTestbed bed(cfg);
 
-  Engine eng(bed.kernel(), bed.ingress_ifindex(), bed.engine_config(2));
+  EngineConfig ecfg;
+  ecfg.queues = 2;
+  ecfg.backpressure = true;
+  ecfg.gro.enabled = true;
+  ecfg.tx.burst = 8;
+  Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);
   eng.start();
   // Routable UDP exercises the fast path + TX rings; unroutable TCP punts to
   // the slow path where GRO sees it.
@@ -738,7 +751,9 @@ FwdRun run_forwarding(sim::Accel accel, unsigned queues, unsigned burst,
     run.sigs[key].push_back(bytes_of(p));
   });
 
-  EngineConfig ecfg = bed.engine_config(queues);
+  EngineConfig ecfg;
+  ecfg.queues = queues;
+  ecfg.backpressure = true;
   ecfg.tx.burst = burst;
   ecfg.gro.enabled = gro;
   Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);

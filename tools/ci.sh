@@ -153,6 +153,51 @@ if ratio < 5.0:
 if not equivalent:
     raise SystemExit("delta deployed FPM set diverged from from-scratch")
 EOF
+
+# Modeled numbers repeat exactly: the engine benches run a second time and
+# every modeled row must match the first run field for field, and each
+# doorbell row must read ceil(packets_in / tx_burst) doorbells (the TX engine
+# rings once per burst per device, plus once at shutdown). Two rows are
+# exempt because their mechanisms follow host thread scheduling: adaptive
+# steering (adapt() reads live rx-ring occupancy) and GRO (the slow thread
+# flushes held runs whenever its ring runs idle).
+(cd build/bench &&
+ for f in BENCH_scaling_queues BENCH_steering BENCH_forwarding; do
+   cp "${f}.json" "${f}.first.json"
+ done &&
+ ./bench_scaling_queues --smoke >/dev/null &&
+ ./bench_forwarding --smoke >/dev/null)
+python3 - <<'EOF'
+import json, math
+
+def rows(name, suffix=""):
+    return json.load(open(f"build/bench/BENCH_{name}{suffix}.json"))["rows"]
+
+def exempt(row):
+    return row.get("steering") is True or row.get("experiment") == "gro"
+
+checked = 0
+for name in ("scaling_queues", "steering", "forwarding"):
+    first, second = rows(name, ".first"), rows(name)
+    if len(first) != len(second):
+        raise SystemExit(f"BENCH_{name}: row count changed between runs")
+    for a, b in zip(first, second):
+        if exempt(a):
+            continue
+        if a != b:
+            raise SystemExit(f"BENCH_{name}: modeled row differs between "
+                             f"runs:\n  {a}\n  {b}")
+        checked += 1
+for row in rows("forwarding"):
+    if row["experiment"] != "doorbell":
+        continue
+    want = math.ceil(row["packets_in"] / row["tx_burst"])
+    if row["doorbells"] != want:
+        raise SystemExit(f"burst {row['tx_burst']}: {row['doorbells']} "
+                         f"doorbells, want ceil(packets/burst) = {want}")
+print(f"rerun smoke: {checked} modeled rows identical, doorbells = "
+      f"ceil(packets/burst)")
+EOF
 echo "bench smoke OK"
 
 # --- observability overhead guard -----------------------------------------
