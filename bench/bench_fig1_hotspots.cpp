@@ -1,12 +1,13 @@
 // Figure 1: the hot-spot observation that motivates LinuxFP — when Linux is
 // configured to forward with `ip route`, the overwhelming majority of
 // packets walk the same sequence of kernel functions. We reconstruct the
-// flame-graph view from the slow path's stage traces.
+// flame-graph view from the "slow" events of each packet's trace record.
 //
 // Emits BENCH_fig1_hotspots.json (see bench::Reporter); --smoke trims the
 // packet count for CI.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 
 #include "bench/bench_util.h"
@@ -23,6 +24,9 @@ int main(int argc, char** argv) {
   sim::ScenarioConfig cfg;
   cfg.prefixes = 50;
   sim::LinuxTestbed dut(cfg);
+  // A one-record trace ring: each rx() replaces it with the packet's ordered
+  // journey, whose "slow" events are the stage charges in path order.
+  dut.enable_tracing(1);
 
   std::map<std::string, std::uint64_t> stage_cycles;
   std::map<std::string, std::uint64_t> path_counts;
@@ -30,17 +34,18 @@ int main(int argc, char** argv) {
   const int kPackets = reporter.smoke() ? 200 : 2000;
 
   for (int i = 0; i < kPackets; ++i) {
-    kern::CycleTrace trace(/*record_stages=*/true);
+    kern::CycleTrace trace;
     dut.kernel().rx(dut.ingress_ifindex(),
                     dut.forward_packet(i % 50,
                                        static_cast<std::uint16_t>(i % 256)),
                     trace);
     std::string path;
-    for (const auto& [stage, cycles] : trace.stages()) {
-      stage_cycles[stage] += cycles;
-      total_cycles += cycles;
+    for (const util::TraceEvent& ev : dut.trace_ring()->latest().events) {
+      if (std::strcmp(ev.layer, "slow") != 0) continue;
+      stage_cycles[ev.stage] += ev.cycles;
+      total_cycles += ev.cycles;
       if (!path.empty()) path += ";";
-      path += stage;
+      path += ev.stage;
     }
     ++path_counts[path];
   }

@@ -15,7 +15,7 @@ std::vector<std::uint32_t> CapabilityManager::required_helpers(
   if (fpm == "filter") {
     return {ebpf::kHelperIptLookup};
   }
-  if (fpm == "conntrack" || fpm == "loadbalance") {
+  if (fpm == "loadbalance") {
     return {ebpf::kHelperCtLookup};
   }
   return {};

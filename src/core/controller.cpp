@@ -31,8 +31,9 @@ Controller::Controller(kern::Kernel& kernel, ControllerOptions options)
   } else {
     ebpf::register_all_helpers(helpers_, kernel_.cost());
   }
-  // One registry covers both paths: the deployer routes fastpath.*/ebpf.*
-  // counters into the kernel's registry, next to the slowpath.* stages.
+  // One registry covers both paths: the deployer binds the attachments'
+  // fastpath.*/flowcache.*/ebpf.* names into the kernel's registry, next to
+  // the slowpath.* stages.
   deployer_.set_metrics(&kernel_.metrics());
   if (options_.flow_cache) deployer_.set_flow_cache(true);
   if (options_.guard.enabled) {
@@ -98,19 +99,6 @@ void Controller::set_custom_snippet(Synthesizer::CustomSnippet snippet) {
 HealthStatus Controller::health() const {
   HealthStatus h = health_;
   h.introspection_errors = introspection_.dump_failures();
-  if (guard_) {
-    const GuardTotals t = guard_->totals();
-    h.guard_divergences = t.divergences;
-    h.guard_quarantines = t.quarantines;
-    h.guard_promotions = t.promotions;
-    h.guard_canary_rejections = t.canary_rejections;
-    h.guard_half_open_probes = t.half_open_probes;
-    h.guard_recoveries = t.closes;
-    h.guard_compares = t.compares;
-    h.guard_sampled = t.sampled;
-    h.guard_units = t.units;
-    h.guard_units_open = t.units_open;
-  }
   return h;
 }
 

@@ -85,10 +85,10 @@ class Deployer {
   std::uint64_t deploys() const { return deploys_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
 
-  // Binds every attachment (present and future) to `registry` for the
-  // fastpath.* / ebpf.* counters, and records per-FPM deploy counts
-  // ("fpm.<name>.deployed"). The controller points this at its kernel's
-  // registry so one registry covers both paths.
+  // Binds every attachment (present and future) to `registry` — its
+  // fastpath.*/flowcache.* sources and its VMs' ebpf.* counters — and
+  // records per-FPM deploy counts ("fpm.<name>.deployed"). The controller
+  // points this at its kernel's registry so one registry covers both paths.
   void set_metrics(util::MetricsRegistry* registry);
 
   // Routes every hook through the equivalence guard (core/guard.h): slot

@@ -568,44 +568,6 @@ void FpmLibrary::emit_loadbalance(ebpf::ProgramBuilder& b,
   b.label(done);
 }
 
-void FpmLibrary::emit_conntrack_gate(ebpf::ProgramBuilder& b) {
-  b.new_scope();
-  // Requires an IPv4+L4 packet; conservative checks then bpf_ct_lookup.
-  b.ldx(kR2, kR7, kOffEthType, MemSize::kU16);
-  b.be16(kR2);
-  b.jne(kR2, 0x0800, "punt");
-  b.mov_reg(kR2, kR7);
-  b.add(kR2, kOffL4 + 4);
-  b.jgt_reg(kR2, kR8, "punt");
-  b.ldx(kR2, kR7, kOffIp, MemSize::kU8);
-  b.jne(kR2, 0x45, "punt");
-
-  b.mov_reg(kR9, kR10);
-  b.add(kR9, kParamBase + 64);
-  b.ldx(kR2, kR7, kOffIpSrc, MemSize::kU32);
-  b.be32(kR2);
-  b.stx(kR9, kCtParamSrc, kR2, MemSize::kU32);
-  b.ldx(kR2, kR7, kOffIpDst, MemSize::kU32);
-  b.be32(kR2);
-  b.stx(kR9, kCtParamDst, kR2, MemSize::kU32);
-  b.ldx(kR2, kR7, kOffIpProto, MemSize::kU8);
-  b.stx(kR9, kCtParamProto, kR2, MemSize::kU8);
-  b.ldx(kR2, kR7, kOffL4, MemSize::kU16);
-  b.be16(kR2);
-  b.stx(kR9, kCtParamSport, kR2, MemSize::kU16);
-  b.ldx(kR2, kR7, kOffL4 + 2, MemSize::kU16);
-  b.be16(kR2);
-  b.stx(kR9, kCtParamDport, kR2, MemSize::kU16);
-
-  b.mov_reg(kR1, kR6);
-  b.mov_reg(kR2, kR9);
-  b.call(kHelperCtLookup);
-  // Flows unknown to conntrack are new: the slow path creates the entry
-  // (and runs scheduling for the load balancer); established flows continue
-  // on the fast path.
-  b.jne(kR0, static_cast<std::int64_t>(kCtLkupFound), "punt");
-}
-
 void FpmLibrary::emit_trivial_nf(ebpf::ProgramBuilder& b, int index) {
   b.new_scope();
   // One packet load + a little ALU, like a minimal monitoring NF.

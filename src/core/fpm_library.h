@@ -50,11 +50,6 @@ class FpmLibrary {
   static void emit_filter_only(ebpf::ProgramBuilder& b,
                                const util::Json& conf);
 
-  // Load-balancer / conntrack-affinity FPM (ipvs extension, paper future
-  // work): punts flows without an established conntrack entry; accelerates
-  // established ones by falling through to L3.
-  static void emit_conntrack_gate(ebpf::ProgramBuilder& b);
-
   // Full ipvs fast path (paper Table I, load-balancing row): parse, conntrack
   // lookup via bpf_ct_lookup, NAT rewrite (DNAT toward the scheduled backend
   // on the original direction; un-NAT back to the VIP on replies) with an

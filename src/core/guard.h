@@ -205,7 +205,7 @@ class GuardUnit : public kern::PacketProgram {
   std::vector<std::unique_ptr<CpuSlots>> cpus_;
 };
 
-// Aggregate view the controller merges into HealthStatus.
+// Aggregate view over every unit, read by status_json and prometheus_status.
 struct GuardTotals {
   std::uint64_t divergences = 0;
   std::uint64_t quarantines = 0;

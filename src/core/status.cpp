@@ -140,23 +140,18 @@ util::Json status_json(Controller& controller) {
   if (!engine.object_items().empty()) out["engine"] = engine;
   out["metrics"] = metrics;
 
-  // Microflow verdict cache (DESIGN.md §12): summed over every attachment's
-  // per-CPU caches. Only present when at least one attachment has the cache
-  // enabled; the raw flowcache.* counters also flow through "metrics".
+  // Microflow verdict cache (DESIGN.md §12), present while the deployer has
+  // the cache on: the registry's flowcache.* names (summed on read from every
+  // attachment's per-CPU caches) plus the derived hit rate.
   if (controller.deployer().flow_cache_enabled()) {
-    const engine::FlowCacheStats fs = controller.deployer().flow_cache_stats();
     util::Json fc = util::Json::object();
-    fc["hits"] = static_cast<std::int64_t>(fs.hits);
-    fc["misses"] = static_cast<std::int64_t>(fs.misses);
-    fc["invalidations"] = static_cast<std::int64_t>(fs.invalidations);
-    fc["evictions"] = static_cast<std::int64_t>(fs.evictions);
-    fc["uncacheable"] = static_cast<std::int64_t>(fs.uncacheable);
-    fc["replay_mismatch"] = static_cast<std::int64_t>(fs.replay_mismatch);
-    std::uint64_t lookups = fs.hits + fs.misses;
-    fc["hit_rate"] = lookups == 0
-                         ? 0.0
-                         : static_cast<double>(fs.hits) /
-                               static_cast<double>(lookups);
+    for (const auto& [name, value] : metrics.at("counters").object_items()) {
+      if (!util::starts_with(name, "flowcache.")) continue;
+      fc[name.substr(std::string("flowcache.").size())] = value;
+    }
+    const double hits = fc.at("hits").as_number();
+    const double lookups = hits + fc.at("misses").as_number();
+    fc["hit_rate"] = lookups == 0 ? 0.0 : hits / lookups;
     out["flowcache"] = fc;
   }
 
@@ -232,21 +227,22 @@ std::string prometheus_status(Controller& controller) {
   out << "# TYPE linuxfp_controller_last_recovered_ns gauge\n";
   out << "linuxfp_controller_last_recovered_ns " << h.last_recovered_ns
       << "\n";
-  if (controller.guard() != nullptr) {
+  if (EquivalenceGuard* guard = controller.guard()) {
+    const GuardTotals t = guard->totals();
     out << "# TYPE linuxfp_guard_compares counter\n";
-    out << "linuxfp_guard_compares " << h.guard_compares << "\n";
+    out << "linuxfp_guard_compares " << t.compares << "\n";
     out << "# TYPE linuxfp_guard_divergences counter\n";
-    out << "linuxfp_guard_divergences " << h.guard_divergences << "\n";
+    out << "linuxfp_guard_divergences " << t.divergences << "\n";
     out << "# TYPE linuxfp_guard_quarantines counter\n";
-    out << "linuxfp_guard_quarantines " << h.guard_quarantines << "\n";
+    out << "linuxfp_guard_quarantines " << t.quarantines << "\n";
     out << "# TYPE linuxfp_guard_promotions counter\n";
-    out << "linuxfp_guard_promotions " << h.guard_promotions << "\n";
+    out << "linuxfp_guard_promotions " << t.promotions << "\n";
     out << "# TYPE linuxfp_guard_recoveries counter\n";
-    out << "linuxfp_guard_recoveries " << h.guard_recoveries << "\n";
+    out << "linuxfp_guard_recoveries " << t.closes << "\n";
     out << "# TYPE linuxfp_guard_sampled counter\n";
-    out << "linuxfp_guard_sampled " << h.guard_sampled << "\n";
+    out << "linuxfp_guard_sampled " << t.sampled << "\n";
     out << "# TYPE linuxfp_guard_units_open gauge\n";
-    out << "linuxfp_guard_units_open " << h.guard_units_open << "\n";
+    out << "linuxfp_guard_units_open " << t.units_open << "\n";
   }
   return out.str();
 }

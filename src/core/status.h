@@ -35,17 +35,6 @@ struct HealthStatus {
   // 0 until the first such event.
   std::uint64_t last_degraded_ns = 0;
   std::uint64_t last_recovered_ns = 0;
-  // Equivalence-guard (core/guard.h) counters; all zero when disabled.
-  std::uint64_t guard_divergences = 0;
-  std::uint64_t guard_quarantines = 0;
-  std::uint64_t guard_promotions = 0;        // canary -> active
-  std::uint64_t guard_canary_rejections = 0;
-  std::uint64_t guard_half_open_probes = 0;
-  std::uint64_t guard_recoveries = 0;        // breaker closes
-  std::uint64_t guard_compares = 0;
-  std::uint64_t guard_sampled = 0;
-  std::uint32_t guard_units = 0;
-  std::uint32_t guard_units_open = 0;        // not serving the fast path
   std::string last_error;              // "code: message" of the newest failure
   // Failure counts keyed by error code; injected faults use "fault.<point>",
   // so this doubles as the per-injection-point failure counter table.

@@ -58,12 +58,10 @@ util::Result<ebpf::Program> Synthesizer::synthesize_inline(
   bool has_bridge = nodes.contains("bridge");
   bool has_router = nodes.contains("router");
   bool has_filter = nodes.contains("filter");
-  bool has_ct_gate = nodes.contains("conntrack");
   bool has_lb = nodes.contains("loadbalance");
 
   FpmLibrary::emit_prologue(b, /*punt_multicast=*/true);
   if (custom_) custom_(b);
-  if (has_ct_gate) FpmLibrary::emit_conntrack_gate(b);
   if (has_lb) {
     FpmLibrary::emit_loadbalance(b, nodes.at("loadbalance").at("conf"));
   }
@@ -75,11 +73,11 @@ util::Result<ebpf::Program> Synthesizer::synthesize_inline(
         b, has_filter ? nodes.at("filter").at("conf") : util::Json(nullptr),
         nodes.at("router").at("conf"), device_mac_for_l3(graph),
         /*skip_mac_check=*/has_bridge);
-  } else if (!has_bridge && !has_ct_gate) {
+  } else if (!has_bridge) {
     return util::Error::make("synth.nodes", "unsupported node combination");
   }
-  // A graph ending without a router (bridge-only, ct-gate-only) falls
-  // through into the shared "punt" label: unhandled traffic goes to Linux.
+  // A bridge-only graph falls through into the shared "punt" label:
+  // unhandled traffic goes to Linux.
   FpmLibrary::emit_epilogue(b);
   return b.build();
 }

@@ -40,9 +40,6 @@ class Synthesizer {
   explicit Synthesizer(ChainMode mode = ChainMode::kInlineCalls)
       : mode_(mode) {}
 
-  ChainMode mode() const { return mode_; }
-  void set_mode(ChainMode mode) { mode_ = mode; }
-
   // Optional custom snippet injected ahead of the synthesized FPMs (paper
   // §VIII: "support the insertion of custom functionality, e.g. for
   // monitoring modules"). The emitter must not fall off the program: it

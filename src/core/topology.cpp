@@ -112,7 +112,7 @@ util::Json TopologyManager::build_for_device(const WorldView& view,
     conf["service_count"] =
         static_cast<std::int64_t>(view.services.size());
     // The VIP endpoints are baked into the synthesized code: traffic not
-    // addressed to any service skips the conntrack gate entirely.
+    // addressed to any service skips the conntrack lookup entirely.
     util::Json services = util::Json::array();
     for (const ServiceObject& svc : view.services) {
       util::Json sj = util::Json::object();

@@ -14,6 +14,8 @@ Attachment::Attachment(std::string name, HookType hook, kern::Kernel& kernel,
   cpu_stats_.resize(1);
 }
 
+Attachment::~Attachment() { set_metrics(nullptr); }
+
 void Attachment::prepare_cpus(unsigned n) {
   while (vms_.size() < n) {
     auto vm = std::make_unique<Vm>(kernel_.cost(), helpers_, maps_,
@@ -23,25 +25,21 @@ void Attachment::prepare_cpus(unsigned n) {
     vms_.push_back(std::move(vm));
   }
   if (cpu_stats_.size() < vms_.size()) cpu_stats_.resize(vms_.size());
-  if (flow_cache_on_) {
-    while (flow_caches_.size() < vms_.size()) {
-      auto fc = std::make_unique<engine::FlowCache>();
-      fc->set_metrics(fc_metrics_);
-      flow_caches_.push_back(std::move(fc));
-    }
-  }
+  if (flow_cache_on_) set_flow_cache(true);
 }
 
 void Attachment::set_flow_cache(bool on) {
   flow_cache_on_ = on;
   if (!on) {
+    // The caches' counts go with them: fold them into the registry first
+    // (the re-registered source then reads the empty set as zeros).
+    if (metrics_registry_) metrics_registry_->remove_source(&flow_caches_);
     flow_caches_.clear();
+    if (metrics_registry_) add_metric_sources();
     return;
   }
   while (flow_caches_.size() < vms_.size()) {
-    auto fc = std::make_unique<engine::FlowCache>();
-    fc->set_metrics(fc_metrics_);
-    flow_caches_.push_back(std::move(fc));
+    flow_caches_.push_back(std::make_unique<engine::FlowCache>());
   }
 }
 
@@ -55,15 +53,15 @@ AttachmentStats Attachment::stats() const {
   AttachmentStats total;
   for (const CpuStats& shard : cpu_stats_) {
     const AttachmentStats& s = shard.s;
-    total.runs += s.runs;
-    total.pass += s.pass;
-    total.drop += s.drop;
-    total.tx += s.tx;
-    total.redirect += s.redirect;
-    total.to_userspace += s.to_userspace;
-    total.aborted += s.aborted;
-    total.total_cycles += s.total_cycles;
-    total.total_insns += s.total_insns;
+    total.runs += util::shard_read(s.runs);
+    total.pass += util::shard_read(s.pass);
+    total.drop += util::shard_read(s.drop);
+    total.tx += util::shard_read(s.tx);
+    total.redirect += util::shard_read(s.redirect);
+    total.to_userspace += util::shard_read(s.to_userspace);
+    total.aborted += util::shard_read(s.aborted);
+    total.total_cycles += util::shard_read(s.total_cycles);
+    total.total_insns += util::shard_read(s.total_insns);
   }
   return total;
 }
@@ -192,31 +190,40 @@ std::uint32_t Attachment::register_xsk(AfXdpSocket* socket) {
 }
 
 void Attachment::set_metrics(util::MetricsRegistry* registry) {
+  if (registry == metrics_registry_) return;
+  if (metrics_registry_) {
+    metrics_registry_->remove_source(this);
+    metrics_registry_->remove_source(&flow_caches_);
+  }
   metrics_registry_ = registry;
   for (auto& vm : vms_) vm->set_metrics(registry);
-  if (!registry) {
-    m_runs_ = m_cycles_ = nullptr;
-    for (auto& v : m_verdicts_) v = nullptr;
-    fc_metrics_ = engine::FlowCacheMetrics{};
-    for (auto& fc : flow_caches_) fc->set_metrics(fc_metrics_);
-    return;
-  }
-  std::string prefix = "fastpath." + name_ + "." + hook_type_name(hook_) + ".";
-  m_runs_ = registry->counter(prefix + "runs");
-  m_cycles_ = registry->counter(prefix + "cycles");
-  const char* verdict_names[6] = {"pass",      "drop",    "tx",
-                                  "redirect",  "to_userspace", "aborted"};
-  for (int i = 0; i < 6; ++i) {
-    m_verdicts_[i] = registry->counter(prefix + verdict_names[i]);
-  }
-  fc_metrics_.registry = registry;
-  fc_metrics_.hits = registry->counter("flowcache.hits");
-  fc_metrics_.misses = registry->counter("flowcache.misses");
-  fc_metrics_.invalidations = registry->counter("flowcache.invalidations");
-  fc_metrics_.evictions = registry->counter("flowcache.evictions");
-  fc_metrics_.uncacheable = registry->counter("flowcache.uncacheable");
-  fc_metrics_.replay_mismatch = registry->counter("flowcache.replay_mismatch");
-  for (auto& fc : flow_caches_) fc->set_metrics(fc_metrics_);
+  if (registry) add_metric_sources();
+}
+
+void Attachment::add_metric_sources() {
+  using Emit = util::MetricsRegistry::Emit;
+  const std::string prefix =
+      "fastpath." + name_ + "." + hook_type_name(hook_) + ".";
+  metrics_registry_->add_source(this, [this, prefix](const Emit& emit) {
+    const AttachmentStats s = stats();
+    emit(prefix + "runs", s.runs);
+    emit(prefix + "cycles", s.total_cycles);
+    emit(prefix + "pass", s.pass);
+    emit(prefix + "drop", s.drop);
+    emit(prefix + "tx", s.tx);
+    emit(prefix + "redirect", s.redirect);
+    emit(prefix + "to_userspace", s.to_userspace);
+    emit(prefix + "aborted", s.aborted);
+  });
+  metrics_registry_->add_source(&flow_caches_, [this](const Emit& emit) {
+    const engine::FlowCacheStats s = flow_cache_stats();
+    emit("flowcache.hits", s.hits);
+    emit("flowcache.misses", s.misses);
+    emit("flowcache.invalidations", s.invalidations);
+    emit("flowcache.evictions", s.evictions);
+    emit("flowcache.uncacheable", s.uncacheable);
+    emit("flowcache.replay_mismatch", s.replay_mismatch);
+  });
 }
 
 Attachment::RunResult Attachment::run(net::Packet& pkt, int ingress_ifindex) {
@@ -227,32 +234,27 @@ Attachment::RunResult Attachment::finish_cache_hit(
     const engine::FlowCache::Hit& hit, AttachmentStats& sh) {
   RunResult out;
   std::uint64_t cycles = kernel_.cost().flowcache_hit;
-  ++sh.runs;
-  sh.total_cycles += cycles;
+  util::shard_add(sh.runs);
+  util::shard_add(sh.total_cycles, cycles);
   out.cycles = cycles;
   switch (hit.act) {
     case kActDrop:
-      ++sh.drop;
+      util::shard_add(sh.drop);
       out.verdict = Verdict::kDrop;
       break;
     case kActTx:
-      ++sh.tx;
+      util::shard_add(sh.tx);
       out.verdict = Verdict::kTx;
       break;
     case kActRedirect:
-      ++sh.redirect;
+      util::shard_add(sh.redirect);
       out.verdict = Verdict::kRedirect;
       out.redirect_ifindex = hit.redirect_ifindex;
       break;
     default:
-      ++sh.pass;
+      util::shard_add(sh.pass);
       out.verdict = Verdict::kPass;
       break;
-  }
-  if (metrics_on()) {
-    util::bump(m_runs_);
-    util::bump(m_cycles_, cycles);
-    util::bump(m_verdicts_[static_cast<int>(out.verdict)]);
   }
   if (auto* t = util::active_packet_trace()) {
     t->add("ebpf", "flowcache_hit", cycles, action_name(hit.act));
@@ -299,28 +301,23 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
     fc->insert(pkt, ingress_ifindex, flow_epoch(), kernel_, *rec, r.ret,
                r.redirect_ifindex, cacheable);
   }
-  ++sh.runs;
-  sh.total_cycles += r.cycles;
-  sh.total_insns += r.insns_executed;
-  if (metrics_on()) {
-    util::bump(m_runs_);
-    util::bump(m_cycles_, r.cycles);
-  }
+  util::shard_add(sh.runs);
+  util::shard_add(sh.total_cycles, r.cycles);
+  util::shard_add(sh.total_insns, r.insns_executed);
   out.cycles = r.cycles;
   if (r.aborted) {
-    ++sh.aborted;
-    if (metrics_on()) util::bump(m_verdicts_[static_cast<int>(Verdict::kAborted)]);
+    util::shard_add(sh.aborted);
     out.verdict = Verdict::kAborted;
     LFP_WARN("ebpf") << name_ << " aborted: " << r.error;
     return out;
   }
   switch (r.ret) {
     case kActDrop:
-      ++sh.drop;
+      util::shard_add(sh.drop);
       out.verdict = Verdict::kDrop;
       break;
     case kActTx:
-      ++sh.tx;
+      util::shard_add(sh.tx);
       out.verdict = Verdict::kTx;
       break;
     case kActRedirect:
@@ -329,28 +326,27 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
         if (static_cast<std::size_t>(r.redirect_xsk) < xsk_sockets_.size()) {
           xsk_sockets_[static_cast<std::size_t>(r.redirect_xsk)]->push_rx(
               net::Packet(pkt));
-          ++sh.to_userspace;
+          util::shard_add(sh.to_userspace);
           out.verdict = Verdict::kUserspace;
         } else {
-          ++sh.aborted;
+          util::shard_add(sh.aborted);
           out.verdict = Verdict::kAborted;
         }
         break;
       }
-      ++sh.redirect;
+      util::shard_add(sh.redirect);
       out.verdict = Verdict::kRedirect;
       out.redirect_ifindex = r.redirect_ifindex;
       break;
     case kActPass:
-      ++sh.pass;
+      util::shard_add(sh.pass);
       out.verdict = Verdict::kPass;
       break;
     default:
-      ++sh.aborted;
+      util::shard_add(sh.aborted);
       out.verdict = Verdict::kAborted;
       break;
   }
-  if (metrics_on()) util::bump(m_verdicts_[static_cast<int>(out.verdict)]);
   return out;
 }
 

@@ -59,6 +59,11 @@ class Attachment : public kern::PacketProgram {
   // verifier rejects programs calling anything else.
   Attachment(std::string name, HookType hook, kern::Kernel& kernel,
              const HelperRegistry& helpers);
+  // Folds the shard totals into the bound registry's stored counters.
+  ~Attachment() override;
+  // The registry's sources hold `this`.
+  Attachment(const Attachment&) = delete;
+  Attachment& operator=(const Attachment&) = delete;
 
   // --- program management ------------------------------------------------------
   // Verifies and loads; returns the program id.
@@ -104,20 +109,24 @@ class Attachment : public kern::PacketProgram {
   void prepare_cpus(unsigned n) override;
   std::string name() const override { return name_; }
 
-  // Aggregated over the per-CPU shards. Only exact after the worker pool
-  // quiesces (shard writes are unsynchronized plain fields).
+  // Summed over the per-CPU shards. Safe while workers run (shards are
+  // single-writer, util::shard_add/shard_read); exact once they quiesce.
   AttachmentStats stats() const;
   HookType hook() const { return hook_; }
   unsigned ncpus() const { return static_cast<unsigned>(vms_.size()); }
 
-  // Mirrors per-run verdict/cycle counts into `registry` under
-  // "fastpath.<name>.<hook>.*" and binds the VM's helper/map counters.
-  // Null unbinds. AttachmentStats stays authoritative either way.
+  // Registers the stats shards with `registry` as a read-time source of
+  // "fastpath.<name>.<hook>.*" and the flow caches as one of "flowcache.*"
+  // (zeros while the cache is off), and binds the VM's helper/map counters.
+  // Binding the same registry again is a no-op; null unbinds, folding the
+  // current totals into the old registry's stored counters. The registry
+  // must outlive the binding (the destructor unbinds).
   void set_metrics(util::MetricsRegistry* registry);
 
   // --- microflow verdict cache (DESIGN.md §12) -------------------------------
   // Opt-in per-CPU exact-match verdict cache probed before the interpreter.
-  // Control-plane call (no workers running). Off by default.
+  // Control-plane call (no workers running). Off by default; turning it off
+  // folds the caches' totals into the registry before discarding them.
   void set_flow_cache(bool on);
   bool flow_cache_enabled() const { return flow_cache_on_; }
   // Deploy epoch: bumped whenever the reachable program set can change
@@ -127,16 +136,18 @@ class Attachment : public kern::PacketProgram {
   std::uint64_t flow_epoch() const {
     return flow_epoch_.load(std::memory_order_relaxed);
   }
-  // Aggregated over the per-CPU caches; exact once workers quiesce.
+  // Summed over the per-CPU caches; safe while workers run, exact once
+  // they quiesce.
   engine::FlowCacheStats flow_cache_stats() const;
   const engine::FlowCache* flow_cache(unsigned cpu) const {
     return cpu < flow_caches_.size() ? flow_caches_[cpu].get() : nullptr;
   }
 
  private:
-  bool metrics_on() const {
-    return metrics_registry_ != nullptr && metrics_registry_->enabled();
-  }
+  // Registers the stats shards (owner `this`) and the flow caches (owner
+  // `&flow_caches_`) as separate sources, so set_flow_cache(false) can fold
+  // the caches it discards without folding the shards it keeps.
+  void add_metric_sources();
 
   // One stats shard per CPU, cache-line padded so concurrent workers never
   // false-share; stats() sums the shards.
@@ -158,7 +169,7 @@ class Attachment : public kern::PacketProgram {
   void bump_flow_epoch() {
     flow_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Serves a probe-hit: verdict mapping, stats, metrics, trace event.
+  // Serves a probe-hit: verdict mapping, stats, trace event.
   RunResult finish_cache_hit(const engine::FlowCache::Hit& hit,
                              AttachmentStats& sh);
 
@@ -173,12 +184,8 @@ class Attachment : public kern::PacketProgram {
   bool flow_cache_on_ = false;
   std::vector<std::unique_ptr<engine::FlowCache>> flow_caches_;
   std::atomic<std::uint64_t> flow_epoch_{0};
-  engine::FlowCacheMetrics fc_metrics_;
 
   util::MetricsRegistry* metrics_registry_ = nullptr;
-  util::Counter* m_runs_ = nullptr;
-  util::Counter* m_cycles_ = nullptr;
-  util::Counter* m_verdicts_[6] = {};  // indexed by Verdict
 };
 
 // Attach/detach convenience wrappers (libbpf-style API). The program is any

@@ -25,6 +25,17 @@ FlowCache::FlowCache(std::size_t entries) {
   victim_.resize(sets, 0);
 }
 
+FlowCacheStats FlowCache::stats() const {
+  FlowCacheStats s;
+  s.hits = util::shard_read(stats_.hits);
+  s.misses = util::shard_read(stats_.misses);
+  s.invalidations = util::shard_read(stats_.invalidations);
+  s.evictions = util::shard_read(stats_.evictions);
+  s.uncacheable = util::shard_read(stats_.uncacheable);
+  s.replay_mismatch = util::shard_read(stats_.replay_mismatch);
+  return s;
+}
+
 std::size_t FlowCache::live_entries() const {
   std::size_t n = 0;
   for (const Entry& e : entries_) n += e.valid;
@@ -113,8 +124,7 @@ bool FlowCache::try_hit(net::Packet& pkt, int ingress_ifindex,
     }
   }
   if (!match) {
-    ++stats_.misses;
-    note(metrics_.misses);
+    util::shard_add(stats_.misses);
     return false;
   }
   Entry& e = *match;
@@ -123,10 +133,8 @@ bool FlowCache::try_hit(net::Packet& pkt, int ingress_ifindex,
     // The program was redeployed or a depended-on subsystem mutated since
     // the entry was recorded; drop it and take the full path.
     e.valid = false;
-    ++stats_.invalidations;
-    ++stats_.misses;
-    note(metrics_.invalidations);
-    note(metrics_.misses);
+    util::shard_add(stats_.invalidations);
+    util::shard_add(stats_.misses);
     return false;
   }
   if (!replay_ct(e, kernel)) {
@@ -135,10 +143,8 @@ bool FlowCache::try_hit(net::Packet& pkt, int ingress_ifindex,
     // effects a full run's would, so falling through to the interpreter
     // keeps kernel state exact; the full run then refreshes the entry.
     e.valid = false;
-    ++stats_.replay_mismatch;
-    ++stats_.misses;
-    note(metrics_.replay_mismatch);
-    note(metrics_.misses);
+    util::shard_add(stats_.replay_mismatch);
+    util::shard_add(stats_.misses);
     return false;
   }
   replay_fdb(e, kernel);
@@ -153,8 +159,7 @@ bool FlowCache::try_hit(net::Packet& pkt, int ingress_ifindex,
   }
   out->act = e.act;
   out->redirect_ifindex = e.redirect_ifindex;
-  ++stats_.hits;
-  note(metrics_.hits);
+  util::shard_add(stats_.hits);
   return true;
 }
 
@@ -163,8 +168,7 @@ void FlowCache::insert(const net::Packet& pkt, int ingress_ifindex,
                        const FlowCacheRecorder& rec, std::uint64_t act,
                        int redirect_ifindex, bool cacheable) {
   if (!cacheable || rec.uncacheable()) {
-    ++stats_.uncacheable;
-    note(metrics_.uncacheable);
+    util::shard_add(stats_.uncacheable);
     return;
   }
   LFP_CHECK_MSG(pkt.rss_hash_valid, "flow cache insert without RSS hash");
@@ -183,8 +187,7 @@ void FlowCache::insert(const net::Packet& pkt, int ingress_ifindex,
     std::size_t set = hash & set_mask_;
     way = victim_[set];
     victim_[set] = static_cast<std::uint8_t>((way + 1) % kWays);
-    ++stats_.evictions;
-    note(metrics_.evictions);
+    util::shard_add(stats_.evictions);
   }
   Entry& e = entries_[base + way];
   e.valid = true;

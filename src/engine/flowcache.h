@@ -204,22 +204,9 @@ class FlowCacheRecorder {
 
 // --- the cache ---------------------------------------------------------------
 
-// Registry counters mirroring FlowCacheStats ("flowcache.*" names), shared
-// by every per-CPU cache of an attachment (Counter bumps are relaxed
-// atomics, safe from concurrent workers). `registry` gates emission the same
-// way the attachment's other mirrors do.
-struct FlowCacheMetrics {
-  util::MetricsRegistry* registry = nullptr;
-  util::Counter* hits = nullptr;
-  util::Counter* misses = nullptr;
-  util::Counter* invalidations = nullptr;
-  util::Counter* evictions = nullptr;
-  util::Counter* uncacheable = nullptr;
-  util::Counter* replay_mismatch = nullptr;
-
-  bool on() const { return registry != nullptr && registry->enabled(); }
-};
-
+// One cache's outcome counts. Each per-CPU cache is the only store of its
+// events: the owning worker adds with util::shard_add, and the registry's
+// "flowcache.*" names are summed from the caches on read (Attachment).
 struct FlowCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -247,7 +234,8 @@ struct FlowCacheStats {
 // distinct 5-tuples routinely share a hash; the ways absorb those
 // collisions. Single-threaded by construction — each engine worker owns its
 // cache, and the sim path owns CPU 0's — so probes and inserts never
-// synchronize; only the generation-counter loads are atomic.
+// synchronize; only the generation-counter loads are atomic, and the stats
+// are single-writer shards that stats() may read from any thread.
 class FlowCache {
  public:
   static constexpr std::size_t kWays = 4;
@@ -277,10 +265,8 @@ class FlowCache {
   // Recorder for the next miss on this CPU (reused across packets).
   FlowCacheRecorder& recorder() { return recorder_; }
 
-  // Mirrors stat events into registry counters (control-plane call).
-  void set_metrics(const FlowCacheMetrics& m) { metrics_ = m; }
-
-  const FlowCacheStats& stats() const { return stats_; }
+  // Snapshot of the counters; safe while the owning worker runs.
+  FlowCacheStats stats() const;
   std::size_t capacity() const { return entries_.size(); }
   std::size_t live_entries() const;
   // Whether a valid entry for this flow hash exists at the given program
@@ -322,16 +308,11 @@ class FlowCache {
   static bool replay_ct(const Entry& e, kern::Kernel& kernel);
   static void replay_fdb(const Entry& e, kern::Kernel& kernel);
 
-  void note(util::Counter* c) {
-    if (metrics_.on()) util::bump(c);
-  }
-
   std::size_t set_mask_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::uint8_t> victim_;  // per-set round-robin eviction cursor
   FlowCacheRecorder recorder_;
   FlowCacheStats stats_;
-  FlowCacheMetrics metrics_;
 };
 
 }  // namespace linuxfp::engine

@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "util/metrics.h"
 
@@ -131,21 +129,15 @@ struct CostModel {
   }
 };
 
-// A per-packet cycle accumulator with an optional stage trace. The stage
-// trace is what bench_fig1_hotspots uses to reconstruct the paper's flame
-// graph observation (most packets traverse the same stage sequence).
-//
-// Each charge() is also the observability layer's emission site: when a
-// kernel binds its StageSink the charge feeds the per-stage counters, and
-// when a packet trace is active the charge appends an ordered trace event.
+// A per-packet cycle accumulator. Each charge() is also the observability
+// layer's emission site: when a kernel binds its StageSink the charge feeds
+// the per-stage counters, and when a packet trace is active the charge
+// appends an ordered "slow" trace event — the stage sequence
+// bench_fig1_hotspots reads to reconstruct the paper's flame graph.
 class CycleTrace {
  public:
-  explicit CycleTrace(bool record_stages = false)
-      : record_(record_stages) {}
-
   void charge(const char* stage, std::uint64_t cycles) {
     total_ += cycles;
-    if (record_) stages_.emplace_back(stage, cycles);
     if (sink_) sink_->charge(stage, cycles);
     if (ptrace_) ptrace_->add("slow", stage, cycles);
   }
@@ -154,10 +146,6 @@ class CycleTrace {
   }
 
   std::uint64_t total() const { return total_; }
-  const std::vector<std::pair<const char*, std::uint64_t>>& stages() const {
-    return stages_;
-  }
-  bool recording() const { return record_; }
 
   // Kernel::rx binds/restores these around a packet; a veth hop into another
   // kernel re-binds so each stage is attributed to the kernel that ran it.
@@ -167,11 +155,9 @@ class CycleTrace {
   util::PacketTrace* packet_trace() const { return ptrace_; }
 
  private:
-  bool record_;
   std::uint64_t total_ = 0;
   util::StageSink* sink_ = nullptr;
   util::PacketTrace* ptrace_ = nullptr;
-  std::vector<std::pair<const char*, std::uint64_t>> stages_;
 };
 
 }  // namespace linuxfp::kern

@@ -1,6 +1,5 @@
 #include "sim/testbed.h"
 
-#include "util/fault.h"
 #include "util/logging.h"
 
 namespace linuxfp::sim {
@@ -64,17 +63,6 @@ LinuxTestbed::LinuxTestbed(const ScenarioConfig& config)
   ingress_ifindex_ = kernel_.dev_by_name("eth0")->ifindex();
   eth0_mac_ = kernel_.dev_by_name("eth0")->mac();
 
-  // Arm the fault schedule before the controller's first deploy so startup
-  // itself is exposed to the faults; the scenario's own configuration
-  // commands above always ran cleanly.
-  if (!config_.fault_schedule.empty()) {
-    util::FaultInjector& fi = util::FaultInjector::global();
-    fi.arm(config_.fault_seed);
-    auto st = fi.install_schedule(config_.fault_schedule);
-    LFP_CHECK_MSG(st.ok(), "bad fault schedule: " + config_.fault_schedule);
-    faults_armed_ = true;
-  }
-
   if (config_.accel != Accel::kNone) {
     core::ControllerOptions opts;
     opts.hook = config_.accel == Accel::kLinuxFpTc ? "tc" : "xdp";
@@ -86,10 +74,7 @@ LinuxTestbed::LinuxTestbed(const ScenarioConfig& config)
   }
 }
 
-LinuxTestbed::~LinuxTestbed() {
-  if (faults_armed_) util::FaultInjector::global().disarm();
-  kernel_.set_trace_ring(nullptr);
-}
+LinuxTestbed::~LinuxTestbed() { kernel_.set_trace_ring(nullptr); }
 
 void LinuxTestbed::enable_tracing(std::size_t capacity) {
   trace_ring_ = std::make_unique<util::TraceRing>(capacity);

@@ -43,12 +43,6 @@ struct ScenarioConfig {
   // deployed hook through canary/sampled-shadow comparison with per-FPM
   // circuit breakers; the remaining GuardPolicy knobs apply as-is.
   core::GuardPolicy guard;
-  // Fault schedule armed on the global injector for the testbed's lifetime
-  // (see util/fault.h grammar, e.g. "loader.load:p=0.2;maps.update:nth=3").
-  // Empty = faults disarmed. Applied after base scenario setup so the
-  // topology itself always configures cleanly.
-  std::string fault_schedule;
-  std::uint64_t fault_seed = 0x1fa017;
 };
 
 // Linux / LinuxFP testbed: a kern::Kernel DUT with two physical links,
@@ -101,7 +95,6 @@ class LinuxTestbed : public DeviceUnderTest {
 
  private:
   ScenarioConfig config_;
-  bool faults_armed_ = false;
   kern::Kernel kernel_;
   std::unique_ptr<core::Controller> controller_;
   std::unique_ptr<util::TraceRing> trace_ring_;

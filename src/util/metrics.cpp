@@ -62,22 +62,38 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
   return slot;
 }
 
-std::uint64_t MetricsRegistry::value(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : counter_value(it->second);
+void MetricsRegistry::add_source(const void* owner, Collect collect) {
+  sources_[owner] = std::move(collect);
 }
 
-void MetricsRegistry::reset() {
-  for (Counter& v : counter_values_) v.store(0, std::memory_order_relaxed);
-  for (auto& [name, hist] : histograms_) *hist = Histogram(&histograms_enabled_);
+void MetricsRegistry::remove_source(const void* owner) {
+  auto it = sources_.find(owner);
+  if (it == sources_.end()) return;
+  it->second([this](const std::string& name, std::uint64_t v) {
+    bump(counter(name), v);
+  });
+  sources_.erase(it);
+}
+
+std::map<std::string, std::uint64_t> MetricsRegistry::snapshot() const {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : counters_) out[name] = counter_value(value);
+  for (const auto& [owner, collect] : sources_) {
+    collect([&](const std::string& n, std::uint64_t v) { out[n] += v; });
+  }
+  return out;
+}
+
+std::uint64_t MetricsRegistry::value(const std::string& name) const {
+  const auto all = snapshot();
+  auto it = all.find(name);
+  return it == all.end() ? 0 : it->second;
 }
 
 Json MetricsRegistry::to_json() const {
   Json out = Json::object();
   Json counters = Json::object();
-  for (const auto& [name, value] : counters_) {
-    counters[name] = counter_value(value);
-  }
+  for (const auto& [name, value] : snapshot()) counters[name] = value;
   out["counters"] = counters;
   Json hists = Json::object();
   for (const auto& [name, hist] : histograms_) {
@@ -89,10 +105,10 @@ Json MetricsRegistry::to_json() const {
 
 std::string MetricsRegistry::prometheus_text(const std::string& prefix) const {
   std::ostringstream out;
-  for (const auto& [name, value] : counters_) {
+  for (const auto& [name, value] : snapshot()) {
     std::string metric = prefix + "_" + sanitize(name);
     out << "# TYPE " << metric << " counter\n";
-    out << metric << " " << counter_value(value) << "\n";
+    out << metric << " " << value << "\n";
   }
   for (const auto& [name, hist] : histograms_) {
     if (hist->count() == 0) continue;

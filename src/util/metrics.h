@@ -8,7 +8,9 @@
 //  * MetricsRegistry — named monotonic counters (always on, ~one increment
 //    per event) and opt-in latency Histograms (OnlineStats + SampleSet).
 //    Counter storage is deque-backed so &counter is stable forever; hot
-//    paths resolve a name once and bump through the cached pointer.
+//    paths resolve a name once and bump through the cached pointer. Owners
+//    that already keep per-CPU stores register a read-time *source* instead
+//    of mirroring every event: reads sum the source with the stored counters.
 //  * StageSink — a fixed-size open-addressing cache keyed on the *address*
 //    of a stage-name string literal, so CycleTrace::charge() costs two
 //    pointer-indexed increments instead of a string lookup.
@@ -16,19 +18,25 @@
 //    packet records the ordered (layer, stage, cycles) events it hit in the
 //    slow path and in the eBPF VM, dumpable as JSON (tools/linuxfptrace).
 //
-// Counter naming scheme (see DESIGN.md):
+// Each name has one source of truth (DESIGN.md §10). Stored counters:
 //   slowpath.<stage>.calls / .cycles      one pair per CycleTrace stage
-//   drop.<reason>                         per-reason drop counts
+//   drop.<reason>                         per-reason drop counts (a mirror
+//                                         of KernelCounters::drops, whose
+//                                         std::map cannot be read live)
 //   fib.lookups / fib.depth_total         FIB activity (depth via FibResult)
-//   fastpath.<attachment>.<hook>.*        per-attachment verdicts/cycles
 //   ebpf.helper.<name>.calls              per-helper-call counts
 //   ebpf.map.{hits,misses}                map lookup outcomes
 //   fpm.<name>.deployed                   per-FPM deploy counts
+//   engine.*                              engine shards, folded at stop()
+// Derived on read from per-CPU stores (Attachment sources):
+//   fastpath.<attachment>.<hook>.*        per-attachment verdicts/cycles
+//   flowcache.*                           microflow cache outcomes
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -51,6 +59,23 @@ inline void bump(Counter* c, std::uint64_t n = 1) {
 
 inline std::uint64_t counter_value(const Counter* c) {
   return c->load(std::memory_order_relaxed);
+}
+
+// Single-writer shard counter, the per-CPU-map discipline: only the thread
+// that owns a shard adds to it, any thread may read it. A relaxed load plus
+// store is not an atomic read-modify-write — it compiles to a plain load,
+// add and store (the work `c += n` does), with no `lock` prefix — yet it
+// makes reads concurrent with the owner race-free.
+inline void shard_add(std::uint64_t& c, std::uint64_t n = 1) {
+  std::atomic_ref<std::uint64_t> ref(c);
+  ref.store(ref.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+}
+
+// Read twin of shard_add (the shard is never written through this ref).
+inline std::uint64_t shard_read(const std::uint64_t& c) {
+  return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(c))
+      .load(std::memory_order_relaxed);
 }
 
 // Opt-in latency histogram: Welford summary plus retained samples for exact
@@ -80,11 +105,11 @@ class Histogram {
 };
 
 // Named metric store. Threading contract: counter *creation* (counter(),
-// histogram(), bind/set_metrics calls) is control-plane work and must be
-// single-threaded; *increments* through previously obtained Counter pointers
-// are safe from any number of threads (relaxed atomics). The engine pre-binds
-// every counter before spawning its worker pool, and merges per-worker shards
-// here at stop() — exactly the per-CPU-map aggregation discipline.
+// histogram(), add/remove_source, bind/set_metrics calls) is control-plane
+// work and must be single-threaded; *increments* through previously obtained
+// Counter pointers are safe from any number of threads (relaxed atomics), and
+// so are reads — sources read their owners' shards through shard_read. The
+// engine pre-binds every counter before spawning its worker pool.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -96,24 +121,31 @@ class MetricsRegistry {
   Counter* counter(const std::string& name);
   Histogram* histogram(const std::string& name);
 
-  // Value of a counter, 0 if it was never created.
+  // Read-time source: `collect` emits (name, value) sums of a store its
+  // owner keeps (per-CPU shards), so the event is counted once, there.
+  // value/to_json/prometheus_text add each emitted value to the stored
+  // counter of the same name, if any. One registration per owner; adding
+  // again replaces the callback.
+  using Emit = std::function<void(const std::string&, std::uint64_t)>;
+  using Collect = std::function<void(const Emit&)>;
+  void add_source(const void* owner, Collect collect);
+  // Unregisters `owner`, folding its last values into stored counters, so
+  // totals never go backwards when the owner's store goes away.
+  void remove_source(const void* owner);
+
+  // Stored value plus every source's emission of `name` (0 if neither).
   std::uint64_t value(const std::string& name) const;
-  bool has_counter(const std::string& name) const {
-    return counters_.count(name) > 0;
-  }
 
   void set_histograms_enabled(bool on) { histograms_enabled_ = on; }
   bool histograms_enabled() const { return histograms_enabled_; }
 
-  // When false, StageSink/Vm/Attachment emission sites skip their updates.
-  // Counters themselves keep their values (no reset).
+  // When false, StageSink/Vm/drop emission sites skip their updates, so
+  // stored counters freeze (they keep their values; no reset). Sources read
+  // stores that count regardless, so derived names keep moving.
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  // Zeroes every counter and drops every histogram's samples. Cached
-  // counter pointers stay valid.
-  void reset();
-
+  // Stored counters only (source names are not counted).
   std::size_t counter_count() const { return counters_.size(); }
 
   // {"counters": {name: value, ...}, "histograms": {name: {...}, ...}}
@@ -126,12 +158,16 @@ class MetricsRegistry {
   std::string prometheus_text(const std::string& prefix = "linuxfp") const;
 
  private:
+  // Stored counters summed with every source, sorted by name.
+  std::map<std::string, std::uint64_t> snapshot() const;
+
   bool enabled_ = true;
   bool histograms_enabled_ = false;
   std::deque<Counter> counter_values_;         // stable addresses
   std::map<std::string, Counter*> counters_;
   std::deque<Histogram> histogram_values_;     // stable addresses
   std::map<std::string, Histogram*> histograms_;
+  std::map<const void*, Collect> sources_;
 };
 
 // Per-stage counter cache for the cycle-charge hot path. Stage names are

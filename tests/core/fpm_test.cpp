@@ -210,59 +210,6 @@ TEST(FpmStp, BlockedPortNotForwardedByFastPath) {
   EXPECT_NE(summary.drop, kern::Drop::kNone);
 }
 
-TEST(FpmConntrackGate, SynthesizedGateVerifiesAndGates) {
-  linuxfp::testing::RouterDut dut;
-  dut.add_prefixes(1);
-  dut.kernel.set_conntrack_enabled(true);
-
-  util::Json graph = util::Json::object();
-  graph["device"] = "eth0";
-  graph["ifindex"] = dut.eth0_ifindex();
-  graph["hook"] = "xdp";
-  graph["dev_mac"] = dut.eth0_mac().to_string();
-  util::Json ct = util::Json::object();
-  ct["conf"] = util::Json::object();
-  graph["nodes"]["conntrack"] = ct;
-  util::Json rconf = util::Json::object();
-  rconf["route_count"] = 1;
-  rconf["local_addrs"] = util::Json::array();
-  util::Json rnode = util::Json::object();
-  rnode["conf"] = rconf;
-  graph["nodes"]["router"] = rnode;
-
-  Synthesizer synth;
-  auto result = synth.synthesize(graph);
-  ASSERT_TRUE(result.ok()) << result.error().message;
-
-  ebpf::HelperRegistry helpers;
-  ebpf::register_all_helpers(helpers, dut.kernel.cost());
-  ebpf::Attachment att("ct", ebpf::HookType::kXdp, dut.kernel, helpers);
-  auto id = att.load(result->programs[0]);
-  ASSERT_TRUE(id.ok()) << id.error().message;
-  ASSERT_TRUE(att.set_entry(id.value()).ok());
-  ASSERT_TRUE(
-      ebpf::attach_to_device(dut.kernel, "eth0", ebpf::HookType::kXdp, &att)
-          .ok());
-
-  auto tcp_packet = [&](std::uint16_t sport) {
-    net::FlowKey f;
-    f.src_ip = net::Ipv4Addr::parse("10.10.1.2").value();
-    f.dst_ip = net::Ipv4Addr::parse("10.100.0.9").value();
-    f.proto = net::kIpProtoTcp;
-    f.src_port = sport;
-    f.dst_port = 80;
-    return net::build_tcp_packet(dut.src_host_mac, dut.eth0_mac(), f, 0x18,
-                                 64);
-  };
-
-  kern::CycleTrace t1;
-  auto first = dut.kernel.rx(dut.eth0_ifindex(), tcp_packet(1000), t1);
-  EXPECT_FALSE(first.fast_path);  // NEW flow punts (scheduling = slow path)
-  kern::CycleTrace t2;
-  auto second = dut.kernel.rx(dut.eth0_ifindex(), tcp_packet(1000), t2);
-  EXPECT_TRUE(second.fast_path);  // established: conntrack-affinity hit
-}
-
 TEST(FpmCustomSnippet, UnverifiableSnippetRejectedGracefully) {
   linuxfp::testing::RouterDut dut;
   dut.add_prefixes(2);

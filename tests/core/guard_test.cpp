@@ -67,10 +67,10 @@ TEST(Guard, CanaryServesSlowPathThenPromotes) {
   // Promoted with sampling disabled: the fast path serves everything.
   EXPECT_TRUE(forward_one(dut, 0, 99));
 
-  HealthStatus h = controller.health();
-  EXPECT_EQ(h.guard_promotions, 1u);
-  EXPECT_EQ(h.guard_divergences, 0u);
-  EXPECT_FALSE(h.degraded);
+  const GuardTotals t = controller.guard()->totals();
+  EXPECT_EQ(t.promotions, 1u);
+  EXPECT_EQ(t.divergences, 0u);
+  EXPECT_FALSE(controller.health().degraded);
 }
 
 TEST(Guard, SampledShadowKeepsComparingAfterPromotion) {
@@ -158,7 +158,7 @@ TEST(Guard, InjectedDivergenceQuarantinesThenHalfOpenRecovers) {
   EXPECT_EQ(att->programs()[att->active_prog_id()].name, "lfp_pass");
   HealthStatus h = controller.health();
   EXPECT_TRUE(h.degraded);
-  EXPECT_EQ(h.guard_quarantines, 1u);
+  EXPECT_EQ(controller.guard()->totals().quarantines, 1u);
   EXPECT_EQ(h.last_degraded_ns, dut.kernel.now_ns());
   EXPECT_GE(h.failures_by_code.at("guard.quarantine"), 1u);
 
@@ -187,7 +187,7 @@ TEST(Guard, InjectedDivergenceQuarantinesThenHalfOpenRecovers) {
   controller.run_once();
   h = controller.health();
   EXPECT_FALSE(h.degraded);
-  EXPECT_EQ(h.guard_recoveries, 1u);
+  EXPECT_EQ(controller.guard()->totals().closes, 1u);
   EXPECT_EQ(h.last_recovered_ns, dut.kernel.now_ns());
   EXPECT_GE(h.last_recovered_ns, h.last_degraded_ns);
 
@@ -284,7 +284,7 @@ TEST(Guard, ForcedBreakerTripDuringRedeployQuarantinesAndRecovers) {
   EXPECT_TRUE(unit->mode() == GuardMode::kQuarantined ||
               unit->mode() == GuardMode::kHalfOpen);
   EXPECT_TRUE(controller.health().degraded);
-  EXPECT_EQ(controller.health().guard_quarantines, 1u);
+  EXPECT_EQ(controller.guard()->totals().quarantines, 1u);
 
   if (unit->mode() == GuardMode::kQuarantined) {
     std::uint64_t reprobe = controller.guard()->next_reprobe_ns();
@@ -299,7 +299,7 @@ TEST(Guard, ForcedBreakerTripDuringRedeployQuarantinesAndRecovers) {
   dut.kernel.set_now_ns(dut.kernel.now_ns() + 1'000'000);
   controller.run_once();
   EXPECT_FALSE(controller.health().degraded);
-  EXPECT_EQ(controller.health().guard_recoveries, 1u);
+  EXPECT_EQ(controller.guard()->totals().closes, 1u);
 }
 
 TEST(Guard, StatusReportsGuardSection) {

@@ -5,17 +5,24 @@
 // FlowCacheConcurrency suite runs under TSan via tools/ci.sh).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/controller.h"
 #include "ebpf/loader.h"
+#include "engine/engine.h"
 #include "engine/flowcache.h"
 #include "engine/rss.h"
 #include "kernel/commands.h"
 #include "kernel/kernel.h"
 #include "net/headers.h"
 #include "sim/testbed.h"
+#include "tests/kernel/test_topo.h"
+#include "util/strings.h"
 
 namespace linuxfp::engine {
 namespace {
@@ -357,8 +364,7 @@ TEST(FlowCacheConcurrency, WorkersShareMetricsWithoutRaces) {
   att->prepare_cpus(kCpus);
 
   // Each worker drives its private per-CPU cache; the only shared flow-cache
-  // state is the mirrored flowcache.* counters (relaxed atomics) and the
-  // generation vector loads. TSan (tools/ci.sh) proves that.
+  // state is the generation vector loads. TSan (tools/ci.sh) proves that.
   std::vector<std::thread> workers;
   for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
     workers.emplace_back([&, cpu] {
@@ -374,9 +380,173 @@ TEST(FlowCacheConcurrency, WorkersShareMetricsWithoutRaces) {
   engine::FlowCacheStats fs = att->flow_cache_stats();
   EXPECT_EQ(fs.hits + fs.misses, static_cast<std::uint64_t>(kCpus) * kPerCpu);
   EXPECT_GT(fs.hits, 0u);
-  // The registry mirror agrees with the summed per-CPU stats.
+  // The registry's flowcache.* names are those per-CPU stats, summed on read.
   EXPECT_EQ(dut.kernel().metrics().value("flowcache.hits"), fs.hits);
   EXPECT_EQ(dut.kernel().metrics().value("flowcache.misses"), fs.misses);
+}
+
+// The per-CPU stores are the only copy of each fast-path event, and they are
+// readable live: a reader thread polls the registry (sum-on-read sources) and
+// the typed readers while two workers write. Every poll must be monotonic,
+// and TSan (tools/ci.sh) must see no race. A warm-up pass first creates every
+// registry name the run touches, so the name map never changes under the
+// reader (counter creation is control-plane work).
+TEST(FlowCacheConcurrency, LiveReadsDuringEngineRun) {
+  sim::ScenarioConfig cfg;
+  cfg.prefixes = 8;
+  cfg.accel = sim::Accel::kLinuxFpXdp;
+  cfg.flow_cache = true;
+  sim::LinuxTestbed dut(cfg);
+  ebpf::Attachment* att = dut.controller()->deployer().attachment(
+      "eth0", ebpf::HookType::kXdp);
+  ASSERT_NE(att, nullptr);
+  const util::MetricsRegistry& reg = dut.kernel().metrics();
+
+  EngineConfig ecfg;
+  ecfg.queues = 2;
+  ecfg.backpressure = true;
+  constexpr std::uint64_t kPackets = 2000;
+  // Every 10th packet has no route (prefix 20 is not installed): the
+  // program punts and the slow-path thread drops it.
+  auto inject_all = [&](Engine& eng) {
+    for (std::uint64_t i = 0; i < kPackets; ++i) {
+      const int prefix = i % 10 == 9 ? 20 : static_cast<int>(i % 8);
+      eng.inject(
+          dut.forward_packet(prefix, static_cast<std::uint16_t>(i % 64)));
+    }
+  };
+  {
+    Engine warm(dut.kernel(), dut.ingress_ifindex(), ecfg);
+    warm.start();
+    inject_all(warm);
+    warm.stop();
+  }
+
+  Engine eng(dut.kernel(), dut.ingress_ifindex(), ecfg);
+  eng.start();
+  std::atomic<bool> polled{false};
+  std::atomic<bool> done{false};
+  bool monotonic = true;
+  std::thread reader([&] {
+    std::uint64_t last_reg = 0, last_runs = 0, last_lookups = 0;
+    do {
+      const std::uint64_t reg_runs = reg.value("fastpath.lfp@eth0.xdp.runs");
+      const std::uint64_t runs = att->stats().runs;
+      const FlowCacheStats fs = att->flow_cache_stats();
+      const std::uint64_t lookups = fs.hits + fs.misses;
+      if (reg_runs < last_reg || runs < last_runs || lookups < last_lookups) {
+        monotonic = false;
+      }
+      last_reg = reg_runs;
+      last_runs = runs;
+      last_lookups = lookups;
+      polled.store(true, std::memory_order_release);
+    } while (!done.load(std::memory_order_acquire));
+  });
+  while (!polled.load(std::memory_order_acquire)) std::this_thread::yield();
+  inject_all(eng);
+  done.store(true, std::memory_order_release);
+  reader.join();
+  eng.stop();
+  EXPECT_TRUE(monotonic);
+
+  // Quiesced: the registry reads exactly the typed stores.
+  const ebpf::AttachmentStats s = att->stats();
+  EXPECT_EQ(s.runs, 2 * kPackets);
+  EXPECT_EQ(reg.value("fastpath.lfp@eth0.xdp.runs"), s.runs);
+  EXPECT_EQ(reg.value("fastpath.lfp@eth0.xdp.redirect"), s.redirect);
+  EXPECT_EQ(reg.value("fastpath.lfp@eth0.xdp.pass"), s.pass);
+  const FlowCacheStats fs = dut.controller()->deployer().flow_cache_stats();
+  EXPECT_GT(fs.hits, 0u);
+  EXPECT_EQ(reg.value("flowcache.hits"), fs.hits);
+  EXPECT_EQ(reg.value("flowcache.misses"), fs.misses);
+}
+
+// Each derived registry name equals its typed-store sum after inline and
+// engine traffic; binding the same registry again counts nothing twice; and
+// the totals stay put when the stores go away (flow cache turned off, the
+// controller and its attachments destroyed).
+TEST(FlowCacheConcurrency, RegistryEqualsStoresAcrossEngineRun) {
+  linuxfp::testing::RouterDut dut;
+  dut.add_prefixes(8);
+  core::ControllerOptions opts;
+  opts.flow_cache = true;
+  auto controller = std::make_unique<core::Controller>(dut.kernel, opts);
+  controller->start();
+  core::Deployer& deployer = controller->deployer();
+  const util::MetricsRegistry& reg = dut.kernel.metrics();
+
+  // Prefixes 8 and 9 have no route: those packets punt to the slow path.
+  for (int i = 0; i < 200; ++i) {
+    kern::CycleTrace t;
+    dut.kernel.rx(
+        dut.eth0_ifindex(),
+        dut.packet_to_prefix(i % 10, static_cast<std::uint16_t>(i % 16)), t);
+  }
+  EngineConfig ecfg;
+  ecfg.queues = 2;
+  ecfg.backpressure = true;
+  {
+    Engine eng(dut.kernel, dut.eth0_ifindex(), ecfg);
+    eng.start();
+    for (int i = 0; i < 1000; ++i) {
+      eng.inject(
+          dut.packet_to_prefix(i % 10, static_cast<std::uint16_t>(i % 32)));
+    }
+    eng.stop();
+  }
+
+  auto expect_registry_equals_stores = [&] {
+    for (const char* dev : {"eth0", "eth1"}) {
+      ebpf::Attachment* att = deployer.attachment(dev, ebpf::HookType::kXdp);
+      ASSERT_NE(att, nullptr) << dev;
+      const ebpf::AttachmentStats s = att->stats();
+      const std::string p = std::string("fastpath.lfp@") + dev + ".xdp.";
+      EXPECT_EQ(reg.value(p + "runs"), s.runs) << dev;
+      EXPECT_EQ(reg.value(p + "cycles"), s.total_cycles) << dev;
+      EXPECT_EQ(reg.value(p + "pass"), s.pass) << dev;
+      EXPECT_EQ(reg.value(p + "drop"), s.drop) << dev;
+      EXPECT_EQ(reg.value(p + "tx"), s.tx) << dev;
+      EXPECT_EQ(reg.value(p + "redirect"), s.redirect) << dev;
+      EXPECT_EQ(reg.value(p + "to_userspace"), s.to_userspace) << dev;
+      EXPECT_EQ(reg.value(p + "aborted"), s.aborted) << dev;
+    }
+    const FlowCacheStats fs = deployer.flow_cache_stats();
+    EXPECT_EQ(reg.value("flowcache.hits"), fs.hits);
+    EXPECT_EQ(reg.value("flowcache.misses"), fs.misses);
+    EXPECT_EQ(reg.value("flowcache.invalidations"), fs.invalidations);
+    EXPECT_EQ(reg.value("flowcache.evictions"), fs.evictions);
+    EXPECT_EQ(reg.value("flowcache.uncacheable"), fs.uncacheable);
+    EXPECT_EQ(reg.value("flowcache.replay_mismatch"), fs.replay_mismatch);
+  };
+  expect_registry_equals_stores();
+  EXPECT_EQ(deployer.attachment("eth0", ebpf::HookType::kXdp)->stats().runs,
+            1200u);
+  EXPECT_GT(deployer.flow_cache_stats().hits, 0u);
+  EXPECT_GT(deployer.flow_cache_stats().misses, 0u);
+
+  deployer.set_metrics(&dut.kernel.metrics());
+  expect_registry_equals_stores();
+
+  auto derived = [&] {
+    std::map<std::string, std::int64_t> out;
+    const util::Json metrics = reg.to_json();
+    for (const auto& [name, v] : metrics.at("counters").object_items()) {
+      if (util::starts_with(name, "fastpath.") ||
+          util::starts_with(name, "flowcache.")) {
+        out[name] = v.as_int();
+      }
+    }
+    return out;
+  };
+  const auto before = derived();
+  ASSERT_EQ(before.count("fastpath.lfp@eth0.xdp.runs"), 1u);
+  EXPECT_EQ(before.at("fastpath.lfp@eth0.xdp.runs"), 1200);
+  deployer.set_flow_cache(false);
+  EXPECT_EQ(deployer.flow_cache_stats().hits, 0u);
+  EXPECT_EQ(derived(), before);
+  controller.reset();
+  EXPECT_EQ(derived(), before);
 }
 
 }  // namespace

@@ -309,10 +309,16 @@ TEST(SlowPathVeth, CrossKernelDelivery) {
 TEST(SlowPathStage, TraceRecordsHotSpotSequence) {
   RouterDut dut;
   dut.add_prefixes(5);
-  CycleTrace trace(/*record_stages=*/true);
+  util::TraceRing ring(1);
+  dut.kernel.set_trace_ring(&ring);
+  CycleTrace trace;
   dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(0), trace);
+  dut.kernel.set_trace_ring(nullptr);
+  ASSERT_EQ(ring.size(), 1u);
   std::vector<std::string> stages;
-  for (auto& [name, cycles] : trace.stages()) stages.push_back(name);
+  for (const util::TraceEvent& ev : ring.latest().events) {
+    if (std::string(ev.layer) == "slow") stages.push_back(ev.stage);
+  }
   // The Fig 1 observation: forwarding traffic walks a fixed stage sequence.
   EXPECT_EQ(stages.front(), "driver_rx");
   EXPECT_NE(std::find(stages.begin(), stages.end(), "fib_lookup"),

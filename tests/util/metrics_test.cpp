@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace linuxfp::util {
 namespace {
 
@@ -23,23 +26,6 @@ TEST(MetricsRegistry, CounterFindOrCreateStablePointer) {
   EXPECT_EQ(reg.value("drop.no_route"), 3u);
   bump(a);
   EXPECT_EQ(reg.value("drop.no_route"), 4u);
-}
-
-TEST(MetricsRegistry, ResetZeroesButKeepsPointers) {
-  MetricsRegistry reg;
-  Counter* a = reg.counter("x");
-  *a = 42;
-  Histogram* h = reg.histogram("lat");
-  reg.set_histograms_enabled(true);
-  h->record(1.0);
-  h->record(2.0);
-  EXPECT_EQ(h->count(), 2u);
-
-  reg.reset();
-  EXPECT_EQ(reg.value("x"), 0u);
-  EXPECT_EQ(h->count(), 0u);
-  *a = 7;  // cached pointer still live
-  EXPECT_EQ(reg.value("x"), 7u);
 }
 
 TEST(MetricsRegistry, HistogramsOptIn) {
@@ -67,6 +53,54 @@ TEST(MetricsRegistry, ToJsonSortedAndComplete) {
   EXPECT_EQ(counters.at("b.two").as_int(), 2);
   // std::map index → deterministic (sorted) iteration order.
   EXPECT_EQ(counters.object_items().begin()->first, "a.one");
+}
+
+TEST(MetricsRegistry, SourcesSumWithStoredCountersAndFoldOnRemove) {
+  MetricsRegistry reg;
+  bump(reg.counter("fastpath.a.runs"), 2);  // e.g. folded from a past owner
+  bump(reg.counter("z.stored"), 1);
+  std::uint64_t shard = 5;  // the owner's store
+  int owner = 0;
+  auto collect = [&](const MetricsRegistry::Emit& emit) {
+    emit("fastpath.a.runs", shard_read(shard));
+    emit("flowcache.hits", 0);
+  };
+  reg.add_source(&owner, collect);
+  reg.add_source(&owner, collect);  // replaces, never doubles
+  EXPECT_EQ(reg.value("fastpath.a.runs"), 7u);
+  EXPECT_EQ(reg.value("flowcache.hits"), 0u);
+  EXPECT_EQ(reg.counter_count(), 2u);  // derived names are not stored
+
+  // Source names merge into the sorted counter set, summed with stored ones.
+  const Json counters = reg.to_json().at("counters");
+  std::vector<std::string> names;
+  for (const auto& [name, value] : counters.object_items()) {
+    names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"fastpath.a.runs",
+                                             "flowcache.hits", "z.stored"}));
+  EXPECT_EQ(counters.at("fastpath.a.runs").as_int(), 7);
+  const std::string text = reg.prometheus_text("linuxfp");
+  const std::size_t runs = text.find("linuxfp_fastpath_a_runs 7\n");
+  const std::size_t hits = text.find("linuxfp_flowcache_hits 0\n");
+  const std::size_t stored = text.find("linuxfp_z_stored 1\n");
+  ASSERT_NE(runs, std::string::npos);
+  ASSERT_NE(hits, std::string::npos);
+  ASSERT_NE(stored, std::string::npos);
+  EXPECT_LT(runs, hits);
+  EXPECT_LT(hits, stored);
+
+  // Reads follow the store; removal folds its last values into stored
+  // counters, so the totals survive the store going away.
+  shard_add(shard, 3);
+  EXPECT_EQ(reg.value("fastpath.a.runs"), 10u);
+  reg.remove_source(&owner);
+  shard = 0;
+  EXPECT_EQ(reg.value("fastpath.a.runs"), 10u);
+  EXPECT_EQ(reg.counter_count(), 3u);  // flowcache.hits is stored now
+  reg.remove_source(&owner);           // unknown owner: no-op
+  EXPECT_EQ(reg.value("fastpath.a.runs"), 10u);
+  EXPECT_EQ(reg.to_json().at("counters").at("flowcache.hits").as_int(), 0);
 }
 
 TEST(MetricsRegistry, PrometheusTextSanitizesNames) {

@@ -26,10 +26,12 @@ echo "=== tier-1 OK (plain + sanitized) ==="
 # --- TSan pass: the parallel engine's threads for real ---------------------
 # The engine runs a worker pool + slow-path thread; its tests and the atomic
 # metrics regression push real concurrency through the rings, the per-CPU
-# VMs and the counter registry. ThreadSanitizer proves the lock-free
-# structures' memory ordering, which ASan cannot see. The classifier suites
-# ride along: engine workers evaluate netfilter (atomic rule hit counters +
-# generation checks) concurrently with control-plane rebuilds.
+# VMs and the counter registry, and the FlowCacheConcurrency suite reads the
+# per-CPU stat shards (registry sources, stats(), flow_cache_stats()) while
+# workers write them. ThreadSanitizer proves the lock-free structures'
+# memory ordering, which ASan cannot see. The classifier suites ride along:
+# engine workers evaluate netfilter (atomic rule hit counters + generation
+# checks) concurrently with control-plane rebuilds.
 echo "=== TSan: engine + metrics concurrency tests ==="
 cmake -B build-tsan -S . -DLINUXFP_SANITIZE=thread
 cmake --build build-tsan -j "${jobs}" --target engine_test util_test ebpf_test kernel_test core_test
@@ -48,7 +50,7 @@ cmake -B build-ubsan -S . -DLINUXFP_SANITIZE=undefined
 cmake --build build-ubsan -j "${jobs}" --target core_test engine_test kernel_test
 (cd build-ubsan &&
  ctest --output-on-failure -j "${jobs}" \
-   -R 'Guard|GuardFuzz|EngineWatchdog|Engine|BoundedRing|Rss|Steering|Tx|Gro|NfClassifier|ClassifierDiff|DeltaSynth')
+   -R 'Guard|GuardFuzz|EngineWatchdog|Engine|FlowCacheConcurrency|BoundedRing|Rss|Steering|Tx|Gro|NfClassifier|ClassifierDiff|DeltaSynth')
 echo "UBSan pass OK"
 
 # --- bench smoke: every Reporter-wired bench must emit its BENCH_*.json ---
@@ -198,6 +200,12 @@ for row in rows("forwarding"):
 print(f"rerun smoke: {checked} modeled rows identical, doorbells = "
       f"ceil(packets/burst)")
 EOF
+# The operator status surface is pinned: linuxfpctl_demo's config and
+# traffic are fixed, so its --json output repeats byte for byte and must
+# match the committed golden. A change to any status name or value shows up
+# here, in review, instead of drifting silently.
+build/tools/linuxfpctl_demo --json | diff -u tools/golden/linuxfpctl_demo.json -
+echo "status golden: linuxfpctl_demo --json matches tools/golden"
 echo "bench smoke OK"
 
 # --- observability overhead guard -----------------------------------------
