@@ -5,11 +5,16 @@
 // benches that reproduce the paper's numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "core/controller.h"
 #include "core/synthesizer.h"
 #include "core/topology.h"
 #include "core/introspect.h"
 #include "ebpf/kernel_helpers.h"
+#include "ebpf/loader.h"
 #include "ebpf/verifier.h"
 #include "ebpf/vm.h"
 #include "sim/testbed.h"
@@ -46,24 +51,6 @@ void BM_SlowPathForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SlowPathForward);
 
-// Bare = observability counters disabled; the delta against the metered
-// variant above is the real host-time cost of the metrics layer. tools/ci.sh
-// guards this ratio (DESIGN.md overhead budget: < 2% modeled, < ~35% host
-// time under the microbench's tight loop).
-void BM_SlowPathForwardBare(benchmark::State& state) {
-  auto& dut = router_dut(sim::Accel::kNone);
-  dut.kernel().set_metrics_enabled(false);
-  int i = 0;
-  for (auto _ : state) {
-    auto out =
-        dut.process(dut.forward_packet(i % 50, static_cast<std::uint16_t>(i)));
-    benchmark::DoNotOptimize(out.cycles);
-    ++i;
-  }
-  dut.kernel().set_metrics_enabled(true);
-}
-BENCHMARK(BM_SlowPathForwardBare);
-
 void BM_FastPathForward(benchmark::State& state) {
   auto& dut = router_dut(sim::Accel::kLinuxFpXdp);
   dut.kernel().set_metrics_enabled(true);
@@ -77,19 +64,132 @@ void BM_FastPathForward(benchmark::State& state) {
 }
 BENCHMARK(BM_FastPathForward);
 
-void BM_FastPathForwardBare(benchmark::State& state) {
-  auto& dut = router_dut(sim::Accel::kLinuxFpXdp);
-  dut.kernel().set_metrics_enabled(false);
+// The metrics layer's host-time cost as one number per path: process()
+// calls as in the two benchmarks above, metered and bare (metrics disabled),
+// alternate in blocks of 32 packets, each block timed, so both halves of
+// every ratio see the same host conditions; which half runs first
+// alternates too. Reports "ratio", the median metered/bare ratio over the
+// tenth of block pairs that took least time. Interference on a shared host
+// comes in stretches far longer than a block and adds the same time to both
+// halves, which pulls their ratio toward 1; the quickest pairs are the ones
+// it spared. tools/ci.sh guards the ratio.
+void metering_ratio(benchmark::State& state, sim::Accel accel) {
+  auto& dut = router_dut(accel);
+  constexpr int kBlock = 32;
   int i = 0;
+  auto timed_block = [&](bool metered) {
+    dut.kernel().set_metrics_enabled(metered);
+    const auto start = std::chrono::steady_clock::now();
+    for (int k = 0; k < kBlock; ++k, ++i) {
+      auto out = dut.process(
+          dut.forward_packet(i % 50, static_cast<std::uint16_t>(i)));
+      benchmark::DoNotOptimize(out.cycles);
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  struct Pair {
+    double total;
+    double ratio;
+  };
+  std::vector<Pair> pairs;
   for (auto _ : state) {
-    auto out =
-        dut.process(dut.forward_packet(i % 50, static_cast<std::uint16_t>(i)));
-    benchmark::DoNotOptimize(out.cycles);
-    ++i;
+    const bool metered_first = pairs.size() % 2 == 0;
+    const double first = timed_block(metered_first);
+    const double second = timed_block(!metered_first);
+    pairs.push_back({first + second,
+                     metered_first ? first / second : second / first});
   }
   dut.kernel().set_metrics_enabled(true);
+  std::sort(pairs.begin(), pairs.end(),
+            [](const Pair& a, const Pair& b) { return a.total < b.total; });
+  std::vector<double> quick;
+  for (std::size_t k = 0; k < std::max<std::size_t>(1, pairs.size() / 10);
+       ++k) {
+    quick.push_back(pairs[k].ratio);
+  }
+  auto mid = quick.begin() + static_cast<std::ptrdiff_t>(quick.size() / 2);
+  std::nth_element(quick.begin(), mid, quick.end());
+  state.counters["ratio"] = *mid;
 }
-BENCHMARK(BM_FastPathForwardBare);
+
+void BM_MeteringRatioSlowPath(benchmark::State& state) {
+  metering_ratio(state, sim::Accel::kNone);
+}
+BENCHMARK(BM_MeteringRatioSlowPath);
+
+void BM_MeteringRatioFastPath(benchmark::State& state) {
+  metering_ratio(state, sim::Accel::kLinuxFpXdp);
+}
+BENCHMARK(BM_MeteringRatioFastPath);
+
+// 4,096 prebuilt 64 B packets toward the router's 50 prefixes, one flow
+// each. The Prebuilt benchmarks copy one per iteration, so the timed loop
+// builds no headers and measures process() itself: header construction
+// takes 270-470 ns of BM_{Slow,Fast}PathForward and hides part of the gap
+// between the two paths.
+constexpr std::size_t kPrebuiltRing = 4096;
+
+const std::vector<net::Packet>& prebuilt_packets(sim::Accel accel) {
+  auto build = [](sim::Accel a) {
+    auto* ring = new std::vector<net::Packet>;
+    for (std::size_t i = 0; i < kPrebuiltRing; ++i) {
+      ring->push_back(router_dut(a).forward_packet(
+          static_cast<int>(i % 50), static_cast<std::uint16_t>(i)));
+    }
+    return ring;
+  };
+  static const std::vector<net::Packet>* linux_ring = build(sim::Accel::kNone);
+  static const std::vector<net::Packet>* lfp_ring =
+      build(sim::Accel::kLinuxFpXdp);
+  return accel == sim::Accel::kNone ? *linux_ring : *lfp_ring;
+}
+
+// process() on a copy of the next prebuilt packet, metrics on (as in
+// perfbench). tools/ci.sh prints the LinuxFP/Linux ratio of the two twins.
+void forward_prebuilt(benchmark::State& state, sim::Accel accel) {
+  auto& dut = router_dut(accel);
+  const auto& ring = prebuilt_packets(accel);
+  dut.kernel().set_metrics_enabled(true);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto out = dut.process(net::Packet(ring[i++ % kPrebuiltRing]));
+    benchmark::DoNotOptimize(out.cycles);
+  }
+}
+
+void BM_SlowPathForwardPrebuilt(benchmark::State& state) {
+  forward_prebuilt(state, sim::Accel::kNone);
+}
+BENCHMARK(BM_SlowPathForwardPrebuilt);
+
+void BM_FastPathForwardPrebuilt(benchmark::State& state) {
+  forward_prebuilt(state, sim::Accel::kLinuxFpXdp);
+}
+BENCHMARK(BM_FastPathForwardPrebuilt);
+
+// All-in interpreter cost on the synthesized router FPM: Attachment::run on
+// a copy of a prebuilt packet (dispatcher, tail call, 28 memory accesses,
+// bpf_fib_lookup and bpf_redirect), with items = executed instructions, so
+// it reads as ns/insn next to the ALU-only BM_VmNsPerInsn.
+void BM_RouterFpmNsPerInsn(benchmark::State& state) {
+  auto& dut = router_dut(sim::Accel::kLinuxFpXdp);
+  const auto& ring = prebuilt_packets(sim::Accel::kLinuxFpXdp);
+  ebpf::Attachment* fpm =
+      dut.controller()->deployer().attachment("eth0", ebpf::HookType::kXdp);
+  const std::uint64_t insns_before = fpm->stats().total_insns;
+  net::Packet pkt = ring[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    pkt = ring[i++ % kPrebuiltRing];
+    auto out = fpm->run(pkt, dut.ingress_ifindex());
+    benchmark::DoNotOptimize(out.cycles);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(fpm->stats().total_insns - insns_before));
+}
+BENCHMARK(BM_RouterFpmNsPerInsn);
 
 void BM_FibLookup(benchmark::State& state) {
   kern::Fib fib;

@@ -74,17 +74,34 @@ struct Insn {
 // per-instruction use_imm branch.
 inline constexpr int kImmSlot = kNumRegs;
 
-// Load-time decoded form of an Insn: the operand selector is resolved into
-// a register-file index and jump targets are absolute, so the hot loop does
-// no per-instruction re-derivation.
+// The interpreter's handler for one decoded instruction: the Op, except that
+// each memory op is split by access size (so no handler switches on the
+// size) and a call to bpf_tail_call gets its own handler (the interpreter
+// performs it; it is not a registry helper). The interpreter's dispatch table
+// has one entry per value, in this order.
+enum class DecodedOp : std::uint8_t {
+  kMov, kAdd, kSub, kMul, kDiv, kMod, kAnd, kOr, kXor, kLsh, kRsh, kArsh,
+  kNeg, kBe16, kBe32,
+  kLdx8, kLdx16, kLdx32, kLdx64,
+  kStx8, kStx16, kStx32, kStx64,
+  kSt8, kSt16, kSt32, kSt64,
+  kJa, kJeq, kJne, kJgt, kJge, kJlt, kJle, kJset,
+  kCall, kTailCall,
+  kExit,
+};
+inline constexpr std::size_t kNumDecodedOps =
+    static_cast<std::size_t>(DecodedOp::kExit) + 1;
+
+// Load-time decoded form of an Insn: the handler is chosen, the operand
+// selector is resolved into a register-file index and jump targets are
+// absolute, so the hot loop does no per-instruction re-derivation.
 struct DecodedInsn {
-  Op op = Op::kExit;
+  DecodedOp op = DecodedOp::kExit;
   std::uint8_t dst = 0;
   std::uint8_t src = 0;       // raw source register (pointer special cases)
   std::uint8_t src_sel = 0;   // regs[] index of the second operand (kImmSlot
                               // when use_imm)
   bool use_imm = true;
-  MemSize size = MemSize::kU64;
   std::int32_t off = 0;
   std::int64_t imm = 0;
   std::size_t jump_target = 0;  // absolute pc for kJa / taken kJ*

@@ -21,7 +21,6 @@ void Attachment::prepare_cpus(unsigned n) {
     auto vm = std::make_unique<Vm>(kernel_.cost(), helpers_, maps_,
                                    &programs_);
     vm->set_cpu(static_cast<unsigned>(vms_.size()));
-    vm->set_metrics(metrics_registry_);
     vms_.push_back(std::move(vm));
   }
   if (cpu_stats_.size() < vms_.size()) cpu_stats_.resize(vms_.size());
@@ -196,7 +195,6 @@ void Attachment::set_metrics(util::MetricsRegistry* registry) {
     metrics_registry_->remove_source(&flow_caches_);
   }
   metrics_registry_ = registry;
-  for (auto& vm : vms_) vm->set_metrics(registry);
   if (registry) add_metric_sources();
 }
 
@@ -214,6 +212,23 @@ void Attachment::add_metric_sources() {
     emit(prefix + "redirect", s.redirect);
     emit(prefix + "to_userspace", s.to_userspace);
     emit(prefix + "aborted", s.aborted);
+    // The VMs' counts. bpf_tail_call is performed by the interpreter, not
+    // called as a helper: it is counted once, as ebpf.tail_calls.
+    std::uint64_t hits = 0, misses = 0, tail_calls = 0;
+    for (const auto& vm : vms_) {
+      hits += vm->map_hits();
+      misses += vm->map_misses();
+      tail_calls += vm->tail_calls();
+    }
+    emit("ebpf.map.hits", hits);
+    emit("ebpf.map.misses", misses);
+    emit("ebpf.tail_calls", tail_calls);
+    for (std::uint32_t id : helpers_.ids()) {
+      if (id == kHelperTailCall) continue;
+      std::uint64_t calls = 0;
+      for (const auto& vm : vms_) calls += vm->helper_calls(id);
+      emit(std::string("ebpf.helper.") + helper_name(id) + ".calls", calls);
+    }
   });
   metrics_registry_->add_source(&flow_caches_, [this](const Emit& emit) {
     const engine::FlowCacheStats s = flow_cache_stats();

@@ -1,9 +1,9 @@
 // Program representation and the helper-function registry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,13 +128,20 @@ struct Helper {
 
 class HelperRegistry {
  public:
+  // Helper ids index a fixed table, so the interpreter's per-call find() is
+  // one bounds check and one load. Every well-known id is below this.
+  static constexpr std::uint32_t kIdLimit = 256;
+
   void register_helper(std::uint32_t id, std::string name, HelperFn fn);
-  const Helper* find(std::uint32_t id) const;
+  const Helper* find(std::uint32_t id) const {
+    return id < kIdLimit ? by_id_[id].get() : nullptr;
+  }
   bool supports(std::uint32_t id) const { return find(id) != nullptr; }
+  // Registered ids, ascending.
   std::vector<std::uint32_t> ids() const;
 
  private:
-  std::map<std::uint32_t, Helper> helpers_;
+  std::array<std::unique_ptr<Helper>, kIdLimit> by_id_;
 };
 
 // A set of maps shared by the programs of one attachment (prog array,

@@ -7,27 +7,55 @@
 
 namespace linuxfp::ebpf {
 
-void Program::decode() const {
-  decoded.clear();
-  decoded.reserve(insns.size());
-  for (std::size_t pc = 0; pc < insns.size(); ++pc) {
-    const Insn& in = insns[pc];
-    DecodedInsn d;
-    d.op = in.op;
-    d.dst = in.dst;
-    d.src = in.src;
-    d.src_sel = in.use_imm ? static_cast<std::uint8_t>(kImmSlot) : in.src;
-    d.use_imm = in.use_imm;
-    d.size = in.size;
-    d.off = in.off;
-    d.imm = in.imm;
-    d.jump_target = static_cast<std::size_t>(
-        static_cast<std::int64_t>(pc) + 1 + in.off);
-    decoded.push_back(d);
-  }
-}
-
 namespace {
+
+DecodedOp decoded_op(const Insn& in) {
+  // Memory handlers come in kU8, kU16, kU32, kU64 order.
+  auto sized = [&](DecodedOp u8) {
+    int step = 0;
+    switch (in.size) {
+      case MemSize::kU8: step = 0; break;
+      case MemSize::kU16: step = 1; break;
+      case MemSize::kU32: step = 2; break;
+      case MemSize::kU64: step = 3; break;
+    }
+    return static_cast<DecodedOp>(static_cast<int>(u8) + step);
+  };
+  switch (in.op) {
+    case Op::kMov: return DecodedOp::kMov;
+    case Op::kAdd: return DecodedOp::kAdd;
+    case Op::kSub: return DecodedOp::kSub;
+    case Op::kMul: return DecodedOp::kMul;
+    case Op::kDiv: return DecodedOp::kDiv;
+    case Op::kMod: return DecodedOp::kMod;
+    case Op::kAnd: return DecodedOp::kAnd;
+    case Op::kOr: return DecodedOp::kOr;
+    case Op::kXor: return DecodedOp::kXor;
+    case Op::kLsh: return DecodedOp::kLsh;
+    case Op::kRsh: return DecodedOp::kRsh;
+    case Op::kArsh: return DecodedOp::kArsh;
+    case Op::kNeg: return DecodedOp::kNeg;
+    case Op::kBe16: return DecodedOp::kBe16;
+    case Op::kBe32: return DecodedOp::kBe32;
+    case Op::kLdx: return sized(DecodedOp::kLdx8);
+    case Op::kStx: return sized(DecodedOp::kStx8);
+    case Op::kSt: return sized(DecodedOp::kSt8);
+    case Op::kJa: return DecodedOp::kJa;
+    case Op::kJeq: return DecodedOp::kJeq;
+    case Op::kJne: return DecodedOp::kJne;
+    case Op::kJgt: return DecodedOp::kJgt;
+    case Op::kJge: return DecodedOp::kJge;
+    case Op::kJlt: return DecodedOp::kJlt;
+    case Op::kJle: return DecodedOp::kJle;
+    case Op::kJset: return DecodedOp::kJset;
+    case Op::kCall:
+      return static_cast<std::uint32_t>(in.imm) == kHelperTailCall
+                 ? DecodedOp::kTailCall
+                 : DecodedOp::kCall;
+    case Op::kExit: return DecodedOp::kExit;
+  }
+  return DecodedOp::kExit;
+}
 
 // Helpers whose behaviour is a pure function of the packet bytes, the
 // generation-guarded kernel subsystems and the recorded replay ops. Anything
@@ -47,54 +75,27 @@ bool flowcache_replayable_helper(std::uint32_t id) {
   }
 }
 
-std::uint64_t load_sized(const std::uint8_t* p, MemSize size) {
-  switch (size) {
-    case MemSize::kU8: return *p;
-    case MemSize::kU16: {
-      std::uint16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    case MemSize::kU32: {
-      std::uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    case MemSize::kU64: {
-      std::uint64_t v;
-      std::memcpy(&v, p, 8);
-      return v;
-    }
-  }
-  return 0;
+// The interpreter's per-instruction helpers below are forced inline: its
+// function is large enough that GCC would otherwise call them out of line.
+
+// Sized memory access; T is the access width. Loads zero-extend.
+template <typename T>
+[[gnu::always_inline]] inline std::uint64_t load_as(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
 }
 
-void store_sized(std::uint8_t* p, MemSize size, std::uint64_t v) {
-  switch (size) {
-    case MemSize::kU8: {
-      std::uint8_t b = static_cast<std::uint8_t>(v);
-      std::memcpy(p, &b, 1);
-      break;
-    }
-    case MemSize::kU16: {
-      std::uint16_t h = static_cast<std::uint16_t>(v);
-      std::memcpy(p, &h, 2);
-      break;
-    }
-    case MemSize::kU32: {
-      std::uint32_t w = static_cast<std::uint32_t>(v);
-      std::memcpy(p, &w, 4);
-      break;
-    }
-    case MemSize::kU64:
-      std::memcpy(p, &v, 8);
-      break;
-  }
+template <typename T>
+[[gnu::always_inline]] inline void store_as(std::uint8_t* p, std::uint64_t v) {
+  const T narrow = static_cast<T>(v);
+  std::memcpy(p, &narrow, sizeof(T));
 }
 
 // Adds a displacement to a tagged pointer (regions propagate through
 // pointer arithmetic, as in eBPF).
-std::uint64_t ptr_add(std::uint64_t tagged, std::int64_t delta) {
+[[gnu::always_inline]] inline std::uint64_t ptr_add(std::uint64_t tagged,
+                                                    std::int64_t delta) {
   if (ptr_region(tagged) == Region::kNone) {
     return tagged + static_cast<std::uint64_t>(delta);
   }
@@ -102,7 +103,53 @@ std::uint64_t ptr_add(std::uint64_t tagged, std::int64_t delta) {
                   ptr_payload(tagged) + static_cast<std::uint64_t>(delta));
 }
 
+// The second ALU/branch operand. The register file's kImmSlot mirrors this
+// instruction's immediate, so the operand is one unconditional indexed load
+// (no use_imm branch).
+[[gnu::always_inline]] inline std::uint64_t operand(std::uint64_t* regs,
+                                                   const DecodedInsn& in) {
+  regs[kImmSlot] = static_cast<std::uint64_t>(in.imm);
+  return regs[in.src_sel];
+}
+
+// A conditional jump's operands. Pointer comparisons compare payloads within
+// the same region (the data_end bounds-check pattern).
+struct JumpOperands {
+  std::uint64_t a;
+  std::uint64_t b;
+};
+[[gnu::always_inline]] inline JumpOperands jump_operands(
+    std::uint64_t* regs, const DecodedInsn& in) {
+  std::uint64_t a = regs[in.dst];
+  std::uint64_t b = operand(regs, in);
+  if (ptr_region(a) != Region::kNone && !in.use_imm &&
+      ptr_region(b) == ptr_region(a)) {
+    a = ptr_payload(a);
+    b = ptr_payload(b);
+  }
+  return {a, b};
+}
+
 }  // namespace
+
+void Program::decode() const {
+  decoded.clear();
+  decoded.reserve(insns.size());
+  for (std::size_t pc = 0; pc < insns.size(); ++pc) {
+    const Insn& in = insns[pc];
+    DecodedInsn d;
+    d.op = decoded_op(in);
+    d.dst = in.dst;
+    d.src = in.src;
+    d.src_sel = in.use_imm ? static_cast<std::uint8_t>(kImmSlot) : in.src;
+    d.use_imm = in.use_imm;
+    d.off = in.off;
+    d.imm = in.imm;
+    d.jump_target = static_cast<std::size_t>(
+        static_cast<std::int64_t>(pc) + 1 + in.off);
+    decoded.push_back(d);
+  }
+}
 
 const char* hook_type_name(HookType type) {
   switch (type) {
@@ -143,49 +190,20 @@ const char* action_name(std::uint64_t ret) {
   return "invalid";
 }
 
-void Vm::set_metrics(util::MetricsRegistry* registry) {
-  metrics_ = registry;
-  helper_counters_.clear();
-  if (!registry) {
-    map_hits_ = map_misses_ = tail_call_counter_ = nullptr;
-    return;
-  }
-  map_hits_ = registry->counter("ebpf.map.hits");
-  map_misses_ = registry->counter("ebpf.map.misses");
-  tail_call_counter_ = registry->counter("ebpf.tail_calls");
-  // Resolve every registered helper's counter now: counter creation mutates
-  // the registry and is only safe on the control plane, while run() may
-  // execute on an engine worker thread.
-  for (std::uint32_t id : helpers_.ids()) helper_counter(id);
-}
-
-util::Counter* Vm::helper_counter(std::uint32_t helper_id) {
-  if (helper_counters_.size() <= helper_id) {
-    helper_counters_.resize(helper_id + 1, nullptr);
-  }
-  util::Counter*& slot = helper_counters_[helper_id];
-  if (!slot) {
-    slot = metrics_->counter(std::string("ebpf.helper.") +
-                             helper_name(helper_id) + ".calls");
-  }
-  return slot;
-}
-
 // --- HelperRegistry / MapSet --------------------------------------------------
 
 void HelperRegistry::register_helper(std::uint32_t id, std::string name,
                                      HelperFn fn) {
-  helpers_[id] = Helper{id, std::move(name), std::move(fn)};
-}
-
-const Helper* HelperRegistry::find(std::uint32_t id) const {
-  auto it = helpers_.find(id);
-  return it == helpers_.end() ? nullptr : &it->second;
+  LFP_CHECK_MSG(id < kIdLimit, "helper id beyond HelperRegistry::kIdLimit");
+  by_id_[id] = std::make_unique<Helper>(Helper{id, std::move(name),
+                                               std::move(fn)});
 }
 
 std::vector<std::uint32_t> HelperRegistry::ids() const {
   std::vector<std::uint32_t> out;
-  for (const auto& [id, h] : helpers_) out.push_back(id);
+  for (std::uint32_t id = 0; id < kIdLimit; ++id) {
+    if (by_id_[id]) out.push_back(id);
+  }
   return out;
 }
 
@@ -268,43 +286,67 @@ std::uint64_t HelperContext::make_map_value_ptr(std::uint8_t* base,
 
 // --- Vm -----------------------------------------------------------------------
 
-util::Result<std::uint8_t*> Vm::translate(std::uint64_t tagged,
-                                          std::size_t len) {
-  LFP_CHECK(state_ != nullptr);
-  Region region = ptr_region(tagged);
-  std::uint64_t payload = ptr_payload(tagged);
-  switch (region) {
+[[gnu::always_inline]] inline std::uint8_t* Vm::resolve(
+    RunState& state, std::uint64_t tagged, std::size_t len) {
+  const std::uint64_t payload = ptr_payload(tagged);
+  switch (ptr_region(tagged)) {
     case Region::kStack:
-      if (payload + len > kStackSize) {
-        return util::Error::make("vm.oob", "stack access out of bounds");
-      }
-      return state_->stack + payload;
+      return payload + len <= kStackSize ? state.stack + payload : nullptr;
     case Region::kPacket:
-      if (!state_->pkt || payload + len > state_->pkt->size()) {
-        return util::Error::make("vm.oob", "packet access out of bounds");
-      }
-      return state_->pkt->data() + payload;
+      return payload + len <= state.pkt->size() ? state.pkt->data() + payload
+                                                : nullptr;
     case Region::kCtx:
-      if (payload + len > kCtxSize) {
-        return util::Error::make("vm.oob", "ctx access out of bounds");
-      }
-      return state_->ctx + payload;
+      return payload + len <= kCtxSize ? state.ctx + payload : nullptr;
     case Region::kMapValue: {
-      std::uint64_t handle = payload >> 24;
-      std::uint64_t off = payload & 0xffffff;
-      if (handle >= state_->spans.size()) {
-        return util::Error::make("vm.oob", "bad map value handle");
-      }
-      auto& span = state_->spans[handle];
-      if (off + len > span.size) {
-        return util::Error::make("vm.oob", "map value access out of bounds");
-      }
-      return span.base + off;
+      const std::uint64_t handle = payload >> 24;
+      const std::uint64_t off = payload & 0xffffff;
+      if (handle >= state.spans.size()) return nullptr;
+      const RunState::Span& span = state.spans[handle];
+      return off + len <= span.size ? span.base + off : nullptr;
     }
     case Region::kNone:
       break;
   }
+  return nullptr;
+}
+
+util::Result<std::uint8_t*> Vm::translate(std::uint64_t tagged,
+                                          std::size_t len) {
+  LFP_CHECK(state_ != nullptr);
+  if (std::uint8_t* p = resolve(*state_, tagged, len)) return p;
+  switch (ptr_region(tagged)) {
+    case Region::kStack:
+      return util::Error::make("vm.oob", "stack access out of bounds");
+    case Region::kPacket:
+      return util::Error::make("vm.oob", "packet access out of bounds");
+    case Region::kCtx:
+      return util::Error::make("vm.oob", "ctx access out of bounds");
+    case Region::kMapValue:
+      if ((ptr_payload(tagged) >> 24) >= state_->spans.size()) {
+        return util::Error::make("vm.oob", "bad map value handle");
+      }
+      return util::Error::make("vm.oob", "map value access out of bounds");
+    case Region::kNone:
+      break;
+  }
   return util::Error::make("vm.badptr", "dereference of scalar value");
+}
+
+VmResult Vm::fail(std::string_view why, std::uint64_t executed,
+                  std::uint32_t tail_calls) const {
+  VmResult result;
+  result.aborted = true;
+  result.error = why;
+  result.ret = kActAborted;
+  result.insns_executed = executed;
+  result.tail_calls = tail_calls;
+  result.cycles = executed * cost_.bpf_insn + state_->extra_cycles;
+  return result;
+}
+
+VmResult Vm::fail_access(std::uint64_t tagged, std::size_t len,
+                         std::uint64_t executed, std::uint32_t tail_calls) {
+  return fail(translate(tagged, len).error().message, executed, tail_calls);
 }
 
 VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
@@ -318,13 +360,13 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
   std::memset(state.regs, 0, sizeof(state.regs));
 
   // Populate the context struct.
-  store_sized(state.ctx + kCtxData, MemSize::kU64, make_ptr(Region::kPacket, 0));
-  store_sized(state.ctx + kCtxDataEnd, MemSize::kU64,
-              make_ptr(Region::kPacket, pkt.size()));
-  store_sized(state.ctx + kCtxIfindex, MemSize::kU64,
-              static_cast<std::uint64_t>(ingress_ifindex));
-  store_sized(state.ctx + kCtxRxQueue, MemSize::kU64, pkt.rx_queue);
-  store_sized(state.ctx + kCtxVlanTci, MemSize::kU64, pkt.vlan_tci);
+  store_as<std::uint64_t>(state.ctx + kCtxData, make_ptr(Region::kPacket, 0));
+  store_as<std::uint64_t>(state.ctx + kCtxDataEnd,
+                          make_ptr(Region::kPacket, pkt.size()));
+  store_as<std::uint64_t>(state.ctx + kCtxIfindex,
+                          static_cast<std::uint64_t>(ingress_ifindex));
+  store_as<std::uint64_t>(state.ctx + kCtxRxQueue, pkt.rx_queue);
+  store_as<std::uint64_t>(state.ctx + kCtxVlanTci, pkt.vlan_tci);
 
   state.regs[kR1] = make_ptr(Region::kCtx, 0);
   state.regs[kR10] = make_ptr(Region::kStack, kStackSize);
@@ -339,256 +381,308 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
   return interpret(entry_prog, hctx);
 }
 
-VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
-  RunState& state = *state_;
-  engine::FlowCacheRecorder* recorder = state.recorder;
-  VmResult result;
+// Threaded dispatch: every handler ends in its own indirect jump through
+// kDispatch (indexed by DecodedOp), so the host's branch predictor learns
+// each handler's successors separately instead of sharing one jump site.
+// The pc and budget checks run in every dispatch, and every runtime check of
+// the handlers stays; a failed check leaves the loop through the cold fail()
+// path. vm.cpp is built with -fno-crossjumping so that GCC does not merge the
+// identical dispatch tails back into one jump.
+#define LFP_VM_NEXT()                                                 \
+  do {                                                                \
+    if (__builtin_expect(pc >= prog_size, 0)) goto pc_out_of_bounds;  \
+    if (__builtin_expect(++executed > kMaxExecuted, 0)) {             \
+      goto budget_exceeded;                                           \
+    }                                                                 \
+    insn = &code[pc];                                                 \
+    goto* kDispatch[static_cast<std::size_t>(insn->op)];              \
+  } while (0)
 
-  const Program* prog = &entry_prog;
-  // Hot loop runs over the pre-decoded instruction stream: operand selector
-  // and jump targets were resolved at load time (Program::decode).
-  const DecodedInsn* code = prog->code().data();
-  std::size_t prog_size = prog->insns.size();
-  std::size_t pc = 0;
-  std::uint64_t executed = 0;
+// A load of sizeof(T) bytes: regs[dst] = *(T*)(regs[src] + off).
+#define LFP_VM_LDX(T)                                                       \
+  do {                                                                      \
+    const std::uint64_t addr = ptr_add(regs[insn->src], insn->off);         \
+    const std::uint8_t* p = resolve(state, addr, sizeof(T));                \
+    if (__builtin_expect(p == nullptr, 0)) {                                \
+      return fail_access(addr, sizeof(T), executed, tail_calls);            \
+    }                                                                       \
+    if (recorder && ptr_region(addr) == Region::kPacket) {                  \
+      recorder->note_packet_read(ptr_payload(addr), sizeof(T));             \
+    }                                                                       \
+    regs[insn->dst] = load_as<T>(p);                                        \
+    ++pc;                                                                   \
+    LFP_VM_NEXT();                                                          \
+  } while (0)
+
+// A store of sizeof(T) bytes: *(T*)(regs[dst] + off) = value.
+#define LFP_VM_STORE(T, value)                                              \
+  do {                                                                      \
+    const std::uint64_t addr = ptr_add(regs[insn->dst], insn->off);         \
+    std::uint8_t* p = resolve(state, addr, sizeof(T));                      \
+    if (__builtin_expect(p == nullptr, 0)) {                                \
+      return fail_access(addr, sizeof(T), executed, tail_calls);            \
+    }                                                                       \
+    if (recorder && ptr_region(addr) == Region::kPacket) {                  \
+      recorder->note_packet_write(ptr_payload(addr), sizeof(T));            \
+    }                                                                       \
+    store_as<T>(p, (value));                                                \
+    ++pc;                                                                   \
+    LFP_VM_NEXT();                                                          \
+  } while (0)
+
+// A conditional jump taken when `cond` holds over the JumpOperands `j`.
+#define LFP_VM_JUMP_IF(cond)                                                \
+  do {                                                                      \
+    const JumpOperands j = jump_operands(regs, *insn);                      \
+    pc = (cond) ? insn->jump_target : pc + 1;                               \
+    LFP_VM_NEXT();                                                          \
+  } while (0)
+
+VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
+  // One entry per DecodedOp, in enum order.
+  static const void* const kDispatch[] = {
+      &&op_mov,   &&op_add,   &&op_sub,   &&op_mul,   &&op_div,
+      &&op_mod,   &&op_and,   &&op_or,    &&op_xor,   &&op_lsh,
+      &&op_rsh,   &&op_arsh,  &&op_neg,   &&op_be16,  &&op_be32,
+      &&op_ldx8,  &&op_ldx16, &&op_ldx32, &&op_ldx64,
+      &&op_stx8,  &&op_stx16, &&op_stx32, &&op_stx64,
+      &&op_st8,   &&op_st16,  &&op_st32,  &&op_st64,
+      &&op_ja,    &&op_jeq,   &&op_jne,   &&op_jgt,   &&op_jge,
+      &&op_jlt,   &&op_jle,   &&op_jset,
+      &&op_call,  &&op_tail_call,
+      &&op_exit,
+  };
+  static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == kNumDecodedOps,
+                "one dispatch entry per DecodedOp");
   constexpr std::uint64_t kMaxExecuted = 1u << 20;
 
-  auto fail = [&](const std::string& why) {
-    result.aborted = true;
-    result.error = why;
-    result.ret = kActAborted;
-    result.insns_executed = executed;
-    result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
-    return result;
-  };
+  RunState& state = *state_;
+  std::uint64_t* const regs = state.regs;
+  engine::FlowCacheRecorder* const recorder = state.recorder;
+  util::PacketTrace* const trace = util::active_packet_trace();
 
-  while (true) {
-    if (pc >= prog_size) {
-      return fail("pc out of bounds (missing exit?)");
-    }
-    if (++executed > kMaxExecuted) {
-      return fail("instruction budget exceeded");
-    }
-    const DecodedInsn& insn = code[pc];
-    auto& regs = state.regs;
-    // The imm slot mirrors this instruction's immediate, so the second
-    // operand is one unconditional indexed load (no use_imm branch).
-    regs[kImmSlot] = static_cast<std::uint64_t>(insn.imm);
-    std::uint64_t src_val = regs[insn.src_sel];
+  // Hot loop runs over the pre-decoded instruction stream: handler, operand
+  // selector and jump targets were resolved at load time (Program::decode).
+  const DecodedInsn* code = entry_prog.code().data();
+  std::size_t prog_size = entry_prog.insns.size();
+  std::size_t pc = 0;
+  std::uint64_t executed = 0;
+  std::uint32_t tail_calls = 0;
+  const DecodedInsn* insn = nullptr;
 
-    switch (insn.op) {
-      case Op::kMov:
-        regs[insn.dst] = src_val;
-        ++pc;
-        break;
-      case Op::kAdd:
-        regs[insn.dst] = ptr_region(regs[insn.dst]) != Region::kNone
-                             ? ptr_add(regs[insn.dst],
-                                       static_cast<std::int64_t>(src_val))
-                             : regs[insn.dst] + src_val;
-        ++pc;
-        break;
-      case Op::kSub:
-        if (ptr_region(regs[insn.dst]) != Region::kNone &&
-            !insn.use_imm && ptr_region(regs[insn.src]) ==
-                ptr_region(regs[insn.dst])) {
-          // pointer - pointer = scalar distance
-          regs[insn.dst] =
-              ptr_payload(regs[insn.dst]) - ptr_payload(regs[insn.src]);
-        } else if (ptr_region(regs[insn.dst]) != Region::kNone) {
-          regs[insn.dst] =
-              ptr_add(regs[insn.dst], -static_cast<std::int64_t>(src_val));
-        } else {
-          regs[insn.dst] -= src_val;
-        }
-        ++pc;
-        break;
-      case Op::kMul: regs[insn.dst] *= src_val; ++pc; break;
-      case Op::kDiv:
-        if (src_val == 0) return fail("division by zero");
-        regs[insn.dst] /= src_val;
-        ++pc;
-        break;
-      case Op::kMod:
-        if (src_val == 0) return fail("mod by zero");
-        regs[insn.dst] %= src_val;
-        ++pc;
-        break;
-      case Op::kAnd: regs[insn.dst] &= src_val; ++pc; break;
-      case Op::kOr: regs[insn.dst] |= src_val; ++pc; break;
-      case Op::kXor: regs[insn.dst] ^= src_val; ++pc; break;
-      case Op::kLsh: regs[insn.dst] <<= (src_val & 63); ++pc; break;
-      case Op::kRsh: regs[insn.dst] >>= (src_val & 63); ++pc; break;
-      case Op::kArsh:
-        regs[insn.dst] = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(regs[insn.dst]) >>
-            (src_val & 63));
-        ++pc;
-        break;
-      case Op::kNeg:
-        regs[insn.dst] = static_cast<std::uint64_t>(
-            -static_cast<std::int64_t>(regs[insn.dst]));
-        ++pc;
-        break;
-      case Op::kBe16: {
-        std::uint16_t v = static_cast<std::uint16_t>(regs[insn.dst]);
-        regs[insn.dst] = static_cast<std::uint16_t>((v >> 8) | (v << 8));
-        ++pc;
-        break;
-      }
-      case Op::kBe32: {
-        std::uint32_t v = static_cast<std::uint32_t>(regs[insn.dst]);
-        regs[insn.dst] = ((v >> 24) & 0xff) | ((v >> 8) & 0xff00) |
-                         ((v << 8) & 0xff0000) | (v << 24);
-        ++pc;
-        break;
-      }
-      case Op::kLdx: {
-        std::uint64_t addr = ptr_add(regs[insn.src], insn.off);
-        auto mem = translate(addr, static_cast<std::size_t>(insn.size));
-        if (!mem.ok()) return fail(mem.error().message);
-        if (recorder && ptr_region(addr) == Region::kPacket) {
-          recorder->note_packet_read(ptr_payload(addr),
-                                     static_cast<std::size_t>(insn.size));
-        }
-        regs[insn.dst] = load_sized(mem.value(), insn.size);
-        ++pc;
-        break;
-      }
-      case Op::kStx: {
-        std::uint64_t addr = ptr_add(regs[insn.dst], insn.off);
-        auto mem = translate(addr, static_cast<std::size_t>(insn.size));
-        if (!mem.ok()) return fail(mem.error().message);
-        if (recorder && ptr_region(addr) == Region::kPacket) {
-          recorder->note_packet_write(ptr_payload(addr),
-                                      static_cast<std::size_t>(insn.size));
-        }
-        store_sized(mem.value(), insn.size, regs[insn.src]);
-        ++pc;
-        break;
-      }
-      case Op::kSt: {
-        std::uint64_t addr = ptr_add(regs[insn.dst], insn.off);
-        auto mem = translate(addr, static_cast<std::size_t>(insn.size));
-        if (!mem.ok()) return fail(mem.error().message);
-        if (recorder && ptr_region(addr) == Region::kPacket) {
-          recorder->note_packet_write(ptr_payload(addr),
-                                      static_cast<std::size_t>(insn.size));
-        }
-        store_sized(mem.value(), insn.size,
-                    static_cast<std::uint64_t>(insn.imm));
-        ++pc;
-        break;
-      }
-      case Op::kJa:
-        pc = insn.jump_target;
-        break;
-      case Op::kJeq:
-      case Op::kJne:
-      case Op::kJgt:
-      case Op::kJge:
-      case Op::kJlt:
-      case Op::kJle:
-      case Op::kJset: {
-        std::uint64_t a = regs[insn.dst];
-        std::uint64_t b = src_val;
-        // Pointer comparisons compare payloads within the same region (the
-        // data_end bounds-check pattern).
-        if (ptr_region(a) != Region::kNone && !insn.use_imm &&
-            ptr_region(b) == ptr_region(a)) {
-          a = ptr_payload(a);
-          b = ptr_payload(b);
-        }
-        bool take = false;
-        switch (insn.op) {
-          case Op::kJeq: take = a == b; break;
-          case Op::kJne: take = a != b; break;
-          case Op::kJgt: take = a > b; break;
-          case Op::kJge: take = a >= b; break;
-          case Op::kJlt: take = a < b; break;
-          case Op::kJle: take = a <= b; break;
-          case Op::kJset: take = (a & b) != 0; break;
-          default: break;
-        }
-        pc = take ? insn.jump_target : pc + 1;
-        break;
-      }
-      case Op::kCall: {
-        auto helper_id = static_cast<std::uint32_t>(insn.imm);
-        if (helper_id == kHelperTailCall) {
-          // bpf_tail_call(ctx=r1, prog_array=r2(map id), index=r3)
-          if (result.tail_calls + 1 > kMaxTailCalls) {
-            return fail("tail call limit exceeded");
-          }
-          Map* prog_array = maps_.get(static_cast<std::uint32_t>(regs[kR2]));
-          if (!prog_array || prog_array->type() != MapType::kProgArray) {
-            return fail("tail call on non prog-array map");
-          }
-          auto target =
-              prog_array->prog_at(static_cast<std::uint32_t>(regs[kR3]));
-          if (!target || !prog_table_ ||
-              *target >= prog_table_->size()) {
-            // Miss: like the kernel, fall through to the next instruction.
-            regs[kR0] = static_cast<std::uint64_t>(-1);
-            ++pc;
-            break;
-          }
-          ++result.tail_calls;
-          state.extra_cycles += cost_.bpf_tail_call;
-          if (metrics_ && metrics_->enabled()) util::bump(tail_call_counter_);
-          if (auto* t = util::active_packet_trace()) {
-            t->add("ebpf", "tail_call", cost_.bpf_tail_call,
-                   (*prog_table_)[*target].name);
-          }
-          prog = &(*prog_table_)[*target];
-          code = prog->code().data();
-          prog_size = prog->insns.size();
-          pc = 0;
-          // Tail call preserves only the context pointer convention: r1 is
-          // re-established; caller-saved state is lost.
-          regs[kR1] = make_ptr(Region::kCtx, 0);
-          break;
-        }
-        const Helper* helper = helpers_.find(helper_id);
-        if (!helper) return fail("unknown helper " + std::to_string(helper_id));
-        if (recorder && !flowcache_replayable_helper(helper_id)) {
-          // Map contents, time and custom helpers are outside the
-          // generation-guarded replay model.
-          recorder->mark_uncacheable("helper escapes replay model");
-        }
-        std::uint64_t cycles_before = state.extra_cycles;
-        state.extra_cycles += cost_.bpf_helper_base;
-        regs[kR0] = helper->fn(hctx, regs[kR1], regs[kR2], regs[kR3],
-                               regs[kR4], regs[kR5]);
-        if (metrics_ && metrics_->enabled()) {
-          util::bump(helper_counter(helper_id));
-          if (helper_id == kHelperMapLookup) {
-            util::bump(regs[kR0] != 0 ? map_hits_ : map_misses_);
-          }
-        }
-        if (auto* t = util::active_packet_trace()) {
-          // Helper base cost plus whatever the helper charged itself.
-          t->add("ebpf", helper_name(helper_id),
-                 state.extra_cycles - cycles_before);
-        }
-        // r1-r5 are clobbered by calls.
-        for (int r = kR1; r <= kR5; ++r) regs[r] = 0;
-        ++pc;
-        break;
-      }
-      case Op::kExit: {
-        result.ret = regs[kR0];
-        result.redirect_ifindex = state.redirect_ifindex;
-        result.redirect_xsk = state.redirect_xsk;
-        result.insns_executed = executed;
-        result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
-        if (auto* t = util::active_packet_trace()) {
-          t->add("ebpf", "exit", result.cycles, action_name(result.ret));
-        }
-        return result;
-      }
-    }
-  }
+  LFP_VM_NEXT();
+
+op_mov:
+  regs[insn->dst] = operand(regs, *insn);
+  ++pc;
+  LFP_VM_NEXT();
+op_add: {
+  const std::uint64_t src = operand(regs, *insn);
+  std::uint64_t& dst = regs[insn->dst];
+  dst = ptr_region(dst) != Region::kNone
+            ? ptr_add(dst, static_cast<std::int64_t>(src))
+            : dst + src;
+  ++pc;
+  LFP_VM_NEXT();
 }
+op_sub: {
+  const std::uint64_t src = operand(regs, *insn);
+  std::uint64_t& dst = regs[insn->dst];
+  if (ptr_region(dst) != Region::kNone && !insn->use_imm &&
+      ptr_region(regs[insn->src]) == ptr_region(dst)) {
+    // pointer - pointer = scalar distance
+    dst = ptr_payload(dst) - ptr_payload(regs[insn->src]);
+  } else if (ptr_region(dst) != Region::kNone) {
+    dst = ptr_add(dst, -static_cast<std::int64_t>(src));
+  } else {
+    dst -= src;
+  }
+  ++pc;
+  LFP_VM_NEXT();
+}
+op_mul:
+  regs[insn->dst] *= operand(regs, *insn);
+  ++pc;
+  LFP_VM_NEXT();
+op_div: {
+  const std::uint64_t src = operand(regs, *insn);
+  if (src == 0) return fail("division by zero", executed, tail_calls);
+  regs[insn->dst] /= src;
+  ++pc;
+  LFP_VM_NEXT();
+}
+op_mod: {
+  const std::uint64_t src = operand(regs, *insn);
+  if (src == 0) return fail("mod by zero", executed, tail_calls);
+  regs[insn->dst] %= src;
+  ++pc;
+  LFP_VM_NEXT();
+}
+op_and:
+  regs[insn->dst] &= operand(regs, *insn);
+  ++pc;
+  LFP_VM_NEXT();
+op_or:
+  regs[insn->dst] |= operand(regs, *insn);
+  ++pc;
+  LFP_VM_NEXT();
+op_xor:
+  regs[insn->dst] ^= operand(regs, *insn);
+  ++pc;
+  LFP_VM_NEXT();
+op_lsh:
+  regs[insn->dst] <<= (operand(regs, *insn) & 63);
+  ++pc;
+  LFP_VM_NEXT();
+op_rsh:
+  regs[insn->dst] >>= (operand(regs, *insn) & 63);
+  ++pc;
+  LFP_VM_NEXT();
+op_arsh:
+  regs[insn->dst] = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(regs[insn->dst]) >>
+      (operand(regs, *insn) & 63));
+  ++pc;
+  LFP_VM_NEXT();
+op_neg:
+  regs[insn->dst] = static_cast<std::uint64_t>(
+      -static_cast<std::int64_t>(regs[insn->dst]));
+  ++pc;
+  LFP_VM_NEXT();
+op_be16: {
+  const auto v = static_cast<std::uint16_t>(regs[insn->dst]);
+  regs[insn->dst] = static_cast<std::uint16_t>((v >> 8) | (v << 8));
+  ++pc;
+  LFP_VM_NEXT();
+}
+op_be32: {
+  const auto v = static_cast<std::uint32_t>(regs[insn->dst]);
+  regs[insn->dst] = ((v >> 24) & 0xff) | ((v >> 8) & 0xff00) |
+                    ((v << 8) & 0xff0000) | (v << 24);
+  ++pc;
+  LFP_VM_NEXT();
+}
+op_ldx8:
+  LFP_VM_LDX(std::uint8_t);
+op_ldx16:
+  LFP_VM_LDX(std::uint16_t);
+op_ldx32:
+  LFP_VM_LDX(std::uint32_t);
+op_ldx64:
+  LFP_VM_LDX(std::uint64_t);
+op_stx8:
+  LFP_VM_STORE(std::uint8_t, regs[insn->src]);
+op_stx16:
+  LFP_VM_STORE(std::uint16_t, regs[insn->src]);
+op_stx32:
+  LFP_VM_STORE(std::uint32_t, regs[insn->src]);
+op_stx64:
+  LFP_VM_STORE(std::uint64_t, regs[insn->src]);
+op_st8:
+  LFP_VM_STORE(std::uint8_t, static_cast<std::uint64_t>(insn->imm));
+op_st16:
+  LFP_VM_STORE(std::uint16_t, static_cast<std::uint64_t>(insn->imm));
+op_st32:
+  LFP_VM_STORE(std::uint32_t, static_cast<std::uint64_t>(insn->imm));
+op_st64:
+  LFP_VM_STORE(std::uint64_t, static_cast<std::uint64_t>(insn->imm));
+op_ja:
+  pc = insn->jump_target;
+  LFP_VM_NEXT();
+op_jeq:
+  LFP_VM_JUMP_IF(j.a == j.b);
+op_jne:
+  LFP_VM_JUMP_IF(j.a != j.b);
+op_jgt:
+  LFP_VM_JUMP_IF(j.a > j.b);
+op_jge:
+  LFP_VM_JUMP_IF(j.a >= j.b);
+op_jlt:
+  LFP_VM_JUMP_IF(j.a < j.b);
+op_jle:
+  LFP_VM_JUMP_IF(j.a <= j.b);
+op_jset:
+  LFP_VM_JUMP_IF((j.a & j.b) != 0);
+op_call: {
+  const auto helper_id = static_cast<std::uint32_t>(insn->imm);
+  const Helper* helper = helpers_.find(helper_id);
+  if (!helper) {
+    return fail("unknown helper " + std::to_string(helper_id), executed,
+                tail_calls);
+  }
+  if (recorder && !flowcache_replayable_helper(helper_id)) {
+    // Map contents, time and custom helpers are outside the
+    // generation-guarded replay model.
+    recorder->mark_uncacheable("helper escapes replay model");
+  }
+  const std::uint64_t cycles_before = state.extra_cycles;
+  state.extra_cycles += cost_.bpf_helper_base;
+  regs[kR0] = helper->fn(hctx, regs[kR1], regs[kR2], regs[kR3], regs[kR4],
+                         regs[kR5]);
+  util::shard_add(counts_.helper_calls[helper_id]);
+  if (helper_id == kHelperMapLookup) {
+    util::shard_add(regs[kR0] != 0 ? counts_.map_hits : counts_.map_misses);
+  }
+  if (trace) {
+    // Helper base cost plus whatever the helper charged itself.
+    trace->add("ebpf", helper_name(helper_id),
+               state.extra_cycles - cycles_before);
+  }
+  // r1-r5 are clobbered by calls.
+  for (int r = kR1; r <= kR5; ++r) regs[r] = 0;
+  ++pc;
+  LFP_VM_NEXT();
+}
+op_tail_call: {
+  // bpf_tail_call(ctx=r1, prog_array=r2(map id), index=r3)
+  if (tail_calls + 1 > kMaxTailCalls) {
+    return fail("tail call limit exceeded", executed, tail_calls);
+  }
+  Map* prog_array = maps_.get(static_cast<std::uint32_t>(regs[kR2]));
+  if (!prog_array || prog_array->type() != MapType::kProgArray) {
+    return fail("tail call on non prog-array map", executed, tail_calls);
+  }
+  const auto target =
+      prog_array->prog_at(static_cast<std::uint32_t>(regs[kR3]));
+  if (!target || !prog_table_ || *target >= prog_table_->size()) {
+    // Miss: like the kernel, fall through to the next instruction.
+    regs[kR0] = static_cast<std::uint64_t>(-1);
+    ++pc;
+    LFP_VM_NEXT();
+  }
+  ++tail_calls;
+  state.extra_cycles += cost_.bpf_tail_call;
+  util::shard_add(counts_.tail_calls);
+  const Program& next = (*prog_table_)[*target];
+  if (trace) trace->add("ebpf", "tail_call", cost_.bpf_tail_call, next.name);
+  code = next.code().data();
+  prog_size = next.insns.size();
+  pc = 0;
+  // Tail call preserves only the context pointer convention: r1 is
+  // re-established; caller-saved state is lost.
+  regs[kR1] = make_ptr(Region::kCtx, 0);
+  LFP_VM_NEXT();
+}
+op_exit: {
+  VmResult result;
+  result.ret = regs[kR0];
+  result.redirect_ifindex = state.redirect_ifindex;
+  result.redirect_xsk = state.redirect_xsk;
+  result.insns_executed = executed;
+  result.tail_calls = tail_calls;
+  result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
+  if (trace) trace->add("ebpf", "exit", result.cycles, action_name(result.ret));
+  return result;
+}
+pc_out_of_bounds:
+  return fail("pc out of bounds (missing exit?)", executed, tail_calls);
+budget_exceeded:
+  return fail("instruction budget exceeded", executed, tail_calls);
+}
+
+#undef LFP_VM_JUMP_IF
+#undef LFP_VM_STORE
+#undef LFP_VM_LDX
+#undef LFP_VM_NEXT
 
 }  // namespace linuxfp::ebpf

@@ -6,13 +6,16 @@
 // penalty per transition — the source of the Fig 10 result.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ebpf/program.h"
 #include "kernel/cost_model.h"
 #include "net/packet.h"
+#include "util/metrics.h"
 
 namespace linuxfp::engine {
 class FlowCacheRecorder;
@@ -52,13 +55,24 @@ class Vm {
   void set_cpu(unsigned cpu) { cpu_ = cpu; }
   unsigned cpu() const { return cpu_; }
 
-  // Binds per-helper-call counters ("ebpf.helper.<name>.calls"), map
-  // hit/miss counters and the tail-call counter to `registry` (null
-  // unbinds). Counter pointers for every registered helper are resolved
-  // eagerly here (creation is control-plane-only; worker threads must never
-  // insert into the registry), so the per-call cost is one indexed relaxed
-  // increment.
-  void set_metrics(util::MetricsRegistry* registry);
+  // This VM's event counts since construction: calls per registry helper
+  // id, bpf_map_lookup_elem hits and misses, and tail calls taken. Only the
+  // VM's own thread adds to them (util::shard_add); any thread may read
+  // them. The owning attachment's registry source sums them over its VMs as
+  // "ebpf.helper.<name>.calls", "ebpf.map.hits|misses" and
+  // "ebpf.tail_calls".
+  std::uint64_t helper_calls(std::uint32_t helper_id) const {
+    return helper_id < HelperRegistry::kIdLimit
+               ? util::shard_read(counts_.helper_calls[helper_id])
+               : 0;
+  }
+  std::uint64_t map_hits() const { return util::shard_read(counts_.map_hits); }
+  std::uint64_t map_misses() const {
+    return util::shard_read(counts_.map_misses);
+  }
+  std::uint64_t tail_calls() const {
+    return util::shard_read(counts_.tail_calls);
+  }
 
  private:
   friend class HelperContext;
@@ -82,11 +96,28 @@ class Vm {
     std::vector<Span> spans;
   };
 
+  // The host address of `len` bytes at tagged pointer `tagged`, or null when
+  // the region or bounds check fails. Inline: every load and store runs it.
+  static std::uint8_t* resolve(RunState& state, std::uint64_t tagged,
+                               std::size_t len);
+  // resolve() with the reason for a failure, for HelperContext::mem and the
+  // abort message of a faulting load or store.
   util::Result<std::uint8_t*> translate(std::uint64_t tagged, std::size_t len);
-  util::Counter* helper_counter(std::uint32_t helper_id);
 
-  // The pre-decoded interpreter loop; state_ must be live.
+  // The threaded interpreter loop; state_ must be live.
   VmResult interpret(const Program& prog, HelperContext& hctx);
+
+  // The result of a run aborted after `executed` instructions and
+  // `tail_calls` tail calls: ABORTED, `why`, and the cycles charged so far.
+  // Out of line and cold, so the interpreter loop carries no abort code.
+  [[gnu::cold, gnu::noinline]] VmResult fail(std::string_view why,
+                                             std::uint64_t executed,
+                                             std::uint32_t tail_calls) const;
+  // fail() for a load or store of `len` bytes at `tagged` that resolve()
+  // refused, with translate()'s message.
+  [[gnu::cold, gnu::noinline]] VmResult fail_access(
+      std::uint64_t tagged, std::size_t len, std::uint64_t executed,
+      std::uint32_t tail_calls);
 
   const kern::CostModel& cost_;
   const HelperRegistry& helpers_;
@@ -95,11 +126,13 @@ class Vm {
   unsigned cpu_ = 0;
   RunState* state_ = nullptr;  // valid during run()
 
-  util::MetricsRegistry* metrics_ = nullptr;
-  std::vector<util::Counter*> helper_counters_;  // indexed by helper id
-  util::Counter* map_hits_ = nullptr;
-  util::Counter* map_misses_ = nullptr;
-  util::Counter* tail_call_counter_ = nullptr;
+  struct Counts {
+    std::array<std::uint64_t, HelperRegistry::kIdLimit> helper_calls{};
+    std::uint64_t map_hits = 0;
+    std::uint64_t map_misses = 0;
+    std::uint64_t tail_calls = 0;
+  };
+  Counts counts_;
 };
 
 }  // namespace linuxfp::ebpf

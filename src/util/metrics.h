@@ -24,13 +24,13 @@
 //                                         of KernelCounters::drops, whose
 //                                         std::map cannot be read live)
 //   fib.lookups / fib.depth_total         FIB activity (depth via FibResult)
-//   ebpf.helper.<name>.calls              per-helper-call counts
-//   ebpf.map.{hits,misses}                map lookup outcomes
 //   fpm.<name>.deployed                   per-FPM deploy counts
 //   engine.*                              engine shards, folded at stop()
 // Derived on read from per-CPU stores (Attachment sources):
 //   fastpath.<attachment>.<hook>.*        per-attachment verdicts/cycles
 //   flowcache.*                           microflow cache outcomes
+//   ebpf.helper.<name>.calls              per-helper-call counts (per-CPU Vm)
+//   ebpf.map.{hits,misses}, ebpf.tail_calls   map lookups, tail calls taken
 #pragma once
 
 #include <atomic>
@@ -139,7 +139,7 @@ class MetricsRegistry {
   void set_histograms_enabled(bool on) { histograms_enabled_ = on; }
   bool histograms_enabled() const { return histograms_enabled_; }
 
-  // When false, StageSink/Vm/drop emission sites skip their updates, so
+  // When false, StageSink/drop emission sites skip their updates, so
   // stored counters freeze (they keep their values; no reset). Sources read
   // stores that count regardless, so derived names keep moving.
   void set_enabled(bool on) { enabled_ = on; }

@@ -206,52 +206,67 @@ EOF
 # here, in review, instead of drifting silently.
 build/tools/linuxfpctl_demo --json | diff -u tools/golden/linuxfpctl_demo.json -
 echo "status golden: linuxfpctl_demo --json matches tools/golden"
+# Host time of one process() call on prebuilt 64 B router packets, LinuxFP
+# XDP fast path over the Linux slow path it replaces; the fast path should
+# reach <= 1.0. Reported, not gated: host time on a shared machine is noisy.
+build/bench/bench_micro_substrate \
+  --benchmark_filter='^BM_(Slow|Fast)PathForwardPrebuilt$' \
+  --benchmark_min_time=0.2 --benchmark_format=json |
+python3 -c '
+import json, sys
+ns = {b["name"]: b["cpu_time"] for b in json.load(sys.stdin)["benchmarks"]}
+slow, fast = ns["BM_SlowPathForwardPrebuilt"], ns["BM_FastPathForwardPrebuilt"]
+print(f"process() on prebuilt packets: Linux {slow:.0f} ns, LinuxFP {fast:.0f} ns,"
+      f" LinuxFP/Linux {fast / slow:.2f} (report only)")'
 echo "bench smoke OK"
 
 # --- observability overhead guard -----------------------------------------
-# The always-on counters must stay cheap: compare the metered forward-path
-# microbenchmarks against their Bare (metrics-disabled) twins and fail when
-# the metered run blows the ratio budget below. (The modeled-cycle budget is
-# <2% — counters charge no simulated cycles at all; this guards the
-# wall-clock cost of the substrate.)
+# The always-on counters must stay cheap: compare the metered forward path
+# against the Bare (metrics-disabled) one and fail when the metered run blows
+# the ratio budget below. (The modeled-cycle budget is <2% — counters charge
+# no simulated cycles at all; this guards the wall-clock cost of the
+# substrate.)
 echo "=== observability overhead guard ==="
-# Repetitions + per-name minimum: scheduler interference on a shared single
-# core only ever adds time, so the min is the steadiest estimator. The budget
-# carries headroom for the interference that survives even that (whole
-# repetition blocks slow down together on this box; the seed tree measures
-# ratios up to ~1.45 with zero metering changes) — the guard is here to catch
-# metering suddenly costing a multiple, not to resolve 10% swings.
+# BM_MeteringRatio{Slow,Fast}Path alternate metered and bare process() calls
+# in 32-packet blocks and report the median ratio of the least-contended
+# block pairs, so host interference, which lasts far longer than a block,
+# cancels inside each pair (timed in separate runs, metered and bare each
+# catch their own stretch of host load, which misses the budget on noise
+# alone). Interference can only pull a ratio toward 1, so the guard takes
+# the highest of five repetitions. The budget carries headroom for what noise
+# survives — the guard is here to catch metering suddenly costing a
+# multiple, not to resolve 10% swings.
+overhead_json="$(mktemp)"
 build/bench/bench_micro_substrate \
-  --benchmark_filter='BM_(Slow|Fast)PathForward(Bare)?$' \
-  --benchmark_repetitions=5 \
-  --benchmark_format=json > /tmp/overhead.json
-python3 - <<'EOF'
-import json
-results = {}
-for b in json.load(open("/tmp/overhead.json"))["benchmarks"]:
-    if b.get("run_type") != "iteration":
-        continue
-    name, t = b["name"], b["cpu_time"]
-    results[name] = min(results.get(name, t), t)
+  --benchmark_filter='^BM_MeteringRatio(Slow|Fast)Path$' \
+  --benchmark_repetitions=5 --benchmark_format=json > "${overhead_json}"
+python3 - "${overhead_json}" <<'EOF'
+import json, sys
+ratios = {}
+for b in json.load(open(sys.argv[1]))["benchmarks"]:
+    if b.get("run_type") == "iteration":
+        ratios.setdefault(b["run_name"], []).append(b["ratio"])
 budget = 1.55
 ok = True
-for base in ("BM_SlowPathForward", "BM_FastPathForward"):
-    metered, bare = results[base], results[base + "Bare"]
-    ratio = metered / bare
-    print(f"{base}: metered={metered:.0f}ns bare={bare:.0f}ns "
-          f"ratio={ratio:.3f} (budget {budget})")
+for name, runs in sorted(ratios.items()):
+    ratio = max(runs)
+    print(f"{name}: metered/bare ratio={ratio:.3f} (highest of "
+          f"{', '.join(f'{r:.3f}' for r in runs)}; budget {budget})")
     if ratio > budget:
         ok = False
 raise SystemExit(0 if ok else "observability overhead exceeds budget")
 EOF
+rm -f "${overhead_json}"
 echo "overhead guard OK"
 
 # --- interpreter ns/insn guard ---------------------------------------------
-# The VM hot loop runs over the pre-decoded instruction array (operand
-# selection and jump targets resolved at load time). Guard the raw per-insn
-# interpretation cost so the decode stage can never silently regress back
-# into the dispatch loop. The interpreter measures 3-4.5 ns/insn; the 12 ns
-# budget leaves headroom for a shared host, not for a slower dispatch loop.
+# The VM runs a threaded dispatch loop over the pre-decoded instruction array
+# (handler, operand selection and jump targets resolved at load time). Guard
+# the raw per-insn interpretation cost so the decode stage can never silently
+# regress back into the dispatch loop. The interpreter measures 3.9-4.0
+# ns/insn on a shared 4-vCPU 2.0 GHz Xeon VM (this ALU kernel is bound by
+# store-to-load latency through the register file, not by dispatch); the
+# 12 ns budget leaves headroom for a shared host, not for a slower loop.
 echo "=== interpreter ns/insn guard ==="
 build/bench/bench_micro_substrate \
   --benchmark_filter='BM_VmNsPerInsn$' \
