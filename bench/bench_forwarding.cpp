@@ -12,6 +12,9 @@
 //  2. GRO on the slow-path-bound plain-Linux forwarder (same-flow TCP
 //     streams, 512 B): coalescing runs the linear stack stages once per
 //     super-packet, resegmenting at TX. Acceptance: GRO on >= 1.5x off.
+//     Every NAPI window (64 folds) holds 16 segments of each of the four
+//     streams, so runs close on max_segs and the run reads exactly
+//     flows * ceil(packets / flows / max_segs) super-packets.
 //
 // Emits BENCH_forwarding.json; --smoke trims samples for CI.
 #include "bench/bench_util.h"
@@ -88,10 +91,11 @@ int main(int argc, char** argv) {
   sim::LinuxTestbed slow_dut(plain);
   constexpr std::size_t kFrame = 512;
   constexpr std::uint32_t kPayload = kFrame - 54;  // eth+ip+tcp headers
+  constexpr int kFlows = 4;
   // Four interleaved TCP streams, each in-sequence: the shape GRO folds.
   auto tcp_factory = [&](std::uint64_t i) {
-    const int flow = static_cast<int>(i % 4);
-    const std::uint32_t k = static_cast<std::uint32_t>(i / 4);
+    const int flow = static_cast<int>(i % kFlows);
+    const std::uint32_t k = static_cast<std::uint32_t>(i / kFlows);
     return slow_dut.forward_tcp_segment(
         flow, static_cast<std::uint16_t>(flow), kFrame, 1 + k * kPayload,
         static_cast<std::uint16_t>(k));
@@ -123,6 +127,8 @@ int main(int argc, char** argv) {
     util::Json row = util::Json::object();
     row["experiment"] = "gro";
     row["gro"] = gro;
+    row["flows"] = kFlows;
+    row["max_segs"] = static_cast<int>(opts.gro.max_segs);
     row["packets_in"] = static_cast<std::int64_t>(r.packets_in);
     row["packets_out"] = static_cast<std::int64_t>(r.packets_out);
     row["gro_coalesced"] = static_cast<std::int64_t>(r.gro_coalesced);

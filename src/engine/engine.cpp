@@ -18,11 +18,9 @@ Engine::Engine(kern::Kernel& kernel, int ifindex, EngineConfig cfg)
   }
   slow_ring_ = std::make_unique<BoundedRing<net::Packet>>(cfg_.slow_ring_depth);
   tx_ = std::make_unique<TxEngine>(kernel_, rss_, cfg_.tx, cfg_.queues);
-  if (cfg_.gro.enabled) gro_ = std::make_unique<GroEngine>(cfg_.gro);
+  if (cfg_.gro.enabled) gro_.assign(cfg_.queues, GroEngine(cfg_.gro));
   if (cfg_.steering.any()) {
-    steerer_ = std::make_unique<FlowSteerer>(
-        rss_, cfg_.steering,
-        [this](unsigned q) { return queues_[q]->ring.occupancy(); });
+    steerer_ = std::make_unique<FlowSteerer>(rss_, cfg_.steering);
   }
 }
 
@@ -304,14 +302,19 @@ void Engine::slow_main() {
     }
   };
   auto pop_one = [this, &gro_out, &handle](net::Packet&& p) {
-    if (gro_) {
-      gro_out.clear();
-      slow_stats_.cycles += kernel_.cost().gro_receive;
-      gro_->fold(std::move(p), gro_out);
-      for (net::Packet& out : gro_out) handle(std::move(out));
-    } else {
+    if (gro_.empty()) {
       handle(std::move(p));
+      return;
     }
+    // The packet's own rx queue owns its GRO list; every napi_budget folds
+    // of that queue end its poll window and flush what it holds
+    // (napi_gro_flush), whatever the other queues are doing.
+    GroEngine& gro = gro_[p.rx_queue];
+    gro_out.clear();
+    slow_stats_.cycles += kernel_.cost().gro_receive;
+    gro.fold(std::move(p), gro_out);
+    if (gro.stats().folds % cfg_.napi_budget == 0) gro.flush_all(gro_out);
+    for (net::Packet& out : gro_out) handle(std::move(out));
   };
   for (;;) {
     if (cfg_.watchdog && ++ticks % cfg_.watchdog_check_interval == 0) {
@@ -330,22 +333,17 @@ void Engine::slow_main() {
       pop_one(std::move(pkt));
       continue;
     }
-    // Slow funnel idle: close the GRO window (napi_complete analogue).
-    // Deferred doorbells wait for their burst watermark or for shutdown.
-    if (gro_ && gro_->held() > 0) {
-      gro_out.clear();
-      gro_->flush_all(gro_out);
-      for (net::Packet& out : gro_out) handle(std::move(out));
-      continue;
-    }
+    // An idle funnel flushes nothing: held GRO runs wait for their queue's
+    // poll window and deferred doorbells for their burst watermark, or both
+    // for shutdown, so neither follows host thread scheduling.
     if (live_workers_.load(std::memory_order_acquire) == 0) {
       // Workers have exited; everything they pushed is visible. Drain the
-      // funnel, close GRO, then empty the TX rings and ring the last
-      // doorbells.
+      // funnel, close every queue's GRO window, then empty the TX rings and
+      // ring the last doorbells.
       while (slow_ring_->try_pop(pkt)) pop_one(std::move(pkt));
-      if (gro_) {
+      for (GroEngine& gro : gro_) {
         gro_out.clear();
-        gro_->flush_all(gro_out);
+        gro.flush_all(gro_out);
         for (net::Packet& out : gro_out) handle(std::move(out));
       }
       while (true) {
@@ -425,14 +423,13 @@ void Engine::reconcile() {
     util::bump(reg.counter("engine.tx.descriptors"), tx_->descriptors());
     util::bump(reg.counter("engine.tx.doorbells"), tx_->doorbells());
   }
-  if (gro_) {
-    const GroStats& gs = gro_->stats();
+  if (!gro_.empty()) {
+    const GroStats gs = gro_stats();
     util::bump(reg.counter("engine.gro.folds"), gs.folds);
     util::bump(reg.counter("engine.gro.coalesced"), gs.coalesced);
     util::bump(reg.counter("engine.gro.superpackets"), gs.superpackets);
     util::bump(reg.counter("engine.gro.bypassed"), gs.bypassed);
-    util::bump(reg.counter("engine.gro.flush_idle"), gs.flush_idle);
-    util::bump(reg.counter("engine.gro.flush_timeout"), gs.flush_timeout);
+    util::bump(reg.counter("engine.gro.flush_poll"), gs.flush_poll);
     util::bump(reg.counter("engine.gro.flush_mismatch"), gs.flush_mismatch);
     util::bump(reg.counter("engine.gro.flush_ooo"), gs.flush_ooo);
     util::bump(reg.counter("engine.gro.flush_max_segs"), gs.flush_max_segs);
@@ -457,6 +454,12 @@ void Engine::reconcile() {
     util::bump(reg.counter("engine.steering.unspray_flows"),
                ss.unspray_flows);
   }
+}
+
+GroStats Engine::gro_stats() const {
+  GroStats sum;
+  for (const GroEngine& gro : gro_) sum += gro.stats();
+  return sum;
 }
 
 std::uint64_t Engine::total_processed() const {

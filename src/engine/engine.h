@@ -88,8 +88,9 @@ struct EngineConfig {
   // Always on — fast-path kTx/kRedirect verdicts transmit through dev_xmit
   // via the rings; tx.burst=1 models the per-packet-doorbell driver.
   TxConfig tx;
-  // GRO (gro.h): slow-path segment coalescing ahead of rx_from_engine. Off
-  // by default.
+  // GRO (gro.h): slow-path segment coalescing ahead of rx_from_engine, one
+  // GRO list per rx queue, flushed every napi_budget folds of that queue.
+  // Off by default.
   GroConfig gro;
 };
 
@@ -169,10 +170,11 @@ class Engine {
   // stats after stop() (or from the producer thread).
   const FlowSteerer* steerer() const { return steerer_.get(); }
 
-  // The TX subsystem (never null after construction) and the GRO stage
-  // (null unless cfg.gro.enabled). Their stats are final after stop().
+  // The TX subsystem (never null after construction) and the GRO stats
+  // summed over the per-queue GRO lists (all zero unless cfg.gro.enabled).
+  // Both are final after stop().
   const TxEngine& tx() const { return *tx_; }
-  const GroEngine* gro() const { return gro_.get(); }
+  GroStats gro_stats() const;
 
   // Final after stop().
   const QueueStats& queue_stats(unsigned q) const { return queues_[q]->stats; }
@@ -211,7 +213,8 @@ class Engine {
   std::vector<std::unique_ptr<QueueState>> queues_;
   std::unique_ptr<BoundedRing<net::Packet>> slow_ring_;
   std::unique_ptr<TxEngine> tx_;
-  std::unique_ptr<GroEngine> gro_;  // slow-thread state, null when disabled
+  // One GRO list per rx queue (slow-thread state); empty when disabled.
+  std::vector<GroEngine> gro_;
   SlowPathStats slow_stats_;
 
   std::vector<std::thread> workers_;

@@ -26,6 +26,19 @@ bool is_masked_offset(std::size_t off, bool tcp) {
 
 }  // namespace
 
+GroStats& GroStats::operator+=(const GroStats& o) {
+  folds += o.folds;
+  coalesced += o.coalesced;
+  superpackets += o.superpackets;
+  bypassed += o.bypassed;
+  flush_poll += o.flush_poll;
+  flush_mismatch += o.flush_mismatch;
+  flush_ooo += o.flush_ooo;
+  flush_max_segs += o.flush_max_segs;
+  flush_capacity += o.flush_capacity;
+  return *this;
+}
+
 GroEngine::Classified GroEngine::classify(const net::Packet& pkt) const {
   Classified c;
   if (pkt.size() < net::kEthHdrLen + net::kIpv4HdrLen) return c;
@@ -111,15 +124,6 @@ void GroEngine::flush_entry(std::size_t idx, std::vector<net::Packet>& out,
 
 void GroEngine::fold(net::Packet&& pkt, std::vector<net::Packet>& out) {
   ++stats_.folds;
-  // Age out long-held runs first so a busy ring cannot starve a flow.
-  for (std::size_t i = 0; i < held_.size();) {
-    if (stats_.folds - held_[i].birth_fold >= cfg_.timeout_folds) {
-      flush_entry(i, out, stats_.flush_timeout);
-    } else {
-      ++i;
-    }
-  }
-
   const Classified c = classify(pkt);
   if (!c.coalescable) {
     // Per-flow order barrier: a bypassing packet with the same 5-tuple as a
@@ -173,7 +177,6 @@ void GroEngine::fold(net::Packet&& pkt, std::vector<net::Packet>& out) {
   e.key = c.key;
   e.tcp = c.tcp;
   e.next_seq = c.tcp ? c.seq + c.payload_len : 0;
-  e.birth_fold = stats_.folds;
   e.super = std::move(pkt);
   {
     const std::uint8_t* base = e.super.data();
@@ -187,7 +190,7 @@ void GroEngine::fold(net::Packet&& pkt, std::vector<net::Packet>& out) {
 }
 
 void GroEngine::flush_all(std::vector<net::Packet>& out) {
-  while (!held_.empty()) flush_entry(0, out, stats_.flush_idle);
+  while (!held_.empty()) flush_entry(0, out, stats_.flush_poll);
 }
 
 }  // namespace linuxfp::engine

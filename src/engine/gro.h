@@ -9,6 +9,13 @@
 // GSO pairing — the observable packet stream is unchanged, only the cycles
 // per wire packet drop.
 //
+// Like Linux, which keeps one GRO list per NAPI instance, the engine keeps
+// one GroEngine per rx queue and closes a queue's window (flush_all) after
+// every napi_budget folds of that queue and at shutdown — napi_gro_flush at
+// the end of a saturated poll. What a queue holds and when it lets go thus
+// depends only on that queue's own packet sequence, never on how the
+// threads happen to interleave.
+//
 // Coalescing rules (flush closes a held flow and emits its super-packet):
 //   - fold only standard IPv4+TCP frames (ihl=5, data offset 5, not a
 //     fragment, no SYN/FIN/RST, non-empty payload, no link padding); UDP
@@ -19,8 +26,7 @@
 //   - TCP segments must arrive in-sequence; an out-of-order segment flushes
 //     the held run and starts a new one (kernel GRO does the same).
 //   - a held run flushes on: max_segs reached, flow-key or header mismatch,
-//     out-of-order seq, table capacity, age (timeout_folds fold() calls) or
-//     idle (the engine's slow loop finds its ring empty).
+//     out-of-order seq, table capacity, or the end of its poll window.
 //   - any non-coalescable packet that shares a 5-tuple with a held run
 //     flushes that run *before* being emitted, so per-flow packet order is
 //     preserved end to end.
@@ -40,9 +46,6 @@ struct GroConfig {
   bool enabled = false;
   // Max wire segments folded into one super-packet (skb gso_segs cap).
   unsigned max_segs = 16;
-  // A held run older than this many fold() calls is flushed even if the ring
-  // stays busy — bounds the latency a coalesced segment can incur.
-  std::uint64_t timeout_folds = 256;
   // Also fold UDP datagrams (UDP GRO analogue). Off by default: plain UDP
   // has no in-order contract, so only packet-spraying workloads want it.
   bool udp = false;
@@ -53,26 +56,25 @@ struct GroStats {
   std::uint64_t coalesced = 0;     // segments merged into a held run
   std::uint64_t superpackets = 0;  // multi-segment packets emitted
   std::uint64_t bypassed = 0;      // packets emitted untouched
-  std::uint64_t flush_idle = 0;
-  std::uint64_t flush_timeout = 0;
+  std::uint64_t flush_poll = 0;    // poll-window end or shutdown
   std::uint64_t flush_mismatch = 0;  // header delta or same-flow bypasser
   std::uint64_t flush_ooo = 0;
   std::uint64_t flush_max_segs = 0;
   std::uint64_t flush_capacity = 0;
+
+  GroStats& operator+=(const GroStats& o);
 };
 
 class GroEngine {
  public:
   explicit GroEngine(const GroConfig& cfg) : cfg_(cfg) {}
 
-  bool enabled() const { return cfg_.enabled; }
-
   // Offers one segment. Appends zero or more packets to `out` (flushed
   // super-packets and/or the segment itself when it bypasses); a coalesced
   // segment is absorbed and appends nothing.
   void fold(net::Packet&& pkt, std::vector<net::Packet>& out);
 
-  // Flushes every held run (idle or shutdown).
+  // Flushes every held run (end of a poll window, or shutdown).
   void flush_all(std::vector<net::Packet>& out);
 
   const GroStats& stats() const { return stats_; }
@@ -83,7 +85,6 @@ class GroEngine {
     net::FlowKey key;
     net::Packet super;
     std::uint32_t next_seq = 0;  // TCP only
-    std::uint64_t birth_fold = 0;
     bool tcp = true;
   };
 

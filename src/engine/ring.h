@@ -86,7 +86,9 @@ class BoundedRing {
     return true;
   }
 
-  // Racy snapshot — for occupancy stats only, never for control flow.
+  // Racy snapshot, never for datapath control flow. Its readers are the
+  // queue stats (max_occupancy) and the watchdog's stuck test, which is
+  // wall-clock by design.
   std::size_t occupancy() const {
     std::size_t e = enqueue_pos_.load(std::memory_order_relaxed);
     std::size_t d = dequeue_pos_.load(std::memory_order_relaxed);

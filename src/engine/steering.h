@@ -4,10 +4,11 @@
 //
 //   * RETA rebalancer — RPS-style re-weighting: instead of only rewriting
 //     the 128-entry indirection table when the watchdog excludes a queue,
-//     a periodic pass re-assigns RETA buckets to queues from the measured
-//     per-bucket packet counts plus live ring occupancy (greedy
-//     longest-processing-time packing), so skewed bucket popularity stops
-//     collapsing onto one worker.
+//     a periodic pass re-assigns RETA buckets to queues from the per-bucket
+//     packet counts it steered this interval (greedy longest-processing-time
+//     packing), so skewed bucket popularity stops collapsing onto one
+//     worker. It never reads ring occupancy: its load is what it counted,
+//     so the same traffic always gets the same steering.
 //   * RFS flow affinity — a small steering table keyed by rss_hash pins each
 //     flow to the queue (CPU) that first processed it, which is exactly the
 //     CPU that owns its microflow-cache entry and per-CPU map slots. A RETA
@@ -38,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "engine/rss.h"
@@ -46,7 +46,7 @@
 namespace linuxfp::engine {
 
 struct SteeringConfig {
-  bool rebalance = false;  // periodic occupancy-driven RETA re-weighting
+  bool rebalance = false;  // periodic load-driven RETA re-weighting
   bool rfs = false;        // flow->queue affinity table (cache-preserving)
   bool elephants = false;  // top-k detector + hot-flow spray/migration
   // Packets between adaptation passes (the "jiffies" of the rebalancer).
@@ -122,13 +122,7 @@ class FlowSteerer {
  public:
   static constexpr unsigned kNoQueue = ~0u;
 
-  // `occupancy` (optional) reports a queue's live rx-ring backlog; the
-  // rebalancer folds it into the load estimate so a queue that is merely
-  // behind (not just popular) sheds buckets first.
-  using OccupancyFn = std::function<std::size_t(unsigned queue)>;
-
-  FlowSteerer(RssClassifier& rss, SteeringConfig cfg,
-              OccupancyFn occupancy = {});
+  FlowSteerer(RssClassifier& rss, SteeringConfig cfg);
 
   // The full steering decision for one packet: spray set, then RFS
   // affinity, then RETA; runs the periodic adaptation pass in-line every
@@ -157,7 +151,6 @@ class FlowSteerer {
 
   RssClassifier& rss_;
   SteeringConfig cfg_;
-  OccupancyFn occupancy_;
 
   std::vector<RfsEntry> rfs_;
   std::size_t rfs_mask_ = 0;

@@ -95,11 +95,4 @@ void TxEngine::flush_doorbells() {
   }
 }
 
-bool TxEngine::all_empty() const {
-  for (const auto& r : rings_) {
-    if (r->occupancy() != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace linuxfp::engine

@@ -90,7 +90,6 @@ class TxEngine : public kern::TxBatcher {
   // Rings every deferred doorbell (shutdown), charging them to
   // flush_cycles().
   void flush_doorbells();
-  bool all_empty() const;
 
   // kern::TxBatcher: dev_xmit calls this for every physical transmit while
   // the batcher is installed (both TX-ring drains and inline slow-path

@@ -155,10 +155,9 @@ ForwardingResult ForwardingRunner::run(kern::Kernel& kernel,
   result.descriptors = eng.tx().descriptors();
   result.doorbells = eng.tx().doorbells();
   result.slow_processed = eng.slow_stats().processed;
-  if (const engine::GroEngine* gro = eng.gro()) {
-    result.gro_coalesced = gro->stats().coalesced;
-    result.gro_superpackets = gro->stats().superpackets;
-  }
+  const engine::GroStats gro = eng.gro_stats();
+  result.gro_coalesced = gro.coalesced;
+  result.gro_superpackets = gro.superpackets;
 
   double total_pps = fast_pps;
   if (slow_thread_cycles > 0 && samples_ > 0) {

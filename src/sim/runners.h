@@ -101,10 +101,12 @@ struct ForwardingResult {
 // the elephant queue's share throttles R no matter how many workers idle.
 // TX cost is visible: at burst=1 every packet pays the doorbell MMIO on the
 // slow thread; at burst=64 the doorbell amortizes and the bottleneck moves
-// back to the workers. Every run is deterministic in its modeled numbers
-// except with adaptive steering or GRO, whose decisions read live ring
-// occupancy and idle time. Backpressure mode is used so every sample is
-// processed and the cycle means are exact.
+// back to the workers. Every modeled number repeats exactly from run to
+// run, GRO and adaptive steering included: doorbells ring per burst, each
+// queue's GRO list flushes per NAPI window of that queue, and the
+// rebalancer weighs the packets it steered, so nothing reads thread timing.
+// Backpressure mode is used so every sample is processed and the cycle
+// means are exact.
 class ForwardingRunner {
  public:
   using PacketFactory = std::function<net::Packet(std::uint64_t index)>;

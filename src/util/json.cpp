@@ -1,6 +1,5 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -168,220 +167,6 @@ std::string Json::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
-}
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Result<Json> parse() {
-    skip_ws();
-    auto v = parse_value();
-    if (!v.ok()) return v;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      return Error::make("json.trailing", "trailing characters at offset " +
-                                              std::to_string(pos_));
-    }
-    return v;
-  }
-
- private:
-  Result<Json> parse_value() {
-    if (pos_ >= text_.size()) {
-      return Error::make("json.eof", "unexpected end of input");
-    }
-    char c = text_[pos_];
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string_value();
-      case 't':
-      case 'f': return parse_bool();
-      case 'n': return parse_null();
-      default: return parse_number();
-    }
-  }
-
-  Result<Json> parse_object() {
-    ++pos_;  // '{'
-    JsonObject obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return Json(std::move(obj));
-    }
-    while (true) {
-      skip_ws();
-      if (peek() != '"') {
-        return Error::make("json.key", "expected string key");
-      }
-      auto key = parse_raw_string();
-      if (!key.ok()) return key.error();
-      skip_ws();
-      if (peek() != ':') return Error::make("json.colon", "expected ':'");
-      ++pos_;
-      skip_ws();
-      auto v = parse_value();
-      if (!v.ok()) return v;
-      obj[key.value()] = std::move(v).take();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return Json(std::move(obj));
-      }
-      return Error::make("json.object", "expected ',' or '}'");
-    }
-  }
-
-  Result<Json> parse_array() {
-    ++pos_;  // '['
-    JsonArray arr;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return Json(std::move(arr));
-    }
-    while (true) {
-      skip_ws();
-      auto v = parse_value();
-      if (!v.ok()) return v;
-      arr.push_back(std::move(v).take());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return Json(std::move(arr));
-      }
-      return Error::make("json.array", "expected ',' or ']'");
-    }
-  }
-
-  Result<Json> parse_string_value() {
-    auto s = parse_raw_string();
-    if (!s.ok()) return s.error();
-    return Json(std::move(s).take());
-  }
-
-  Result<std::string> parse_raw_string() {
-    ++pos_;  // '"'
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Error::make("json.escape", "truncated \\u escape");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return Error::make("json.escape", "bad hex digit");
-            }
-            // Only BMP codepoints; encode UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            return Error::make("json.escape", "unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return Error::make("json.string", "unterminated string");
-  }
-
-  Result<Json> parse_bool() {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return Json(true);
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return Json(false);
-    }
-    return Error::make("json.literal", "bad literal");
-  }
-
-  Result<Json> parse_null() {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return Json(nullptr);
-    }
-    return Error::make("json.literal", "bad literal");
-  }
-
-  Result<Json> parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Error::make("json.number", "expected a value");
-    }
-    try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
-    } catch (...) {
-      return Error::make("json.number", "bad number");
-    }
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Result<Json> Json::parse(const std::string& text) {
-  return Parser(text).parse();
 }
 
 }  // namespace linuxfp::util

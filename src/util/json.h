@@ -1,4 +1,4 @@
-// Minimal JSON value model, parser and writer.
+// Minimal JSON value model and writer.
 //
 // LinuxFP models the synthesized processing graph as JSON (paper §IV-C2,
 // Fig 3); this module provides the representation the TopologyManager emits
@@ -12,8 +12,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/result.h"
 
 namespace linuxfp::util {
 
@@ -94,8 +92,6 @@ class Json {
 
   // Serialization. indent < 0 means compact single-line output.
   std::string dump(int indent = -1) const;
-
-  static Result<Json> parse(const std::string& text);
 
   bool operator==(const Json& other) const;
 

@@ -3,7 +3,8 @@
 // the invariants that make both invisible to the wire:
 //  * GRO byte-identity: coalescing + gso_segment restores the exact original
 //    frames, for in-order, reordered and interleaved streams; fragments and
-//    non-TCP traffic bypass; per-flow order is preserved end to end.
+//    non-TCP traffic bypass; per-flow order is preserved end to end; each rx
+//    queue's GRO list flushes at that queue's NAPI poll window.
 //  * DevStats symmetry: fast-path kTx/redirect egress and slow-path egress
 //    account tx_packets/tx_bytes identically (both flow through dev_xmit).
 //  * Closed-loop equivalence: TX batching + GRO on vs off changes no
@@ -13,9 +14,12 @@
 //    with a trace record — never silent.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/status.h"
@@ -113,7 +117,7 @@ TEST(GroEngineTest, CoalescesInSequenceTcpRun) {
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].gro_segs.size(), 4u);
   EXPECT_EQ(gro.stats().superpackets, 1u);
-  EXPECT_EQ(gro.stats().flush_idle, 1u);
+  EXPECT_EQ(gro.stats().flush_poll, 1u);
   EXPECT_EQ(out[0].size(), 128u + 3u * kSegPayload);
   net::Ipv4View ip(out[0].data() + net::kEthHdrLen);
   EXPECT_EQ(ip.total_len(), out[0].size() - net::kEthHdrLen);
@@ -267,18 +271,90 @@ TEST(GroEngineTest, CapacityEvictsOldestRun) {
   EXPECT_EQ(tcp.src_port(), 5000u);  // flow 0 went first
 }
 
-TEST(GroEngineTest, AgedRunFlushesOnTimeout) {
-  GroEngine gro(GroConfig{.enabled = true, .timeout_folds = 3});
-  std::vector<net::Packet> out;
-  gro.fold(tcp_seg(0, 1, 0), out);  // fold #1 starts the run
-  gro.fold(udp_pkt(1), out);        // #2
-  gro.fold(udp_pkt(2), out);        // #3
-  EXPECT_EQ(gro.held(), 1u);
-  out.clear();
-  gro.fold(udp_pkt(3), out);  // #4: run age = 3 folds -> timeout
-  ASSERT_EQ(out.size(), 2u);  // the aged run, then the UDP packet
-  EXPECT_EQ(gro.stats().flush_timeout, 1u);
-  EXPECT_EQ(gro.held(), 0u);
+// The engine keeps one GRO list per rx queue and flushes it every
+// napi_budget folds of that queue (napi_gro_flush at the end of a saturated
+// poll). A held run is released exactly at its own queue's window end, and
+// no amount of traffic on another queue releases it.
+TEST(GroEngineTest, HeldRunReleasedAtItsQueuesPollWindow) {
+  sim::ScenarioConfig cfg;
+  cfg.prefixes = 4;
+  cfg.accel = sim::Accel::kNone;  // every packet folds on the slow path
+  sim::LinuxTestbed bed(cfg);
+  // Written by the slow thread in eth1's transmit callback. Declared before
+  // the engine so they outlive the drain in its destructor.
+  std::atomic<std::uint64_t> q0_out{0}, q1_out{0}, tcp_out{0};
+  std::string q0_order;  // 'u' / 't' per queue-0 frame; read after stop()
+
+  EngineConfig ecfg;
+  ecfg.queues = 2;
+  ecfg.backpressure = true;
+  ecfg.gro.enabled = true;
+  Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);
+  const unsigned window = ecfg.napi_budget;
+
+  // A TCP flow and a UDP flow that RSS steers to queue 0, a UDP flow on 1.
+  auto first_flow_on = [&eng](unsigned q, const auto& make) {
+    std::uint16_t flow = 0;
+    while (eng.rss().queue_for(make(flow)) != q) ++flow;
+    return flow;
+  };
+  constexpr std::uint32_t kPayload = 512 - 54;
+  auto tcp = [&bed](std::uint16_t flow, std::uint32_t k = 0) {
+    return bed.forward_tcp_segment(0, flow, 512, 1 + k * kPayload,
+                                   static_cast<std::uint16_t>(k));
+  };
+  auto udp = [&bed](std::uint16_t flow) {
+    return bed.forward_packet(1, flow, 64);
+  };
+  const std::uint16_t tcp0 = first_flow_on(0, tcp);
+  const std::uint16_t udp0 = first_flow_on(0, udp);
+  const std::uint16_t udp1 = first_flow_on(1, udp);
+
+  bed.kernel().dev_by_name("eth1")->set_phys_tx([&, udp0](net::Packet&& p) {
+    const std::uint8_t* b = p.data();
+    if (b[net::kEthHdrLen + 9] == net::kIpProtoTcp) {
+      q0_order += 't';
+      tcp_out.fetch_add(1);
+    } else if (net::load_be16(b + net::kEthHdrLen + net::kIpv4HdrLen) ==
+               1024 + udp0) {
+      q0_order += 'u';
+      q0_out.fetch_add(1);
+    } else {
+      q1_out.fetch_add(1);
+    }
+  });
+  auto wait_for = [](const std::atomic<std::uint64_t>& n, std::uint64_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (n.load() < want && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return n.load() >= want;
+  };
+
+  eng.start();
+  // Queue 0, folds 1-4: a 3-segment run, then a UDP marker. The marker
+  // leaving eth1 proves the run was folded ahead of it.
+  for (std::uint32_t k = 0; k < 3; ++k) eng.inject(tcp(tcp0, k));
+  eng.inject(udp(udp0));
+  ASSERT_TRUE(wait_for(q0_out, 1));
+  // Queue 1 closes three windows of its own; queue 0's run stays held.
+  for (unsigned i = 0; i < 3 * window; ++i) eng.inject(udp(udp1));
+  ASSERT_TRUE(wait_for(q1_out, 3 * window));
+  EXPECT_EQ(tcp_out.load(), 0u);
+  // Queue 0, folds 5-64 end its window; ten more folds follow it.
+  for (unsigned i = 0; i < window - 4 + 10; ++i) eng.inject(udp(udp0));
+  eng.stop();
+
+  // The run leaves right after the window's last packet, ahead of the rest.
+  EXPECT_EQ(q0_order,
+            std::string(window - 3, 'u') + "ttt" + std::string(10, 'u'));
+  const GroStats gs = eng.gro_stats();
+  EXPECT_EQ(gs.folds, 3 + 1 + 3 * window + window - 4 + 10);
+  EXPECT_EQ(gs.coalesced, 2u);
+  EXPECT_EQ(gs.superpackets, 1u);
+  EXPECT_EQ(gs.flush_poll, 1u);
+  EXPECT_EQ(bed.kernel().metrics().value("engine.gro.flush_poll"), 1u);
 }
 
 // The property at the heart of satellite 2: for an arbitrary interleaving of
@@ -357,7 +433,7 @@ TEST(TxEngineTest, DoorbellCoalescingChargesOncePerBurst) {
   EXPECT_EQ(tx.drain(0), 4u);
   EXPECT_EQ(tx.drain(0), 4u);
   EXPECT_EQ(tx.drain(0), 2u);
-  EXPECT_TRUE(tx.all_empty());
+  EXPECT_EQ(tx.drain(0), 0u);
 
   // One descriptor write per packet; the doorbell rings only at the burst
   // watermark (x2). The short tail waits for the shutdown flush, whose
