@@ -9,11 +9,17 @@
 // event re-emits every graph) against delta synthesis (only graphs whose
 // description changed are re-emitted). Reaction work must be proportional to
 // the delta, not to the topology size.
+//
+// The rule-event scaling mode times one iptables -A/-D pair on the gateway
+// testbed at 1k and 10k FORWARD rules: change events are applied to the
+// controller's view in place, so a rule event must not cost O(ruleset).
+#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/controller.h"
 #include "ebpf/loader.h"
+#include "util/stats.h"
 
 using namespace linuxfp;
 using namespace linuxfp::bench;
@@ -261,6 +267,45 @@ int main(int argc, char** argv) {
   reporter.set("storm_full_graphs", static_cast<double>(full_graphs));
   reporter.set("storm_delta_graphs", static_cast<double>(delta_graphs));
   reporter.set("storm_equivalent", equivalent);
+
+  // --- rule-event cost against ruleset size ---------------------------------
+  // The perfbench gateway_imix config (router, classifier, flow cache) at
+  // two FORWARD ruleset sizes. Each sample is half the host time of one
+  // `iptables -A` + `-D` pair, commands and reactions included. Report-only
+  // host time: no gate.
+  const int kPairs = reporter.smoke() ? 20 : 200;
+  print_header("Rule-event cost vs FORWARD ruleset size (" +
+                   std::to_string(kPairs) + " iptables -A/-D pairs)",
+               "a config event costs O(change), not O(table)");
+  print_row({"FORWARD rules", "wall p50(ms)", "wall p99(ms)"}, {14, 14, 14});
+  util::Json rule_event = util::Json::object();
+  for (int rules : {1000, 10000}) {
+    sim::ScenarioConfig cfg;
+    cfg.accel = sim::Accel::kLinuxFpXdp;
+    cfg.prefixes = 50;
+    cfg.filter_rules = rules;
+    cfg.rule_classifier = true;
+    cfg.flow_cache = true;
+    sim::LinuxTestbed tb(cfg);
+    util::SampleSet wall_ms;
+    for (int i = 0; i < kPairs; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      tb.run("iptables -A FORWARD -s 10.77." + std::to_string(i % 250) +
+             ".1 -j DROP");
+      tb.run("iptables -D FORWARD " + std::to_string(rules + 1));
+      const auto t1 = std::chrono::steady_clock::now();
+      wall_ms.add(0.5 * std::chrono::duration<double, std::milli>(t1 - t0)
+                            .count());
+    }
+    print_row({std::to_string(rules), fmt(wall_ms.p50(), 3),
+               fmt(wall_ms.p99(), 3)},
+              {14, 14, 14});
+    util::Json row = util::Json::object();
+    row["p50_ms"] = wall_ms.p50();
+    row["p99_ms"] = wall_ms.p99();
+    rule_event[std::to_string(rules)] = row;
+  }
+  reporter.set("rule_event_wall_ms", rule_event);
 
   std::printf("\nshape check: the iptables command reacts slowest (netfilter "
               "introspection + larger synthesized data path), matching the "

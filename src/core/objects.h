@@ -13,7 +13,6 @@
 
 #include "net/ipaddr.h"
 #include "net/mac.h"
-#include "util/json.h"
 
 namespace linuxfp::core {
 
@@ -22,6 +21,8 @@ struct PortObject {
   std::string ifname;
   std::string stp_state;  // "forwarding" etc.
   std::uint16_t pvid = 1;
+
+  bool operator==(const PortObject&) const = default;
 };
 
 struct LinkObject {
@@ -41,6 +42,7 @@ struct LinkObject {
   std::uint32_t vni = 0;
 
   bool has_addresses() const { return !addrs.empty(); }
+  bool operator==(const LinkObject&) const = default;
 };
 
 struct RouteObject {
@@ -50,6 +52,8 @@ struct RouteObject {
   std::string dev;
   std::string scope;
   std::uint32_t metric = 0;
+
+  bool operator==(const RouteObject&) const = default;
 };
 
 struct NeighObject {
@@ -58,10 +62,18 @@ struct NeighObject {
   std::string dev;
   std::string state;
   bool dynamic = true;
+
+  bool operator==(const NeighObject&) const = default;
 };
 
+// What the topology reads of one iptables rule.
 struct RuleObject {
-  util::Json raw;  // rule attribute object as dumped
+  std::string jump;  // target chain; empty for ACCEPT, DROP and RETURN
+  bool ports = false;      // --sport/--dport, or a conntrack state match
+  bool out_if = false;     // -o
+  bool match_set = false;  // -m set --match-set
+
+  bool operator==(const RuleObject&) const = default;
 };
 
 struct ChainObject {
@@ -69,6 +81,8 @@ struct ChainObject {
   bool builtin = false;
   std::string policy = "ACCEPT";
   std::vector<RuleObject> rules;
+
+  bool operator==(const ChainObject&) const = default;
 };
 
 struct ServiceObject {
@@ -77,12 +91,16 @@ struct ServiceObject {
   int proto = 6;
   std::string scheduler;
   std::size_t backend_count = 0;
+
+  bool operator==(const ServiceObject&) const = default;
 };
 
 struct SetObject {
   std::string name;
   std::string type;
   std::size_t size = 0;
+
+  bool operator==(const SetObject&) const = default;
 };
 
 // The controller's complete introspected view of one kernel.

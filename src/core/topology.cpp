@@ -1,64 +1,43 @@
 #include "core/topology.h"
 
-#include <algorithm>
+#include <set>
+#include <string_view>
 
 namespace linuxfp::core {
 
 namespace {
 
-// Walks FORWARD and every chain reachable from it through jump targets,
-// checking `pred` against each rule (user chains are reachable fast-path
-// state too).
-bool any_forward_rule(const WorldView& view,
-                      bool (*pred)(const util::Json&)) {
-  std::vector<std::string> pending{"FORWARD"};
-  std::vector<std::string> visited;
+// Walks FORWARD and every chain reachable from it through jump targets once
+// (user chains are reachable fast-path state too), collecting what the
+// filter FPM must specialize on.
+ForwardRules scan_forward_rules(const WorldView& view) {
+  ForwardRules f;
+  std::vector<const std::string*> pending;
+  std::set<std::string_view> visited;
+  static const std::string kForward = "FORWARD";
+  pending.push_back(&kForward);
   while (!pending.empty()) {
-    std::string name = pending.back();
+    const std::string& name = *pending.back();
     pending.pop_back();
-    if (std::find(visited.begin(), visited.end(), name) != visited.end()) {
-      continue;
-    }
-    visited.push_back(name);
+    if (!visited.insert(name).second) continue;
     auto it = view.chains.find(name);
     if (it == view.chains.end()) continue;
     for (const RuleObject& r : it->second.rules) {
-      if (pred(r.raw)) return true;
-      const std::string& target = r.raw.at("target").as_string();
-      if (target != "ACCEPT" && target != "DROP" && target != "RETURN") {
-        pending.push_back(target);
-      }
+      f.needs_ports |= r.ports;
+      f.has_out_if |= r.out_if;
+      f.uses_sets |= r.match_set;
+      if (!r.jump.empty()) pending.push_back(&r.jump);
     }
   }
-  return false;
-}
-
-// Does any FORWARD-reachable rule require L4 port parsing? State matches
-// need ports too: the conntrack key is the full 5-tuple, so the fast path
-// must hand the helper real ports for state parity with the slow path.
-bool forward_needs_ports(const WorldView& view) {
-  return any_forward_rule(view, [](const util::Json& r) {
-    return r.contains("dport") || r.contains("sport") ||
-           r.contains("ct_state");
-  });
-}
-
-// Any rule matching on the output interface? (affects where the filter can
-// run relative to the FIB lookup)
-bool forward_has_out_if(const WorldView& view) {
-  return any_forward_rule(
-      view, [](const util::Json& r) { return r.contains("out_if"); });
-}
-
-bool forward_uses_sets(const WorldView& view) {
-  return any_forward_rule(
-      view, [](const util::Json& r) { return r.contains("match_set"); });
+  return f;
 }
 
 }  // namespace
 
 util::Json TopologyManager::build(const WorldView& view) const {
   util::Json graphs = util::Json::array();
+  const ForwardRules forward = scan_forward_rules(view);
+  const std::size_t global_routes = view.global_route_count();
   for (const auto& [ifindex, link] : view.links) {
     if (!link.up) continue;
     bool attachable =
@@ -68,14 +47,15 @@ util::Json TopologyManager::build(const WorldView& view) const {
          (link.kind == "veth" || link.kind == "physical")) ||
         (options_.attach_overlay && link.kind == "vxlan" && link.master == 0);
     if (!attachable) continue;
-    util::Json g = build_for_device(view, link);
+    util::Json g = build_for_device(view, link, forward, global_routes);
     if (g.at("nodes").size() > 0) graphs.push_back(std::move(g));
   }
   return graphs;
 }
 
-util::Json TopologyManager::build_for_device(const WorldView& view,
-                                             const LinkObject& link) const {
+util::Json TopologyManager::build_for_device(
+    const WorldView& view, const LinkObject& link, const ForwardRules& forward,
+    std::size_t global_routes) const {
   util::Json graph = util::Json::object();
   graph["device"] = link.ifname;
   graph["ifindex"] = link.ifindex;
@@ -83,7 +63,7 @@ util::Json TopologyManager::build_for_device(const WorldView& view,
   graph["dev_mac"] = link.mac;
   util::Json nodes = util::Json::object();
 
-  bool routing_active = view.ip_forward() && view.global_route_count() > 0;
+  bool routing_active = view.ip_forward() && global_routes > 0;
   bool filtering_active =
       view.forward_rule_count() > 0 || view.forward_has_policy_drop();
 
@@ -93,13 +73,13 @@ util::Json TopologyManager::build_for_device(const WorldView& view,
     if (it != view.links.end()) master = &it->second;
   }
 
-  auto filter_conf = [&view]() {
+  auto filter_conf = [&view, &forward]() {
     util::Json fconf = util::Json::object();
     fconf["hook"] = "FORWARD";
     fconf["rule_count"] = static_cast<std::int64_t>(view.forward_rule_count());
-    fconf["needs_ports"] = forward_needs_ports(view);
-    fconf["uses_sets"] = forward_uses_sets(view);
-    fconf["has_out_if"] = forward_has_out_if(view);
+    fconf["needs_ports"] = forward.needs_ports;
+    fconf["uses_sets"] = forward.uses_sets;
+    fconf["has_out_if"] = forward.has_out_if;
     return fconf;
   };
 
@@ -160,8 +140,7 @@ util::Json TopologyManager::build_for_device(const WorldView& view,
         nodes["filter"] = fnode;
       }
       util::Json rconf = util::Json::object();
-      rconf["route_count"] =
-          static_cast<std::int64_t>(view.global_route_count());
+      rconf["route_count"] = static_cast<std::int64_t>(global_routes);
       // Locally-terminated traffic (addresses owned by the bridge) is a
       // slow-path concern; the synthesized code punts it before the FIB
       // lookup (configuration-specialized early exit).
@@ -188,8 +167,7 @@ util::Json TopologyManager::build_for_device(const WorldView& view,
       nodes["filter"] = fnode;
     }
     util::Json rconf = util::Json::object();
-    rconf["route_count"] =
-        static_cast<std::int64_t>(view.global_route_count());
+    rconf["route_count"] = static_cast<std::int64_t>(global_routes);
     util::Json locals = util::Json::array();
     for (const std::string& addr : link.addrs) {
       locals.push_back(addr.substr(0, addr.find('/')));

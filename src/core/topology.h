@@ -23,6 +23,19 @@
 
 namespace linuxfp::core {
 
+// What the filter FPM specializes on, over every rule reachable from
+// FORWARD. Computed once per build.
+struct ForwardRules {
+  // A rule matches L4 ports or conntrack state: the fast path must parse
+  // ports (the conntrack key is the full 5-tuple).
+  bool needs_ports = false;
+  // A rule matches an ipset.
+  bool uses_sets = false;
+  // A rule matches the output interface (where the filter can run relative
+  // to the FIB lookup).
+  bool has_out_if = false;
+};
+
 struct TopologyOptions {
   // Which devices receive a fast path.
   bool attach_physical = true;
@@ -46,8 +59,9 @@ class TopologyManager {
   }
 
  private:
-  util::Json build_for_device(const WorldView& view,
-                              const LinkObject& link) const;
+  util::Json build_for_device(const WorldView& view, const LinkObject& link,
+                              const ForwardRules& forward,
+                              std::size_t global_routes) const;
 
   TopologyOptions options_;
 };

@@ -161,12 +161,7 @@ Status cmd_brctl(Kernel& k, const Tokens& t) {
     Bridge* br = k.bridge_by_name(t[2]);
     if (!br) return Error::make("bridge.missing", "no such bridge: " + t[2]);
     br->set_stp_enabled(t[3] == "on" || t[3] == "yes");
-    // Re-publish so the controller sees the STP change.
-    (void)k.set_link_up(t[2], k.dev_by_name(t[2])->is_up());
-    util::Json attrs = util::Json::object();
-    attrs["ifname"] = t[2];
-    attrs["stp"] = br->stp_enabled();
-    k.netlink().publish(nl::MsgType::kNewLink, attrs);
+    k.publish_link(*k.dev_by_name(t[2]));
     return {};
   }
   if (sub == "setageing" && t.size() >= 4) {
@@ -203,10 +198,8 @@ Status cmd_bridge(Kernel& k, const Tokens& t) {
     if (untagged) port->untagged_vlans.insert(v);
     br->note_config_changed();  // mutated port VLAN config via port()
     br->set_vlan_filtering(true);
-    util::Json attrs = util::Json::object();
-    attrs["ifname"] = t[4];
-    attrs["vlan"] = static_cast<int>(v);
-    k.netlink().publish(nl::MsgType::kNewLink, attrs);
+    // The port's VLAN config and the filtering flag live in the bridge's link.
+    k.publish_link(*k.dev(d->master()));
     return {};
   }
   // bridge fdb add <mac> dev <dev> [vlan <vid>] [dst <ip>]
@@ -282,7 +275,7 @@ Status cmd_iptables(Kernel& k, const Tokens& t) {
   }
   if (op == "-X") {
     if (i >= t.size()) return err_usage("iptables -X");
-    return k.netfilter().delete_chain(t[i]);
+    return k.ipt_delete_chain(t[i]);
   }
   if (op == "-P") {
     if (i + 1 >= t.size()) return err_usage("iptables -P");
@@ -456,6 +449,7 @@ Status cmd_ipset(Kernel& k, const Tokens& t) {
 //   ipvsadm -A -u <vip>:<port> [-s rr|sh]      add virtual service (UDP)
 //   ipvsadm -D -t <vip>:<port>                 delete service
 //   ipvsadm -a -t <vip>:<port> -r <ip>:<port> [-w N]   add real server
+//   ipvsadm -d -t <vip>:<port> -r <ip>:<port>          delete real server
 Status cmd_ipvsadm(Kernel& k, const Tokens& t) {
   auto parse_endpoint = [](const std::string& text)
       -> util::Result<std::pair<net::Ipv4Addr, std::uint16_t>> {
@@ -507,6 +501,13 @@ Status cmd_ipvsadm(Kernel& k, const Tokens& t) {
     }
     return k.ipvs_add_backend(vip->first, vip->second, proto, backend->first,
                               backend->second, weight);
+  }
+  if (op == "-d") {
+    if (!opts.count("-r")) return err_usage("ipvsadm -d: -r required");
+    auto backend = parse_endpoint(opts["-r"]);
+    if (!backend.ok()) return backend.error();
+    return k.ipvs_del_backend(vip->first, vip->second, proto, backend->first,
+                              backend->second);
   }
   return err_usage("ipvsadm " + op);
 }

@@ -17,6 +17,73 @@ util::Json route_attrs(const Route& r, const std::string& dev_name) {
   j["metric"] = static_cast<std::int64_t>(r.metric);
   return j;
 }
+
+const char* policy_name(NfVerdict policy) {
+  return policy == NfVerdict::kDrop ? "DROP" : "ACCEPT";
+}
+
+util::Json rule_attrs(const Rule& r) {
+  util::Json j = util::Json::object();
+  if (r.match.src) j["src"] = r.match.src->to_string();
+  if (r.match.dst) j["dst"] = r.match.dst->to_string();
+  if (r.match.src_negated) j["src_neg"] = true;
+  if (r.match.dst_negated) j["dst_neg"] = true;
+  if (r.match.proto) j["proto"] = static_cast<int>(*r.match.proto);
+  if (r.match.dport) j["dport"] = static_cast<int>(*r.match.dport);
+  if (r.match.sport) j["sport"] = static_cast<int>(*r.match.sport);
+  if (!r.match.in_if.empty()) j["in_if"] = r.match.in_if;
+  if (!r.match.out_if.empty()) j["out_if"] = r.match.out_if;
+  if (!r.match.match_set.empty()) {
+    j["match_set"] = r.match.match_set;
+    j["set_dir"] = r.match.set_match_src ? "src" : "dst";
+  }
+  if (!r.match.ct_state.empty()) j["ct_state"] = r.match.ct_state;
+  switch (r.target) {
+    case RuleTarget::kAccept: j["target"] = "ACCEPT"; break;
+    case RuleTarget::kDrop: j["target"] = "DROP"; break;
+    case RuleTarget::kReturn: j["target"] = "RETURN"; break;
+    case RuleTarget::kJump: j["target"] = r.jump_chain; break;
+  }
+  return j;
+}
+
+util::Json set_attrs(const IpSet& s) {
+  util::Json j = util::Json::object();
+  j["set"] = s.name();
+  j["type"] = s.type() == IpSetType::kHashIp ? "hash:ip" : "hash:net";
+  j["size"] = static_cast<std::int64_t>(s.size());
+  return j;
+}
+
+util::Json service_attrs(const VirtualService& svc) {
+  util::Json j = util::Json::object();
+  j["vip"] = svc.vip.to_string();
+  j["port"] = static_cast<int>(svc.port);
+  j["proto"] = static_cast<int>(svc.proto);
+  j["scheduler"] = svc.scheduler == IpvsScheduler::kRoundRobin ? "rr" : "sh";
+  util::Json backends = util::Json::array();
+  for (const RealServer& rs : svc.backends) {
+    util::Json b = util::Json::object();
+    b["addr"] = rs.addr.to_string();
+    b["port"] = static_cast<int>(rs.port);
+    b["weight"] = static_cast<std::int64_t>(rs.weight);
+    backends.push_back(b);
+  }
+  j["backends"] = backends;
+  return j;
+}
+
+// A rule-table event names the chain, the operation and, for insert and
+// delete, the position; an insert also carries the rule. Applying the
+// operations in order to a dumped table reproduces the next dump.
+util::Json rule_event(const std::string& chain, const char* op,
+                      std::size_t index = 0) {
+  util::Json j = util::Json::object();
+  j["chain"] = chain;
+  j["op"] = op;
+  j["index"] = static_cast<std::int64_t>(index);
+  return j;
+}
 }  // namespace
 
 const char* drop_name(Drop reason) {
@@ -70,7 +137,8 @@ void Kernel::tick() {
         if (peer_dev && peer_dev->master() != 0) {
           Bridge* peer_br = peer.bridge(peer_dev->master());
           if (peer_br && peer_br->process_bpdu(peer_dev->ifindex(), bpdu)) {
-            peer.publish_link(*peer_dev);
+            // Port STP states live in the bridge's link object.
+            peer.publish_link(*peer.dev(peer_dev->master()));
           }
           ++peer.counters_.bpdus_processed;
         }
@@ -190,13 +258,22 @@ util::Status Kernel::del_dev(const std::string& name) {
   // Remove from any bridge it is enslaved to.
   if (d->master() != 0) {
     Bridge* br = bridge(d->master());
-    if (br) br->del_port(ifi);
+    if (br) {
+      br->del_port(ifi);
+      publish_link(*dev(d->master()));
+    }
   }
   // Deleting a bridge device deletes the bridge object.
   bridges_.erase(ifi);
   for (Route& r : fib_.purge_interface(ifi)) {
     netlink_.publish(nl::MsgType::kDelRoute, route_attrs(r, name));
   }
+  // The device's neighbour entries go with it (neigh_ifdown).
+  std::vector<net::Ipv4Addr> neighbours;
+  for (const NeighEntry* e : neigh_.dump()) {
+    if (e->ifindex == ifi) neighbours.push_back(e->ip);
+  }
+  for (net::Ipv4Addr ip : neighbours) (void)del_neigh(ip);
   publish_link(*d, /*deleted=*/true);
   dev_names_.erase(it);
   devs_.erase(ifi);
@@ -261,6 +338,7 @@ util::Status Kernel::enslave(const std::string& port,
   p->set_master(b->ifindex());
   br->add_port(p->ifindex());
   bump_dev_generation();
+  publish_link(*b);  // the bridge's port list changed too
   publish_link(*p);
   return {};
 }
@@ -271,10 +349,12 @@ util::Status Kernel::release(const std::string& port) {
   if (p->master() == 0) {
     return util::Error::make("bridge.notport", port + " has no master");
   }
-  Bridge* br = bridge(p->master());
+  const int master = p->master();
+  Bridge* br = bridge(master);
   if (br) br->del_port(p->ifindex());
   p->set_master(0);
   bump_dev_generation();
+  if (br) publish_link(*dev(master));
   publish_link(*p);
   return {};
 }
@@ -291,11 +371,7 @@ util::Status Kernel::add_addr(const std::string& dev_name,
     return util::Error::make("addr.exists", "address exists");
   }
   bump_dev_generation();
-  util::Json attrs = util::Json::object();
-  attrs["dev"] = dev_name;
-  attrs["ifindex"] = d->ifindex();
-  attrs["addr"] = addr.to_string();
-  netlink_.publish(nl::MsgType::kNewAddr, attrs);
+  netlink_.publish(nl::MsgType::kNewAddr, addr_attrs(*d, addr));
 
   // Kernel behaviour: adding an address installs the connected route.
   if (addr.prefix_len < 32) {
@@ -319,18 +395,15 @@ util::Status Kernel::del_addr(const std::string& dev_name,
     return util::Error::make("addr.missing", "no such address");
   }
   bump_dev_generation();
-  util::Json attrs = util::Json::object();
-  attrs["dev"] = dev_name;
-  attrs["ifindex"] = d->ifindex();
-  attrs["addr"] = addr.to_string();
-  netlink_.publish(nl::MsgType::kDelAddr, attrs);
+  netlink_.publish(nl::MsgType::kDelAddr, addr_attrs(*d, addr));
   if (addr.prefix_len < 32) {
-    Route r;
-    r.dst = addr.subnet();
-    if (fib_.del_route(r.dst)) {
-      r.oif = d->ifindex();
-      r.scope = RouteScope::kLink;
-      netlink_.publish(nl::MsgType::kDelRoute, route_attrs(r, dev_name));
+    // Removes the active route for the subnet; the event names the route
+    // that actually went.
+    auto found = fib_.get_route(addr.subnet());
+    if (found && fib_.del_route(addr.subnet())) {
+      const NetDevice* od = dev(found->oif);
+      netlink_.publish(nl::MsgType::kDelRoute,
+                       route_attrs(*found, od ? od->name() : ""));
     }
   }
   return {};
@@ -378,26 +451,19 @@ util::Status Kernel::add_neigh(net::Ipv4Addr ip, const net::MacAddr& mac,
   if (!d) {
     return util::Error::make("dev.missing", "no such device: " + dev_name);
   }
-  neigh_.update(ip, mac, d->ifindex(),
-                permanent ? NeighState::kPermanent : NeighState::kReachable,
-                now_ns_);
-  util::Json attrs = util::Json::object();
-  attrs["ip"] = ip.to_string();
-  attrs["mac"] = mac.to_string();
-  attrs["dev"] = dev_name;
-  attrs["state"] = permanent ? "PERMANENT" : "REACHABLE";
-  attrs["dynamic"] = false;
-  netlink_.publish(nl::MsgType::kNewNeigh, attrs);
+  const NeighEntry& e = neigh_.update(
+      ip, mac, d->ifindex(),
+      permanent ? NeighState::kPermanent : NeighState::kReachable, now_ns_);
+  netlink_.publish(nl::MsgType::kNewNeigh, neigh_attrs(e));
   return {};
 }
 
 util::Status Kernel::del_neigh(net::Ipv4Addr ip) {
-  if (!neigh_.erase(ip)) {
-    return util::Error::make("neigh.missing", "no such neighbour");
-  }
-  util::Json attrs = util::Json::object();
-  attrs["ip"] = ip.to_string();
-  netlink_.publish(nl::MsgType::kDelNeigh, attrs);
+  const NeighEntry* e = neigh_.lookup(ip);
+  if (!e) return util::Error::make("neigh.missing", "no such neighbour");
+  util::Json attrs = neigh_attrs(*e);
+  neigh_.erase(ip);
+  netlink_.publish(nl::MsgType::kDelNeigh, std::move(attrs));
   return {};
 }
 
@@ -439,49 +505,68 @@ std::vector<Bridge*> Kernel::bridges() {
 
 // --- netfilter mutations -------------------------------------------------------
 
-namespace {
-util::Json rule_event(const std::string& chain) {
-  util::Json j = util::Json::object();
-  j["chain"] = chain;
-  return j;
-}
-}  // namespace
-
 util::Status Kernel::ipt_append(const std::string& chain, Rule rule) {
   auto st = netfilter_.append_rule(chain, std::move(rule));
-  if (st.ok()) netlink_.publish(nl::MsgType::kNewRule, rule_event(chain));
+  if (st.ok()) {
+    const std::vector<Rule>& rules = netfilter_.find_chain(chain)->rules;
+    util::Json j = rule_event(chain, "insert", rules.size() - 1);
+    j["rule"] = rule_attrs(rules.back());
+    netlink_.publish(nl::MsgType::kNewRule, std::move(j));
+  }
   return st;
 }
 
 util::Status Kernel::ipt_insert(const std::string& chain, std::size_t index,
                                 Rule rule) {
   auto st = netfilter_.insert_rule(chain, index, std::move(rule));
-  if (st.ok()) netlink_.publish(nl::MsgType::kNewRule, rule_event(chain));
+  if (st.ok()) {
+    util::Json j = rule_event(chain, "insert", index);
+    j["rule"] = rule_attrs(netfilter_.find_chain(chain)->rules[index]);
+    netlink_.publish(nl::MsgType::kNewRule, std::move(j));
+  }
   return st;
 }
 
 util::Status Kernel::ipt_delete(const std::string& chain, std::size_t index) {
   auto st = netfilter_.delete_rule(chain, index);
-  if (st.ok()) netlink_.publish(nl::MsgType::kDelRule, rule_event(chain));
+  if (st.ok()) {
+    netlink_.publish(nl::MsgType::kDelRule, rule_event(chain, "delete", index));
+  }
   return st;
 }
 
 util::Status Kernel::ipt_flush(const std::string& chain) {
   auto st = netfilter_.flush(chain);
-  if (st.ok()) netlink_.publish(nl::MsgType::kDelRule, rule_event(chain));
+  if (st.ok()) {
+    netlink_.publish(nl::MsgType::kDelRule, rule_event(chain, "flush"));
+  }
   return st;
 }
 
 util::Status Kernel::ipt_new_chain(const std::string& name) {
   auto st = netfilter_.new_chain(name);
-  if (st.ok()) netlink_.publish(nl::MsgType::kNewRule, rule_event(name));
+  if (st.ok()) {
+    netlink_.publish(nl::MsgType::kNewRule, rule_event(name, "new_chain"));
+  }
+  return st;
+}
+
+util::Status Kernel::ipt_delete_chain(const std::string& name) {
+  auto st = netfilter_.delete_chain(name);
+  if (st.ok()) {
+    netlink_.publish(nl::MsgType::kDelRule, rule_event(name, "delete_chain"));
+  }
   return st;
 }
 
 util::Status Kernel::ipt_set_policy(const std::string& chain,
                                     NfVerdict policy) {
   auto st = netfilter_.set_policy(chain, policy);
-  if (st.ok()) netlink_.publish(nl::MsgType::kNewRule, rule_event(chain));
+  if (st.ok()) {
+    util::Json j = rule_event(chain, "policy");
+    j["policy"] = policy_name(policy);
+    netlink_.publish(nl::MsgType::kNewRule, std::move(j));
+  }
   return st;
 }
 
@@ -489,9 +574,7 @@ util::Status Kernel::ipset_create(const std::string& name, IpSetType type,
                                   std::size_t maxelem) {
   auto st = ipsets_.create(name, type, maxelem);
   if (st.ok()) {
-    util::Json j = util::Json::object();
-    j["set"] = name;
-    netlink_.publish(nl::MsgType::kNewSet, j);
+    netlink_.publish(nl::MsgType::kNewSet, set_attrs(*ipsets_.find(name)));
   }
   return st;
 }
@@ -501,11 +584,7 @@ util::Status Kernel::ipset_add(const std::string& name,
   IpSet* set = ipsets_.find(name);
   if (!set) return util::Error::make("ipset.missing", "no such set: " + name);
   auto st = set->add(member);
-  if (st.ok()) {
-    util::Json j = util::Json::object();
-    j["set"] = name;
-    netlink_.publish(nl::MsgType::kNewSet, j);
-  }
+  if (st.ok()) netlink_.publish(nl::MsgType::kNewSet, set_attrs(*set));
   return st;
 }
 
@@ -516,49 +595,32 @@ util::Status Kernel::ipset_del(const std::string& name,
   if (!set->del(member)) {
     return util::Error::make("ipset.member", "no such member");
   }
-  util::Json j = util::Json::object();
-  j["set"] = name;
-  netlink_.publish(nl::MsgType::kNewSet, j);
+  netlink_.publish(nl::MsgType::kNewSet, set_attrs(*set));
   return {};
 }
 
 util::Status Kernel::ipset_destroy(const std::string& name) {
+  const IpSet* set = ipsets_.find(name);
+  util::Json attrs = set ? set_attrs(*set) : util::Json::object();
   auto st = ipsets_.destroy(name);
-  if (st.ok()) {
-    util::Json j = util::Json::object();
-    j["set"] = name;
-    netlink_.publish(nl::MsgType::kDelSet, j);
-  }
+  if (st.ok()) netlink_.publish(nl::MsgType::kDelSet, std::move(attrs));
   return st;
 }
-
-namespace {
-util::Json svc_event(net::Ipv4Addr vip, std::uint16_t port,
-                     std::uint8_t proto) {
-  util::Json j = util::Json::object();
-  j["vip"] = vip.to_string();
-  j["port"] = static_cast<int>(port);
-  j["proto"] = static_cast<int>(proto);
-  return j;
-}
-}  // namespace
 
 util::Status Kernel::ipvs_add_service(net::Ipv4Addr vip, std::uint16_t port,
                                       std::uint8_t proto,
                                       IpvsScheduler scheduler) {
   auto st = ipvs_.add_service(vip, port, proto, scheduler);
-  if (st.ok()) {
-    netlink_.publish(nl::MsgType::kNewService, svc_event(vip, port, proto));
-  }
+  if (st.ok()) publish_service(vip, port, proto);
   return st;
 }
 
 util::Status Kernel::ipvs_del_service(net::Ipv4Addr vip, std::uint16_t port,
                                       std::uint8_t proto) {
+  const VirtualService* svc = ipvs_.match(vip, proto, port);
+  util::Json attrs = svc ? service_attrs(*svc) : util::Json::object();
   auto st = ipvs_.del_service(vip, port, proto);
-  if (st.ok()) {
-    netlink_.publish(nl::MsgType::kDelService, svc_event(vip, port, proto));
-  }
+  if (st.ok()) netlink_.publish(nl::MsgType::kDelService, std::move(attrs));
   return st;
 }
 
@@ -569,10 +631,23 @@ util::Status Kernel::ipvs_add_backend(net::Ipv4Addr vip, std::uint16_t port,
                                       std::uint32_t weight) {
   auto st =
       ipvs_.add_backend(vip, port, proto, backend, backend_port, weight);
-  if (st.ok()) {
-    netlink_.publish(nl::MsgType::kNewService, svc_event(vip, port, proto));
-  }
+  if (st.ok()) publish_service(vip, port, proto);
   return st;
+}
+
+util::Status Kernel::ipvs_del_backend(net::Ipv4Addr vip, std::uint16_t port,
+                                      std::uint8_t proto,
+                                      net::Ipv4Addr backend,
+                                      std::uint16_t backend_port) {
+  auto st = ipvs_.del_backend(vip, port, proto, backend, backend_port);
+  if (st.ok()) publish_service(vip, port, proto);
+  return st;
+}
+
+void Kernel::publish_service(net::Ipv4Addr vip, std::uint16_t port,
+                             std::uint8_t proto) {
+  netlink_.publish(nl::MsgType::kNewService,
+                   service_attrs(*ipvs_.match(vip, proto, port)));
 }
 
 // --- netlink dump provider -----------------------------------------------------
@@ -619,6 +694,28 @@ void Kernel::publish_link(const NetDevice& d, bool deleted) {
                    link_attrs(d));
 }
 
+// Addresses live in their link object, so an address carries the whole link.
+util::Json Kernel::addr_attrs(const NetDevice& d,
+                              const net::IfAddr& addr) const {
+  util::Json attrs = util::Json::object();
+  attrs["dev"] = d.name();
+  attrs["ifindex"] = d.ifindex();
+  attrs["addr"] = addr.to_string();
+  attrs["link"] = link_attrs(d);
+  return attrs;
+}
+
+util::Json Kernel::neigh_attrs(const NeighEntry& e) const {
+  util::Json attrs = util::Json::object();
+  attrs["ip"] = e.ip.to_string();
+  attrs["mac"] = e.mac.to_string();
+  const NetDevice* d = dev(e.ifindex);
+  attrs["dev"] = d ? d->name() : "";
+  attrs["state"] = neigh_state_name(e.state);
+  attrs["dynamic"] = e.state != NeighState::kPermanent;
+  return attrs;
+}
+
 std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
   std::vector<nl::Message> out;
   switch (kind) {
@@ -631,11 +728,7 @@ std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
     case nl::DumpKind::kAddrs: {
       for (const auto& [ifi, d] : devs_) {
         for (const auto& a : d->addrs()) {
-          util::Json attrs = util::Json::object();
-          attrs["dev"] = d->name();
-          attrs["ifindex"] = d->ifindex();
-          attrs["addr"] = a.to_string();
-          out.push_back({nl::MsgType::kNewAddr, attrs});
+          out.push_back({nl::MsgType::kNewAddr, addr_attrs(*d, a)});
         }
       }
       break;
@@ -650,14 +743,7 @@ std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
     }
     case nl::DumpKind::kNeighbors: {
       for (const NeighEntry* e : neigh_.dump()) {
-        util::Json attrs = util::Json::object();
-        attrs["ip"] = e->ip.to_string();
-        attrs["mac"] = e->mac.to_string();
-        const NetDevice* d = dev(e->ifindex);
-        attrs["dev"] = d ? d->name() : "";
-        attrs["state"] = neigh_state_name(e->state);
-        attrs["dynamic"] = e->state != NeighState::kPermanent;
-        out.push_back({nl::MsgType::kNewNeigh, attrs});
+        out.push_back({nl::MsgType::kNewNeigh, neigh_attrs(*e)});
       }
       break;
     }
@@ -666,32 +752,9 @@ std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
         util::Json attrs = util::Json::object();
         attrs["chain"] = c->name;
         attrs["builtin"] = c->builtin;
-        attrs["policy"] = c->policy == NfVerdict::kDrop ? "DROP" : "ACCEPT";
+        attrs["policy"] = policy_name(c->policy);
         util::Json rules = util::Json::array();
-        for (const Rule& r : c->rules) {
-          util::Json rj = util::Json::object();
-          if (r.match.src) rj["src"] = r.match.src->to_string();
-          if (r.match.dst) rj["dst"] = r.match.dst->to_string();
-          if (r.match.src_negated) rj["src_neg"] = true;
-          if (r.match.dst_negated) rj["dst_neg"] = true;
-          if (r.match.proto) rj["proto"] = static_cast<int>(*r.match.proto);
-          if (r.match.dport) rj["dport"] = static_cast<int>(*r.match.dport);
-          if (r.match.sport) rj["sport"] = static_cast<int>(*r.match.sport);
-          if (!r.match.in_if.empty()) rj["in_if"] = r.match.in_if;
-          if (!r.match.out_if.empty()) rj["out_if"] = r.match.out_if;
-          if (!r.match.match_set.empty()) {
-            rj["match_set"] = r.match.match_set;
-            rj["set_dir"] = r.match.set_match_src ? "src" : "dst";
-          }
-          if (!r.match.ct_state.empty()) rj["ct_state"] = r.match.ct_state;
-          switch (r.target) {
-            case RuleTarget::kAccept: rj["target"] = "ACCEPT"; break;
-            case RuleTarget::kDrop: rj["target"] = "DROP"; break;
-            case RuleTarget::kReturn: rj["target"] = "RETURN"; break;
-            case RuleTarget::kJump: rj["target"] = r.jump_chain; break;
-          }
-          rules.push_back(rj);
-        }
+        for (const Rule& r : c->rules) rules.push_back(rule_attrs(r));
         attrs["rules"] = rules;
         out.push_back({nl::MsgType::kNewRule, attrs});
       }
@@ -699,33 +762,13 @@ std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
     }
     case nl::DumpKind::kSets: {
       for (const IpSet* s : ipsets_.dump()) {
-        util::Json attrs = util::Json::object();
-        attrs["set"] = s->name();
-        attrs["type"] =
-            s->type() == IpSetType::kHashIp ? "hash:ip" : "hash:net";
-        attrs["size"] = static_cast<std::int64_t>(s->size());
-        out.push_back({nl::MsgType::kNewSet, attrs});
+        out.push_back({nl::MsgType::kNewSet, set_attrs(*s)});
       }
       break;
     }
     case nl::DumpKind::kServices: {
       for (const VirtualService& svc : ipvs_.services()) {
-        util::Json attrs = util::Json::object();
-        attrs["vip"] = svc.vip.to_string();
-        attrs["port"] = static_cast<int>(svc.port);
-        attrs["proto"] = static_cast<int>(svc.proto);
-        attrs["scheduler"] =
-            svc.scheduler == IpvsScheduler::kRoundRobin ? "rr" : "sh";
-        util::Json backends = util::Json::array();
-        for (const RealServer& rs : svc.backends) {
-          util::Json b = util::Json::object();
-          b["addr"] = rs.addr.to_string();
-          b["port"] = static_cast<int>(rs.port);
-          b["weight"] = static_cast<std::int64_t>(rs.weight);
-          backends.push_back(b);
-        }
-        attrs["backends"] = backends;
-        out.push_back({nl::MsgType::kNewService, attrs});
+        out.push_back({nl::MsgType::kNewService, service_attrs(svc)});
       }
       break;
     }

@@ -166,8 +166,12 @@ class Kernel : public nl::DumpProvider {
   std::vector<NetDevice*> devices();
 
   util::Status set_link_up(const std::string& name, bool up);
+  // Port changes publish the port's link and the bridge's (its port list).
   util::Status enslave(const std::string& port, const std::string& bridge);
   util::Status release(const std::string& port);
+  // Publishes a device's whole link object (RTM_NEWLINK/DELLINK), for
+  // changes made through a subsystem handle (brctl stp, bridge vlan).
+  void publish_link(const NetDevice& dev, bool deleted = false);
 
   // --- addresses and routes ------------------------------------------------
   util::Status add_addr(const std::string& dev, const net::IfAddr& addr);
@@ -211,6 +215,7 @@ class Kernel : public nl::DumpProvider {
   util::Status ipt_delete(const std::string& chain, std::size_t index);
   util::Status ipt_flush(const std::string& chain);
   util::Status ipt_new_chain(const std::string& name);
+  util::Status ipt_delete_chain(const std::string& name);
   util::Status ipt_set_policy(const std::string& chain, NfVerdict policy);
   util::Status ipset_create(const std::string& name, IpSetType type,
                             std::size_t maxelem = kIpSetDefaultMaxElem);
@@ -229,6 +234,9 @@ class Kernel : public nl::DumpProvider {
                                 std::uint8_t proto, net::Ipv4Addr backend,
                                 std::uint16_t backend_port,
                                 std::uint32_t weight);
+  util::Status ipvs_del_backend(net::Ipv4Addr vip, std::uint16_t port,
+                                std::uint8_t proto, net::Ipv4Addr backend,
+                                std::uint16_t backend_port);
 
   // --- netlink ---------------------------------------------------------------
   nl::Bus& netlink() { return netlink_; }
@@ -390,8 +398,13 @@ class Kernel : public nl::DumpProvider {
     return RxSummary{false, reason};
   }
 
+  // Netlink encoders shared by dumps and change events: a subscriber
+  // decodes both with the same code.
   util::Json link_attrs(const NetDevice& dev) const;
-  void publish_link(const NetDevice& dev, bool deleted = false);
+  util::Json addr_attrs(const NetDevice& dev, const net::IfAddr& addr) const;
+  util::Json neigh_attrs(const NeighEntry& entry) const;
+  void publish_service(net::Ipv4Addr vip, std::uint16_t port,
+                       std::uint8_t proto);
 
   void bump_dev_generation() {
     dev_gen_.fetch_add(1, std::memory_order_relaxed);

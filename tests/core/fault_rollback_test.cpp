@@ -169,25 +169,28 @@ TEST(FaultRollback, NetlinkDumpFaultKeepsStaleButCoherentView) {
   RouterDut dut;
   dut.add_prefixes(2);
   Controller controller(dut.kernel);
+  // Change events carry their objects and never dump, so the fault bites
+  // where dumps happen: the start-up sync and the re-sync of a stale table.
+  faults->fail_always(util::kFaultNetlinkDump);
   controller.start();
   std::size_t routes_before = controller.view().routes.size();
 
-  faults->fail_always(util::kFaultNetlinkDump);
   dut.add_prefixes(3);
   controller.run_once();
   HealthStatus h = controller.health();
   EXPECT_GE(h.introspection_errors, 1u);
-  // The dump failed, so the controller kept its stale route table instead of
-  // a torn half-refresh.
+  // The re-sync failed too, so the route table stays as it was: the queued
+  // route events are not applied to a stale table (a torn half-refresh).
   EXPECT_EQ(controller.view().routes.size(), routes_before);
-  // Coherence holds regardless: the fast path resolves routes through the
-  // live-FIB helper, not the controller's view.
-  expect_forwarded(dut, true);
+  // Coherence holds regardless: with no view there is no fast path yet, and
+  // the slow path forwards.
+  expect_forwarded(dut, false);
 
   faults->clear(util::kFaultNetlinkDump);
   dut.add_prefixes(4);
   controller.run_once();
   EXPECT_GT(controller.view().routes.size(), routes_before);
+  expect_forwarded(dut, true);
 }
 
 TEST(FaultRollback, KernelCommandFaultReportsErrorWithoutMutatingState) {

@@ -64,6 +64,54 @@ TEST(Introspection, DynamicNeighborChurnDoesNotForceResynth) {
                   .ok());
   EXPECT_TRUE(si.poll());
   EXPECT_EQ(si.view().neighbors.size(), 1u);
+
+  // Dynamic neighbour: the view follows, but nothing forces a rebuild.
+  ASSERT_TRUE(kern::run_command(
+                  k, "ip neigh add 10.0.0.3 lladdr 02:00:00:00:00:06 dev eth0")
+                  .ok());
+  EXPECT_FALSE(si.poll());
+  ASSERT_EQ(si.view().neighbors.size(), 2u);
+  EXPECT_EQ(si.view().neighbors[1].ip, "10.0.0.3");
+  EXPECT_TRUE(si.view().neighbors[1].dynamic);
+}
+
+TEST(Introspection, ChainDeletionIsVisible) {
+  kern::Kernel k("host");
+  ServiceIntrospection si(k.netlink());
+  si.initial_sync();
+  ASSERT_TRUE(kern::run_command(k, "iptables -N USER1").ok());
+  EXPECT_TRUE(si.poll());
+  EXPECT_TRUE(si.view().chains.count("USER1"));
+  ASSERT_TRUE(kern::run_command(k, "iptables -X USER1").ok());
+  EXPECT_TRUE(si.poll());
+  EXPECT_FALSE(si.view().chains.count("USER1"));
+}
+
+TEST(Introspection, BridgePortChangesUpdateTheBridge) {
+  kern::Kernel k("host");
+  k.add_phys_dev("p1");
+  k.add_veth_pair("v1", "w1");
+  ASSERT_TRUE(kern::run_command(k, "brctl addbr br0").ok());
+  ServiceIntrospection si(k.netlink());
+  si.initial_sync();
+  auto ports = [&si] {
+    std::vector<std::string> names;
+    for (const PortObject& p : si.view().link_by_name("br0")->ports) {
+      names.push_back(p.ifname);
+    }
+    return names;
+  };
+  ASSERT_TRUE(kern::run_command(k, "brctl addif br0 p1").ok());
+  ASSERT_TRUE(kern::run_command(k, "brctl addif br0 v1").ok());
+  EXPECT_TRUE(si.poll());
+  EXPECT_EQ(ports(), (std::vector<std::string>{"p1", "v1"}));
+  ASSERT_TRUE(kern::run_command(k, "brctl delif br0 p1").ok());
+  EXPECT_TRUE(si.poll());
+  EXPECT_EQ(ports(), std::vector<std::string>{"v1"});
+  // Deleting a device that is still a port removes it from the bridge.
+  ASSERT_TRUE(kern::run_command(k, "ip link del v1").ok());
+  EXPECT_TRUE(si.poll());
+  EXPECT_TRUE(ports().empty());
 }
 
 TEST(Introspection, BridgeObjectsCarryPortsAndFlags) {

@@ -148,6 +148,12 @@ ratio = doc["storm_resynth_ratio"]
 equivalent = doc["storm_equivalent"]
 print(f"reaction storm smoke: modeled_speedup={modeled:.1f} "
       f"resynth_ratio={ratio:.1f} equivalent={equivalent}")
+# Report-only host time, no gate: one iptables -A/-D event at two FORWARD
+# ruleset sizes on the gateway testbed.
+rule_event = doc["rule_event_wall_ms"]
+print("rule event wall p50 (host time, report-only): " +
+      ", ".join(f"{rules} rules {row['p50_ms']:.3f} ms"
+                for rules, row in rule_event.items()))
 if modeled < 5.0:
     raise SystemExit(f"delta storm modeled speedup {modeled:.1f}x below 5x")
 if ratio < 5.0:
