@@ -182,7 +182,9 @@ void register_fib(HelperRegistry& registry, const kern::CostModel& cost) {
         }
         net::Ipv4Addr dst(load_u32(p + kFibParamDst));
         auto hit = kernel->fib().lookup(dst);
-        kernel->note_fib_lookup(hit);
+        if (kernel->metrics().enabled()) {
+          ctx.note_fib_lookup(hit ? hit->depth : 0);
+        }
         if (!hit) return kFibLkupNotFwded;
         const kern::NetDevice* out = kernel->dev(hit->route.oif);
         if (!out || !out->is_up()) return kFibLkupNotFwded;

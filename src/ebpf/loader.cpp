@@ -214,15 +214,22 @@ void Attachment::add_metric_sources() {
     emit(prefix + "aborted", s.aborted);
     // The VMs' counts. bpf_tail_call is performed by the interpreter, not
     // called as a helper: it is counted once, as ebpf.tail_calls.
-    std::uint64_t hits = 0, misses = 0, tail_calls = 0;
+    std::uint64_t hits = 0, misses = 0, tail_calls = 0, fib_lookups = 0,
+                  fib_depth = 0;
     for (const auto& vm : vms_) {
       hits += vm->map_hits();
       misses += vm->map_misses();
       tail_calls += vm->tail_calls();
+      fib_lookups += vm->fib_lookups();
+      fib_depth += vm->fib_depth_total();
     }
     emit("ebpf.map.hits", hits);
     emit("ebpf.map.misses", misses);
     emit("ebpf.tail_calls", tail_calls);
+    // bpf_fib_lookup's share of fib.*; the kernel's source adds the slow
+    // path's own lookups.
+    emit("fib.lookups", fib_lookups);
+    emit("fib.depth_total", fib_depth);
     for (std::uint32_t id : helpers_.ids()) {
       if (id == kHelperTailCall) continue;
       std::uint64_t calls = 0;

@@ -118,8 +118,9 @@ class Attachment : public kern::PacketProgram {
   // Registers the stats shards and the per-CPU VMs' counts with `registry`
   // as a read-time source of "fastpath.<name>.<hook>.*",
   // "ebpf.helper.<name>.calls" (every registered helper but bpf_tail_call,
-  // zeros included), "ebpf.map.hits|misses" and "ebpf.tail_calls", and the
-  // flow caches as one of "flowcache.*" (zeros while the cache is off).
+  // zeros included), "ebpf.map.hits|misses", "ebpf.tail_calls" and the
+  // helper's share of "fib.lookups|depth_total", and the flow caches as one
+  // of "flowcache.*" (zeros while the cache is off).
   // Binding the same registry again is a no-op; null unbinds, folding the
   // current totals into the old registry's stored counters. The registry
   // must outlive the binding (the destructor unbinds).

@@ -92,6 +92,10 @@ class HelperContext {
   // Charges extra cycles beyond the per-helper base cost.
   void charge(std::uint64_t cycles);
 
+  // Counts one FIB lookup that walked `depth` trie nodes (0 on a miss) in
+  // the executing VM, for fib.lookups / fib.depth_total.
+  void note_fib_lookup(std::uint64_t depth);
+
   // Records an XDP_REDIRECT target.
   void set_redirect(int ifindex);
   // Records an AF_XDP (XSK map) redirect target.

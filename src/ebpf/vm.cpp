@@ -264,6 +264,11 @@ void HelperContext::charge(std::uint64_t cycles) {
   vm_.state_->extra_cycles += cycles;
 }
 
+void HelperContext::note_fib_lookup(std::uint64_t depth) {
+  util::shard_add(vm_.counts_.fib_lookups);
+  util::shard_add(vm_.counts_.fib_depth_total, depth);
+}
+
 void HelperContext::set_redirect(int ifindex) {
   vm_.state_->redirect_ifindex = ifindex;
 }

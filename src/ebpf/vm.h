@@ -56,11 +56,12 @@ class Vm {
   unsigned cpu() const { return cpu_; }
 
   // This VM's event counts since construction: calls per registry helper
-  // id, bpf_map_lookup_elem hits and misses, and tail calls taken. Only the
+  // id, bpf_map_lookup_elem hits and misses, tail calls taken, and the FIB
+  // lookups bpf_fib_lookup made with the trie depth they walked. Only the
   // VM's own thread adds to them (util::shard_add); any thread may read
   // them. The owning attachment's registry source sums them over its VMs as
-  // "ebpf.helper.<name>.calls", "ebpf.map.hits|misses" and
-  // "ebpf.tail_calls".
+  // "ebpf.helper.<name>.calls", "ebpf.map.hits|misses", "ebpf.tail_calls"
+  // and "fib.lookups|depth_total".
   std::uint64_t helper_calls(std::uint32_t helper_id) const {
     return helper_id < HelperRegistry::kIdLimit
                ? util::shard_read(counts_.helper_calls[helper_id])
@@ -72,6 +73,12 @@ class Vm {
   }
   std::uint64_t tail_calls() const {
     return util::shard_read(counts_.tail_calls);
+  }
+  std::uint64_t fib_lookups() const {
+    return util::shard_read(counts_.fib_lookups);
+  }
+  std::uint64_t fib_depth_total() const {
+    return util::shard_read(counts_.fib_depth_total);
   }
 
  private:
@@ -131,6 +138,8 @@ class Vm {
     std::uint64_t map_hits = 0;
     std::uint64_t map_misses = 0;
     std::uint64_t tail_calls = 0;
+    std::uint64_t fib_lookups = 0;
+    std::uint64_t fib_depth_total = 0;
   };
   Counts counts_;
 };

@@ -1,5 +1,6 @@
 #include "engine/rss.h"
 
+#include <array>
 #include <cstring>
 
 #include "net/headers.h"
@@ -23,29 +24,41 @@ constexpr std::uint8_t kRssKey[kKeyLen] = {
     0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
     0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
 
+// Input bit i contributes the 32-bit key window starting at key bit i, so
+// the key allows 36 input bytes.
+constexpr std::size_t kMaxInput = kKeyLen - 4;
+
+using ToeplitzTable = std::array<std::array<std::uint32_t, 256>, kMaxInput>;
+
+// table[p][v] is the XOR of the key windows of the set bits of byte value v
+// at input position p, so the hash is one lookup per input byte instead of
+// eight conditional XORs and window shifts. Built at compile time.
+constexpr ToeplitzTable make_toeplitz_table() {
+  std::array<std::uint32_t, kMaxInput * 8> window{};
+  for (std::size_t bit = 0; bit < window.size(); ++bit) {
+    for (std::size_t k = bit; k < bit + 32; ++k) {
+      window[bit] = (window[bit] << 1) | ((kRssKey[k / 8] >> (7 - k % 8)) & 1u);
+    }
+  }
+  ToeplitzTable table{};
+  for (std::size_t pos = 0; pos < kMaxInput; ++pos) {
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      for (std::size_t bit = 0; bit < 8; ++bit) {
+        if (v & (0x80u >> bit)) table[pos][v] ^= window[pos * 8 + bit];
+      }
+    }
+  }
+  return table;
+}
+
+constexpr ToeplitzTable kToeplitzTable = make_toeplitz_table();
+
 }  // namespace
 
 std::uint32_t toeplitz_hash(const std::uint8_t* data, std::size_t len) {
-  LFP_CHECK_MSG(len + 4 <= kKeyLen, "toeplitz input exceeds key window");
-  // Standard bit-serial formulation: for each set input bit i, XOR in the
-  // 32-bit key window starting at bit i.
+  LFP_CHECK_MSG(len <= kMaxInput, "toeplitz input exceeds key window");
   std::uint32_t result = 0;
-  // 32-bit window of the key starting at the current input bit.
-  std::uint32_t window = (std::uint32_t{kRssKey[0]} << 24) |
-                         (std::uint32_t{kRssKey[1]} << 16) |
-                         (std::uint32_t{kRssKey[2]} << 8) |
-                         std::uint32_t{kRssKey[3]};
-  for (std::size_t i = 0; i < len; ++i) {
-    std::uint8_t byte = data[i];
-    for (int bit = 7; bit >= 0; --bit) {
-      if (byte & (1u << bit)) result ^= window;
-      // Slide the window one bit: shift in the next key bit.
-      std::size_t next_bit_index = (i + 4) * 8 + (7 - bit);
-      std::uint8_t next_byte = kRssKey[next_bit_index / 8];
-      std::uint32_t next_bit = (next_byte >> (7 - next_bit_index % 8)) & 1u;
-      window = (window << 1) | next_bit;
-    }
-  }
+  for (std::size_t i = 0; i < len; ++i) result ^= kToeplitzTable[i][data[i]];
   return result;
 }
 

@@ -28,7 +28,9 @@ namespace linuxfp::engine {
 
 inline constexpr std::size_t kRetaSize = 128;
 
-// Toeplitz hash of `len` bytes of input under the Microsoft reference key.
+// Toeplitz hash of `len` (at most 36) bytes of input under the Microsoft
+// reference key: one precomputed table word per input byte, bit-identical to
+// the bit-serial definition (tests/engine keeps that one as the reference).
 std::uint32_t toeplitz_hash(const std::uint8_t* data, std::size_t len);
 
 // Toeplitz flow hash of the packet. IPv4 frames hash the canonicalized

@@ -35,9 +35,11 @@ struct FibResult {
   // The address to resolve at L2: the gateway, or the destination itself for
   // directly connected routes.
   net::Ipv4Addr next_hop;
-  // Number of trie nodes visited by this lookup (the cost model / metrics
-  // layer scales lookup cost with trie depth). Returned per-result rather
-  // than stored on the Fib so concurrent readers never race.
+  // Number of trie nodes visited by this lookup, counted as fib.depth_total.
+  // Depth scales no cost: the cost model charges a constant fib_lookup (slow
+  // path) or bpf_fib_lookup_helper (fast path) per lookup. Returned
+  // per-result rather than stored on the Fib so concurrent readers never
+  // race.
   std::size_t depth = 0;
 };
 

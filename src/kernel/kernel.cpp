@@ -114,8 +114,11 @@ Kernel::Kernel(std::string hostname, CostModel cost)
     drop_counters_[i] = metrics_.counter(
         std::string("drop.") + drop_name(static_cast<Drop>(i)));
   }
-  fib_lookups_ = metrics_.counter("fib.lookups");
-  fib_depth_total_ = metrics_.counter("fib.depth_total");
+  using Emit = util::MetricsRegistry::Emit;
+  metrics_.add_source(&fib_counts_, [this](const Emit& emit) {
+    emit("fib.lookups", util::shard_read(fib_counts_.lookups));
+    emit("fib.depth_total", util::shard_read(fib_counts_.depth_total));
+  });
 }
 
 Kernel::~Kernel() = default;

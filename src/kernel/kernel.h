@@ -286,14 +286,18 @@ class Kernel : public nl::DumpProvider {
     if (extra == 0) return;
     counters_.drops[reason] += extra;
     if (metrics_.enabled()) {
-      util::bump(drop_counters_[static_cast<int>(reason)], extra);
+      util::owner_add(drop_counters_[static_cast<int>(reason)], extra);
     }
   }
 
   // --- observability --------------------------------------------------------
   // One registry per kernel holds slow-path stage counters, per-reason drop
-  // counters and — once a controller wires them up — fast-path program,
-  // helper and FPM counters (see util/metrics.h for the naming scheme).
+  // counters, FIB counts and — once a controller wires them up — fast-path
+  // program, helper and FPM counters (see util/metrics.h for the naming
+  // scheme). Every per-packet count has one writer: the thread running this
+  // kernel's slow path adds to the stage, drop and slow-path FIB counts
+  // without a `lock` prefix (DESIGN.md §11), and each engine worker counts
+  // its bpf_fib_lookup calls in its own VM.
   util::MetricsRegistry& metrics() { return metrics_; }
   const util::MetricsRegistry& metrics() const { return metrics_; }
   // Master switch for metric emission on the datapath (counters keep their
@@ -316,15 +320,6 @@ class Kernel : public nl::DumpProvider {
   // skips comparison for this packet. Resolution happens automatically when
   // the top-level rx()/rx_from_engine() that is executing completes.
   bool shadow_begin(std::uint64_t cookie);
-  // FIB activity for the metrics layer; depth comes back in the FibResult
-  // (see fib.h) so the const lookup stays free of shared mutable state.
-  // Public because the bpf_fib_lookup helper reads fib() directly and must
-  // report through the same counters as the slow path.
-  void note_fib_lookup(const std::optional<FibResult>& hit) {
-    if (!metrics_.enabled()) return;
-    util::bump(fib_lookups_);
-    if (hit) util::bump(fib_depth_total_, hit->depth);
-  }
 
   // Enables conntrack consultation on forwarded/delivered packets (off by
   // default; the Kubernetes scenario turns it on, like kube-proxy does).
@@ -382,12 +377,14 @@ class Kernel : public nl::DumpProvider {
   // Is `addr` assigned to any local device?
   NetDevice* local_addr_owner(net::Ipv4Addr addr);
 
-  // Single bump point for every dropped/terminated packet: KernelCounters
+  // Single count point for every dropped/terminated packet: KernelCounters
   // stays authoritative, the registry mirror is what status_json and the
   // Prometheus exporter read (and what the equivalence fuzz diffs).
   void count_drop(Drop reason) {
     ++counters_.drops[reason];
-    if (metrics_.enabled()) util::bump(drop_counters_[static_cast<int>(reason)]);
+    if (metrics_.enabled()) {
+      util::owner_add(drop_counters_[static_cast<int>(reason)]);
+    }
     if (auto* t = util::active_packet_trace()) {
       t->add("verdict", drop_name(reason), 0);
     }
@@ -396,6 +393,15 @@ class Kernel : public nl::DumpProvider {
   RxSummary drop(Drop reason) {
     count_drop(reason);
     return RxSummary{false, reason};
+  }
+
+  // A slow-path FIB lookup, for fib.lookups / fib.depth_total; depth comes
+  // back in the FibResult (see fib.h) so the const lookup stays free of
+  // shared mutable state. The bpf_fib_lookup helper counts in its VM instead.
+  void note_fib_lookup(const std::optional<FibResult>& hit) {
+    if (!metrics_.enabled()) return;
+    util::shard_add(fib_counts_.lookups);
+    if (hit) util::shard_add(fib_counts_.depth_total, hit->depth);
   }
 
   // Netlink encoders shared by dumps and change events: a subscriber
@@ -439,8 +445,13 @@ class Kernel : public nl::DumpProvider {
   // Cached registry counters, bound once in the constructor so datapath
   // emission never does a name lookup.
   util::Counter* drop_counters_[16] = {};
-  util::Counter* fib_lookups_ = nullptr;
-  util::Counter* fib_depth_total_ = nullptr;
+  // Slow-path FIB counts, a single-writer shard the registry reads as a
+  // source of fib.lookups / fib.depth_total.
+  struct FibCounts {
+    std::uint64_t lookups = 0;
+    std::uint64_t depth_total = 0;
+  };
+  FibCounts fib_counts_;
 
   std::map<std::pair<std::uint8_t, std::uint16_t>, L4Handler> l4_handlers_;
 

@@ -8,29 +8,32 @@
 //  * MetricsRegistry — named monotonic counters (always on, ~one increment
 //    per event) and opt-in latency Histograms (OnlineStats + SampleSet).
 //    Counter storage is deque-backed so &counter is stable forever; hot
-//    paths resolve a name once and bump through the cached pointer. Owners
+//    paths resolve a name once and add through the cached pointer. Owners
 //    that already keep per-CPU stores register a read-time *source* instead
 //    of mirroring every event: reads sum the source with the stored counters.
 //  * StageSink — a fixed-size open-addressing cache keyed on the *address*
 //    of a stage-name string literal, so CycleTrace::charge() costs two
-//    pointer-indexed increments instead of a string lookup.
+//    plain adds (no `lock` prefix) instead of a string lookup.
 //  * PacketTrace / TraceRing — when tracing is enabled on a testbed, each
 //    packet records the ordered (layer, stage, cycles) events it hit in the
 //    slow path and in the eBPF VM, dumpable as JSON (tools/linuxfptrace).
 //
-// Each name has one source of truth (DESIGN.md §10). Stored counters:
+// Each name has one source of truth (DESIGN.md §10). Stored counters, each
+// with one datapath writer (owner_add) or only control-plane folds (bump):
 //   slowpath.<stage>.calls / .cycles      one pair per CycleTrace stage
 //   drop.<reason>                         per-reason drop counts (a mirror
 //                                         of KernelCounters::drops, whose
 //                                         std::map cannot be read live)
-//   fib.lookups / fib.depth_total         FIB activity (depth via FibResult)
 //   fpm.<name>.deployed                   per-FPM deploy counts
 //   engine.*                              engine shards, folded at stop()
-// Derived on read from per-CPU stores (Attachment sources):
+// Derived on read from single-writer stores (Attachment and Kernel sources):
 //   fastpath.<attachment>.<hook>.*        per-attachment verdicts/cycles
 //   flowcache.*                           microflow cache outcomes
 //   ebpf.helper.<name>.calls              per-helper-call counts (per-CPU Vm)
 //   ebpf.map.{hits,misses}, ebpf.tail_calls   map lookups, tail calls taken
+//   fib.lookups / fib.depth_total         FIB activity (depth via FibResult):
+//                                         bpf_fib_lookup per Vm, plus the
+//                                         kernel's own slow-path lookups
 #pragma once
 
 #include <atomic>
@@ -46,15 +49,24 @@
 
 namespace linuxfp::util {
 
-// Counter storage. Increments happen on every datapath packet — from the
-// engine's worker pool concurrently — so counters are atomics bumped with
-// relaxed ordering (a plain `lock add`; no fences, no ordering guarantees
-// between counters, which monitoring never needs).
+// Counter storage. Counters are relaxed atomics so that any thread may read
+// them while the datapath runs (no fences, no ordering guarantees between
+// counters, which monitoring never needs).
 using Counter = std::atomic<std::uint64_t>;
 
-// Relaxed increment: the only way hot paths should touch a Counter.
+// Relaxed atomic increment (a `lock add`), safe from any number of threads.
+// For control-plane folds (MetricsRegistry::remove_source, Engine::reconcile,
+// deploy counts), never per packet.
 inline void bump(Counter* c, std::uint64_t n = 1) {
   c->fetch_add(n, std::memory_order_relaxed);
+}
+
+// Single-writer add, shard_add's discipline for a registry counter: only the
+// counter's one datapath writer adds through it — for slowpath.* and drop.*,
+// the thread running that kernel's slow path (DESIGN.md §11). A relaxed load
+// plus store: no `lock` prefix, yet concurrent readers stay race-free.
+inline void owner_add(Counter* c, std::uint64_t n = 1) {
+  c->store(c->load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
 
 inline std::uint64_t counter_value(const Counter* c) {
@@ -106,10 +118,10 @@ class Histogram {
 
 // Named metric store. Threading contract: counter *creation* (counter(),
 // histogram(), add/remove_source, bind/set_metrics calls) is control-plane
-// work and must be single-threaded; *increments* through previously obtained
-// Counter pointers are safe from any number of threads (relaxed atomics), and
-// so are reads — sources read their owners' shards through shard_read. The
-// engine pre-binds every counter before spawning its worker pool.
+// work and must be single-threaded; increments through previously obtained
+// Counter pointers come from each counter's one writer (owner_add) or from
+// control-plane folds (bump), and reads are safe from any thread — sources
+// read their owners' shards through shard_read.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -139,9 +151,10 @@ class MetricsRegistry {
   void set_histograms_enabled(bool on) { histograms_enabled_ = on; }
   bool histograms_enabled() const { return histograms_enabled_; }
 
-  // When false, StageSink/drop emission sites skip their updates, so
-  // stored counters freeze (they keep their values; no reset). Sources read
-  // stores that count regardless, so derived names keep moving.
+  // When false, StageSink/drop/FIB emission sites skip their updates, so
+  // slowpath.*, drop.* and fib.* freeze (they keep their values; no reset).
+  // Every other source reads stores that count regardless, so fastpath.*,
+  // flowcache.* and the ebpf.* VM families keep moving.
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
@@ -183,11 +196,14 @@ class StageSink {
   void unbind() { registry_ = nullptr; }
   bool bound() const { return registry_ != nullptr; }
 
+  // Single writer: only the thread running the owning kernel's slow path
+  // charges a sink, so the adds need no `lock` prefix (as the histogram,
+  // which is not atomic at all, already relies on).
   void charge(const char* stage, std::uint64_t cycles) {
     if (!registry_ || !registry_->enabled()) return;
     Slot& slot = slot_for(stage);
-    bump(slot.calls);
-    bump(slot.cycles, cycles);
+    owner_add(slot.calls);
+    owner_add(slot.cycles, cycles);
     slot.hist->record(static_cast<double>(cycles));
   }
 

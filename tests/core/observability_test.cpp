@@ -179,12 +179,16 @@ TEST(Observability, DisabledMetricsFreezeCountersButKeepForwarding) {
   dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(1, 1), t1);
   std::uint64_t rx_calls = dut.kernel.metrics().value("slowpath.driver_rx.calls");
   ASSERT_GT(rx_calls, 0u);
+  // The XDP router's bpf_fib_lookup counts in its VM; disabling freezes it.
+  std::uint64_t fib_lookups = dut.kernel.metrics().value("fib.lookups");
+  ASSERT_GT(fib_lookups, 0u);
 
   dut.kernel.set_metrics_enabled(false);
   std::size_t tx_before = dut.tx_eth1.size();
   kern::CycleTrace t2;
   dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(1, 2), t2);
   EXPECT_EQ(dut.kernel.metrics().value("slowpath.driver_rx.calls"), rx_calls);
+  EXPECT_EQ(dut.kernel.metrics().value("fib.lookups"), fib_lookups);
   EXPECT_EQ(dut.tx_eth1.size(), tx_before + 1) << "datapath must not change";
 
   dut.kernel.set_metrics_enabled(true);

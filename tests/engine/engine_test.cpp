@@ -15,7 +15,9 @@
 #include "ebpf/loader.h"
 #include "engine/ring.h"
 #include "engine/rss.h"
+#include "net/headers.h"
 #include "tests/kernel/test_topo.h"
+#include "util/rng.h"
 
 namespace linuxfp::engine {
 namespace {
@@ -103,7 +105,7 @@ net::Packet flow_packet(const char* src, const char* dst, std::uint16_t sport,
 }
 
 TEST(Rss, HashIsSymmetric) {
-  // The repeated-key Toeplitz construction: both directions of a flow hash
+  // The endpoints are sorted before hashing: both directions of a flow hash
   // identically, so request and reply land on the same queue (required for
   // per-CPU conntrack-style state).
   RssClassifier rss(4);
@@ -162,6 +164,74 @@ TEST(Rss, NonIpFallsBackToL2Hash) {
   // An all-zero runt frame still hashes without tripping the key window.
   net::Packet runt(8);
   EXPECT_EQ(rss.hash(runt), rss.hash(runt));
+}
+
+// The Microsoft reference key and the bit-serial Toeplitz definition: for
+// each set input bit i, XOR in the 32-bit key window starting at key bit i.
+constexpr std::uint8_t kMicrosoftRssKey[40] = {
+    0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
+    0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,
+    0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
+    0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
+
+std::uint32_t bit_serial_toeplitz(const std::uint8_t* data, std::size_t len) {
+  auto key_bit = [](std::size_t i) -> std::uint32_t {
+    return (kMicrosoftRssKey[i / 8] >> (7 - i % 8)) & 1u;
+  };
+  std::uint32_t window = 0;
+  for (std::size_t i = 0; i < 32; ++i) window = (window << 1) | key_bit(i);
+  std::uint32_t result = 0;
+  for (std::size_t i = 0; i < len * 8; ++i) {
+    if ((data[i / 8] >> (7 - i % 8)) & 1u) result ^= window;
+    window = (window << 1) | key_bit(i + 32);
+  }
+  return result;
+}
+
+TEST(Rss, ToeplitzMatchesMicrosoftVerificationVectors) {
+  // The IPv4 vectors of Microsoft's RSS verification suite. rss_hash_of
+  // sorts the endpoints, so the raw hash is checked: source address,
+  // destination address, then (for the second hash) source and destination
+  // port, all big-endian.
+  struct Vector {
+    const char* src;
+    std::uint16_t sport;
+    const char* dst;
+    std::uint16_t dport;
+    std::uint32_t addrs_only;
+    std::uint32_t with_ports;
+  };
+  const Vector vectors[] = {
+      {"66.9.149.187", 2794, "161.142.100.80", 1766, 0x323e8fc2, 0x51ccc178},
+      {"199.92.111.2", 14230, "65.69.140.83", 4739, 0xd718262a, 0xc626b0ea},
+      {"24.19.198.95", 12898, "12.22.207.184", 38024, 0xd2d0a5de,
+       0x5c2b394a},
+  };
+  for (const Vector& v : vectors) {
+    std::uint8_t input[12];
+    net::store_be32(input, net::Ipv4Addr::parse(v.src).value().value());
+    net::store_be32(input + 4, net::Ipv4Addr::parse(v.dst).value().value());
+    net::store_be16(input + 8, v.sport);
+    net::store_be16(input + 10, v.dport);
+    EXPECT_EQ(toeplitz_hash(input, 8), v.addrs_only) << v.src;
+    EXPECT_EQ(toeplitz_hash(input, 12), v.with_ports) << v.src;
+  }
+}
+
+TEST(Rss, ToeplitzTableMatchesBitSerialDefinition) {
+  // Every input length the 40-byte key allows, 0 to 36 bytes, over seeded
+  // random inputs.
+  util::Rng rng(0x70e9117);
+  std::uint8_t input[36];
+  for (std::size_t len = 0; len <= sizeof(input); ++len) {
+    for (int trial = 0; trial < 200; ++trial) {
+      for (std::uint8_t& b : input) {
+        b = static_cast<std::uint8_t>(rng.next_u32());
+      }
+      ASSERT_EQ(toeplitz_hash(input, len), bit_serial_toeplitz(input, len))
+          << "len " << len << " trial " << trial;
+    }
+  }
 }
 
 // --- Engine --------------------------------------------------------------------

@@ -1,7 +1,9 @@
-// Regression test for the atomic counter layer (ISSUE 4 satellite): the
-// engine's worker pool bumps registry counters from many threads at once,
-// so counters must be std::atomic — with plain uint64_t these tests lose
-// increments and fail. Run under TSan by tools/ci.sh.
+// Regression test for util::bump, the locked add that control-plane folds
+// use (MetricsRegistry::remove_source, Engine::reconcile, deploy counts):
+// several threads may fold into one counter, so bump must be an atomic
+// read-modify-write — with a plain add these tests lose increments and
+// fail. Per-packet counts never take this path: each has one writer
+// (util::owner_add, util::shard_add). Run under TSan by tools/ci.sh.
 #include "util/metrics.h"
 
 #include <gtest/gtest.h>

@@ -26,10 +26,12 @@ echo "=== tier-1 OK (plain + sanitized) ==="
 # --- TSan pass: the parallel engine's threads for real ---------------------
 # The engine runs a worker pool + slow-path thread; its tests and the atomic
 # metrics regression push real concurrency through the rings, the per-CPU
-# VMs and the counter registry, and the FlowCacheConcurrency suite reads the
-# per-CPU stat shards (registry sources, stats(), flow_cache_stats()) while
-# workers write them. ThreadSanitizer proves the lock-free structures'
-# memory ordering, which ASan cannot see. The classifier suites ride along:
+# VMs and the counter registry, and the FlowCacheConcurrency and
+# EngineMetrics suites read the per-CPU stat shards, the VMs' FIB counts and
+# the slow thread's single-writer stage and drop counters (registry sources,
+# stats(), flow_cache_stats()) while the engine's threads write them.
+# ThreadSanitizer proves the lock-free structures' memory ordering, which
+# ASan cannot see. The classifier suites ride along:
 # engine workers evaluate netfilter (atomic rule hit counters + generation
 # checks) concurrently with control-plane rebuilds.
 echo "=== TSan: engine + metrics concurrency tests ==="
@@ -242,9 +244,11 @@ echo "=== observability overhead guard ==="
 # cancels inside each pair (timed in separate runs, metered and bare each
 # catch their own stretch of host load, which misses the budget on noise
 # alone). Interference can only pull a ratio toward 1, so the guard takes
-# the highest of five repetitions. The budget carries headroom for what noise
-# survives — the guard is here to catch metering suddenly costing a
-# multiple, not to resolve 10% swings.
+# the highest of five repetitions. With every per-packet count single-writer
+# (no `lock`-prefixed add on any packet path) the ratios read about 1.07
+# (slow path) and 1.02 (fast path) on a shared 4-vCPU 2.0 GHz Xeon VM; the
+# two locked adds of the stage charge put back read 1.21-1.29 there, so the
+# 1.20 budget catches them coming back.
 overhead_json="$(mktemp)"
 build/bench/bench_micro_substrate \
   --benchmark_filter='^BM_MeteringRatio(Slow|Fast)Path$' \
@@ -255,7 +259,7 @@ ratios = {}
 for b in json.load(open(sys.argv[1]))["benchmarks"]:
     if b.get("run_type") == "iteration":
         ratios.setdefault(b["run_name"], []).append(b["ratio"])
-budget = 1.55
+budget = 1.20
 ok = True
 for name, runs in sorted(ratios.items()):
     ratio = max(runs)
