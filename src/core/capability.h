@@ -5,6 +5,7 @@
 // FPMs are not synthesized and bridging stays on the slow path.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,15 +19,18 @@ class CapabilityManager {
   explicit CapabilityManager(const ebpf::HelperRegistry& helpers)
       : helpers_(helpers) {}
 
-  // Helpers an FPM requires.
-  static std::vector<std::uint32_t> required_helpers(const std::string& fpm);
+  // Helpers an FPM requires (static storage; empty for an unknown FPM).
+  static std::span<const std::uint32_t> required_helpers(
+      const std::string& fpm);
 
   bool supports(const std::string& fpm) const;
 
-  // Returns a copy of `graphs` with unsupported nodes removed (and dangling
-  // next_nf references fixed up). Names of dropped nodes are appended to
-  // `dropped` when provided.
-  util::Json prune(const util::Json& graphs,
+  // Returns `graphs` with unsupported nodes removed (and dangling next_nf
+  // references fixed up). Kept fields and nodes are moved, not copied, into
+  // the result: pass a graph set that is no longer needed with std::move; an
+  // lvalue is copied once on the way in. Names of dropped nodes are appended
+  // to `dropped` when provided.
+  util::Json prune(util::Json graphs,
                    std::vector<std::string>* dropped = nullptr) const;
 
  private:

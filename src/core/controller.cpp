@@ -160,10 +160,19 @@ Reaction Controller::rebuild_and_deploy(bool force) {
   Reaction reaction;
   reaction.changed = true;
 
-  util::Json raw = topology_.build(introspection_.view());
-  graphs_ = capability_.prune(raw, &reaction.dropped_fpms);
+  // The fresh build is moved through the prune, not copied.
+  graphs_ = capability_.prune(topology_.build(introspection_.view()),
+                              &reaction.dropped_fpms);
 
-  std::string signature = TopologyManager::signature(graphs_);
+  // One dump per graph: the per-graph signatures are the delta-synthesis
+  // diff basis, and their join is the whole-set signature.
+  const util::JsonArray& graphs = graphs_.array_items();
+  std::vector<std::string> graph_sigs;
+  graph_sigs.reserve(graphs.size());
+  for (const util::Json& g : graphs) {
+    graph_sigs.push_back(TopologyManager::signature(g));
+  }
+  std::string signature = TopologyManager::join_signatures(graph_sigs);
   if (signature == last_signature_ && !force) {
     // Configuration changed but the derived fast path did not (e.g. a
     // dynamic neighbour entry, or a bridge with no ports yet): nothing to
@@ -193,14 +202,14 @@ Reaction Controller::rebuild_and_deploy(bool force) {
   std::set<std::pair<std::string, int>> coverage;
   std::map<std::pair<std::string, int>, std::string> desired_sigs;
   std::vector<SynthesisResult> results;
-  for (std::size_t i = 0; i < graphs_.size(); ++i) {
-    const util::Json& g = graphs_.at(i);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const util::Json& g = graphs[i];
     const std::string device = g.at("device").as_string();
     ebpf::HookType hook = g.at("hook").as_string() == "tc"
                               ? ebpf::HookType::kTcIngress
                               : ebpf::HookType::kXdp;
     const std::pair<std::string, int> key{device, static_cast<int>(hook)};
-    std::string graph_sig = TopologyManager::signature(g);
+    std::string& graph_sig = graph_sigs[i];
     coverage.insert(key);
     auto deployed = deployed_graph_sigs_.find(key);
     if (delta && deployed != deployed_graph_sigs_.end() &&
@@ -225,7 +234,7 @@ Reaction Controller::rebuild_and_deploy(bool force) {
 
   ++health_.deploy_attempts;
   DeployReport report = deployer_.deploy(results, old_is_current, &coverage);
-  reaction.graphs = graphs_.size();
+  reaction.graphs = graphs.size();
   reaction.programs = report.programs;
   reaction.insns = report.total_insns;
   // Update the per-graph diff basis: withdrawn devices forget their
@@ -236,7 +245,9 @@ Reaction Controller::rebuild_and_deploy(bool force) {
     if (!coverage.count(it->first)) it = deployed_graph_sigs_.erase(it);
     else ++it;
   }
-  for (auto& [key, sig] : desired_sigs) deployed_graph_sigs_[key] = sig;
+  for (auto& [key, sig] : desired_sigs) {
+    deployed_graph_sigs_[key] = std::move(sig);
+  }
   for (const DeviceFailure& f : report.failures) {
     for (auto it = deployed_graph_sigs_.begin();
          it != deployed_graph_sigs_.end();) {

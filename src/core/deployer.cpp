@@ -1,5 +1,6 @@
 #include "core/deployer.h"
 
+#include <algorithm>
 #include <set>
 
 #include "ebpf/builder.h"
@@ -177,14 +178,7 @@ DeployReport Deployer::deploy(const std::vector<SynthesisResult>& results,
                                   coverage) {
   DeployReport report;
   bool has_filter = false;
-  // Devices covered by a synthesis result — including ones whose deploy
-  // failed — must not be withdrawn below; withdrawal is only for devices no
-  // graph wants anymore. A delta deploy passes the full desired coverage
-  // explicitly, since its `results` hold only the changed graphs.
-  std::set<std::pair<std::string, int>> covered;
-  if (coverage) covered = *coverage;
   for (const SynthesisResult& r : results) {
-    covered.insert({r.device, static_cast<int>(r.hook)});
     auto st = deploy_one(r, report);
     if (!st.ok()) {
       report.failures.push_back(DeviceFailure{r.device, st.error()});
@@ -210,9 +204,19 @@ DeployReport Deployer::deploy(const std::vector<SynthesisResult>& results,
     }
   }
   // Withdraw acceleration from devices no longer covered by any graph.
+  // Devices covered by a synthesis result — including ones whose deploy
+  // failed — are kept; a delta deploy passes the full desired coverage
+  // explicitly, since its `results` hold only the changed graphs.
+  auto covered = [&](const std::pair<std::string, int>& key) {
+    if (coverage && coverage->count(key)) return true;
+    return std::any_of(results.begin(), results.end(),
+                       [&](const SynthesisResult& r) {
+                         return static_cast<int>(r.hook) == key.second &&
+                                r.device == key.first;
+                       });
+  };
   for (auto& [key, slot] : attachments_) {
-    if (covered.count(key)) continue;
-    degrade_to_pass(slot);
+    if (!covered(key)) degrade_to_pass(slot);
   }
   ++deploys_;
   report.modeled_compile_seconds =

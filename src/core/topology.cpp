@@ -35,7 +35,8 @@ ForwardRules scan_forward_rules(const WorldView& view) {
 }  // namespace
 
 util::Json TopologyManager::build(const WorldView& view) const {
-  util::Json graphs = util::Json::array();
+  util::JsonArray graphs;
+  graphs.reserve(view.links.size());
   const ForwardRules forward = scan_forward_rules(view);
   const std::size_t global_routes = view.global_route_count();
   for (const auto& [ifindex, link] : view.links) {
@@ -50,7 +51,22 @@ util::Json TopologyManager::build(const WorldView& view) const {
     util::Json g = build_for_device(view, link, forward, global_routes);
     if (g.at("nodes").size() > 0) graphs.push_back(std::move(g));
   }
-  return graphs;
+  return util::Json(std::move(graphs));
+}
+
+std::string TopologyManager::join_signatures(
+    const std::vector<std::string>& sigs) {
+  std::size_t length = 2;
+  for (const std::string& sig : sigs) length += sig.size() + 2;
+  std::string joined;
+  joined.reserve(length);
+  joined += '[';
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    if (i > 0) joined += ", ";
+    joined += sigs[i];
+  }
+  joined += ']';
+  return joined;
 }
 
 util::Json TopologyManager::build_for_device(
@@ -99,11 +115,11 @@ util::Json TopologyManager::build_for_device(
       sj["vip"] = svc.vip;
       sj["port"] = svc.port;
       sj["proto"] = svc.proto;
-      services.push_back(sj);
+      services.push_back(std::move(sj));
     }
-    conf["services"] = services;
+    conf["services"] = std::move(services);
     util::Json node = util::Json::object();
-    node["conf"] = conf;
+    node["conf"] = std::move(conf);
     node["next_nf"] = "router";
     return node;
   };
@@ -123,21 +139,21 @@ util::Json TopologyManager::build_for_device(
       conf["filter"] = filter_conf();
     }
     util::Json node = util::Json::object();
-    node["conf"] = conf;
+    node["conf"] = std::move(conf);
     // Routed traffic addressed to the bridge interface continues to the
     // router FPM when the bridge has addresses and routing is active
     // (paper: "routes referring to the bridge interfaces will create a
     // next_nf: router FPM within the bridge JSON description").
     bool bridge_routes = routing_active && master->has_addresses();
     if (bridge_routes) node["next_nf"] = "router";
-    nodes["bridge"] = node;
+    nodes["bridge"] = std::move(node);
     if (bridge_routes) {
       if (lb_active) nodes["loadbalance"] = lb_node();
       if (filtering_active) {
         util::Json fnode = util::Json::object();
         fnode["conf"] = filter_conf();
         fnode["next_nf"] = "router";
-        nodes["filter"] = fnode;
+        nodes["filter"] = std::move(fnode);
       }
       util::Json rconf = util::Json::object();
       rconf["route_count"] = static_cast<std::int64_t>(global_routes);
@@ -148,12 +164,12 @@ util::Json TopologyManager::build_for_device(
       for (const std::string& addr : master->addrs) {
         locals.push_back(addr.substr(0, addr.find('/')));
       }
-      rconf["local_addrs"] = locals;
+      rconf["local_addrs"] = std::move(locals);
       util::Json rnode = util::Json::object();
-      rnode["conf"] = rconf;
-      nodes["router"] = rnode;
+      rnode["conf"] = std::move(rconf);
+      nodes["router"] = std::move(rnode);
     }
-    graph["nodes"] = nodes;
+    graph["nodes"] = std::move(nodes);
     return graph;
   }
 
@@ -164,7 +180,7 @@ util::Json TopologyManager::build_for_device(
       util::Json fnode = util::Json::object();
       fnode["conf"] = filter_conf();
       fnode["next_nf"] = "router";
-      nodes["filter"] = fnode;
+      nodes["filter"] = std::move(fnode);
     }
     util::Json rconf = util::Json::object();
     rconf["route_count"] = static_cast<std::int64_t>(global_routes);
@@ -172,13 +188,13 @@ util::Json TopologyManager::build_for_device(
     for (const std::string& addr : link.addrs) {
       locals.push_back(addr.substr(0, addr.find('/')));
     }
-    rconf["local_addrs"] = locals;
+    rconf["local_addrs"] = std::move(locals);
     util::Json rnode = util::Json::object();
-    rnode["conf"] = rconf;
-    nodes["router"] = rnode;
+    rnode["conf"] = std::move(rconf);
+    nodes["router"] = std::move(rnode);
   }
 
-  graph["nodes"] = nodes;
+  graph["nodes"] = std::move(nodes);
   return graph;
 }
 

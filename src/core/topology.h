@@ -58,6 +58,11 @@ class TopologyManager {
     return graphs.dump();
   }
 
+  // signature(graphs) formed from the signatures of its elements: "[" +
+  // the per-graph dumps joined by ", " + "]", byte for byte the array's
+  // dump. The controller dumps each graph once per reaction and joins.
+  static std::string join_signatures(const std::vector<std::string>& sigs);
+
  private:
   util::Json build_for_device(const WorldView& view, const LinkObject& link,
                               const ForwardRules& forward,

@@ -67,9 +67,9 @@ util::Json service_attrs(const VirtualService& svc) {
     b["addr"] = rs.addr.to_string();
     b["port"] = static_cast<int>(rs.port);
     b["weight"] = static_cast<std::int64_t>(rs.weight);
-    backends.push_back(b);
+    backends.push_back(std::move(b));
   }
-  j["backends"] = backends;
+  j["backends"] = std::move(backends);
   return j;
 }
 
@@ -476,7 +476,7 @@ util::Status Kernel::set_sysctl(const std::string& key, int value) {
   util::Json attrs = util::Json::object();
   attrs["key"] = key;
   attrs["value"] = value;
-  netlink_.publish(nl::MsgType::kSysctl, attrs);
+  netlink_.publish(nl::MsgType::kSysctl, std::move(attrs));
   return {};
 }
 
@@ -677,9 +677,9 @@ util::Json Kernel::link_attrs(const NetDevice& d) const {
         pj["ifname"] = pd ? pd->name() : "";
         pj["state"] = stp_state_name(p.state);
         pj["pvid"] = p.pvid;
-        ports.push_back(pj);
+        ports.push_back(std::move(pj));
       }
-      attrs["ports"] = ports;
+      attrs["ports"] = std::move(ports);
     }
   }
   if (d.kind() == DevKind::kVxlan) {
@@ -688,7 +688,7 @@ util::Json Kernel::link_attrs(const NetDevice& d) const {
   }
   util::Json addrs = util::Json::array();
   for (const auto& a : d.addrs()) addrs.push_back(a.to_string());
-  attrs["addrs"] = addrs;
+  attrs["addrs"] = std::move(addrs);
   return attrs;
 }
 
@@ -758,8 +758,8 @@ std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
         attrs["policy"] = policy_name(c->policy);
         util::Json rules = util::Json::array();
         for (const Rule& r : c->rules) rules.push_back(rule_attrs(r));
-        attrs["rules"] = rules;
-        out.push_back({nl::MsgType::kNewRule, attrs});
+        attrs["rules"] = std::move(rules);
+        out.push_back({nl::MsgType::kNewRule, std::move(attrs)});
       }
       break;
     }
@@ -780,7 +780,7 @@ std::vector<nl::Message> Kernel::dump(nl::DumpKind kind) const {
         util::Json attrs = util::Json::object();
         attrs["key"] = key;
         attrs["value"] = value;
-        out.push_back({nl::MsgType::kSysctl, attrs});
+        out.push_back({nl::MsgType::kSysctl, std::move(attrs)});
       }
       break;
     }

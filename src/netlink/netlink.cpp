@@ -74,11 +74,14 @@ Socket* Bus::open_socket() {
 void Bus::publish(MsgType type, util::Json attrs) {
   ++published_;
   Group group = group_of(type);
+  // Every member but the last gets a copy; the last takes `attrs` itself.
+  Socket* last = nullptr;
   for (auto& sock : sockets_) {
-    if (sock->member_of(group)) {
-      sock->enqueue(Message{type, attrs});
-    }
+    if (!sock->member_of(group)) continue;
+    if (last) last->enqueue(Message{type, attrs});
+    last = sock.get();
   }
+  if (last) last->enqueue(Message{type, std::move(attrs)});
 }
 
 std::vector<Message> Bus::dump(DumpKind kind) const {

@@ -4,13 +4,17 @@
 // Fig 3); this module provides the representation the TopologyManager emits
 // and the Synthesizer ingests. Object key order is preserved (insertion
 // order) because the processing-graph keys are ordered FPM stages.
+//
+// A value holds only its active alternative (a std::variant whose index is
+// the Type), so copying or moving it touches one payload and a move is a
+// few pointer swaps. Builders should move finished sub-trees into place
+// (`parent["conf"] = std::move(conf)`) rather than copy them: a copy is deep.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace linuxfp::util {
@@ -32,49 +36,55 @@ class JsonObject {
   auto begin() { return entries_.begin(); }
   auto end() { return entries_.end(); }
 
+  bool operator==(const JsonObject& other) const;
+
  private:
   std::vector<std::pair<std::string, Json>> entries_;
 };
 
 class Json {
  public:
+  // Matches the variant index of the payload.
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Json() : type_(Type::kNull) {}
-  Json(std::nullptr_t) : type_(Type::kNull) {}                   // NOLINT
-  Json(bool b) : type_(Type::kBool), bool_(b) {}                 // NOLINT
-  Json(double d) : type_(Type::kNumber), num_(d) {}              // NOLINT
-  Json(int i) : type_(Type::kNumber), num_(i) {}                 // NOLINT
-  Json(std::int64_t i)                                            // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Json(std::uint64_t i)                                           // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Json(const char* s) : type_(Type::kString), str_(s) {}         // NOLINT
-  Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}  // NOLINT
-  Json(JsonArray a) : type_(Type::kArray), arr_(std::move(a)) {}     // NOLINT
-  Json(JsonObject o) : type_(Type::kObject), obj_(std::move(o)) {}   // NOLINT
+  Json() = default;
+  Json(std::nullptr_t) {}                                          // NOLINT
+  Json(bool b) : v_(std::in_place_index<1>, b) {}                  // NOLINT
+  Json(double d) : v_(std::in_place_index<2>, d) {}                // NOLINT
+  Json(int i) : Json(static_cast<double>(i)) {}                    // NOLINT
+  Json(std::int64_t i) : Json(static_cast<double>(i)) {}           // NOLINT
+  Json(std::uint64_t i) : Json(static_cast<double>(i)) {}          // NOLINT
+  Json(const char* s) : v_(std::in_place_index<3>, s) {}           // NOLINT
+  Json(std::string s) : v_(std::in_place_index<3>, std::move(s)) {}  // NOLINT
+  Json(JsonArray a) : v_(std::in_place_index<4>, std::move(a)) {}    // NOLINT
+  Json(JsonObject o) : v_(std::in_place_index<5>, std::move(o)) {}   // NOLINT
 
   static Json object() { return Json(JsonObject{}); }
   static Json array() { return Json(JsonArray{}); }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(v_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   bool as_bool(bool fallback = false) const {
-    return is_bool() ? bool_ : fallback;
+    const bool* b = std::get_if<bool>(&v_);
+    return b ? *b : fallback;
   }
   double as_number(double fallback = 0.0) const {
-    return is_number() ? num_ : fallback;
+    const double* d = std::get_if<double>(&v_);
+    return d ? *d : fallback;
   }
   std::int64_t as_int(std::int64_t fallback = 0) const {
-    return is_number() ? static_cast<std::int64_t>(num_) : fallback;
+    const double* d = std::get_if<double>(&v_);
+    return d ? static_cast<std::int64_t>(*d) : fallback;
   }
-  const std::string& as_string() const { return str_; }
+  // as_string(), object_items() and array_items() on another kind return
+  // a static empty value.
+  const std::string& as_string() const;
 
   // Object access. operator[] on a null value converts it to an object
   // (builder ergonomics); const lookup returns null for missing keys.
@@ -87,23 +97,23 @@ class Json {
   std::size_t size() const;
   const Json& at(std::size_t index) const;
 
-  const JsonObject& object_items() const { return obj_; }
-  const JsonArray& array_items() const { return arr_; }
+  const JsonObject& object_items() const;
+  const JsonArray& array_items() const;
+  // The elements of an array the caller owns, to move sub-trees out of;
+  // null when the value is not an array.
+  JsonArray* mutable_array() { return std::get_if<JsonArray>(&v_); }
 
   // Serialization. indent < 0 means compact single-line output.
   std::string dump(int indent = -1) const;
 
-  bool operator==(const Json& other) const;
+  bool operator==(const Json& other) const { return v_ == other.v_; }
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  JsonArray arr_;
-  JsonObject obj_;
+  std::variant<std::monostate, bool, double, std::string, JsonArray,
+               JsonObject>
+      v_;
 };
 
 }  // namespace linuxfp::util

@@ -150,6 +150,10 @@ ratio = doc["storm_resynth_ratio"]
 equivalent = doc["storm_equivalent"]
 print(f"reaction storm smoke: modeled_speedup={modeled:.1f} "
       f"resynth_ratio={ratio:.1f} equivalent={equivalent}")
+# Report-only host time, no gate: the storm's wall-clock speedup of delta
+# over from-scratch synthesis (ROADMAP item 6 targets >= 5x).
+print(f"reaction storm wall speedup (host time, report-only): "
+      f"{doc['storm_speedup']:.2f}")
 # Report-only host time, no gate: one iptables -A/-D event at two FORWARD
 # ruleset sizes on the gateway testbed.
 rule_event = doc["rule_event_wall_ms"]
