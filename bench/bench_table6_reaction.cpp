@@ -188,9 +188,21 @@ int main(int argc, char** argv) {
   delta_ctl.start();
   std::uint64_t full_base = full_ctl.graph_resynth_count();
   std::uint64_t delta_base = delta_ctl.graph_resynth_count();
+  std::uint64_t full_render_base = full_ctl.graph_render_count();
+  std::uint64_t delta_render_base = delta_ctl.graph_render_count();
 
   double full_time = 0, delta_time = 0;
   double full_modeled = 0, delta_modeled = 0;
+  // Wall time per reaction phase, summed over the storm: graphs (describe,
+  // render, prune, dump, join), synthesize, deploy.
+  struct PhaseSums {
+    double graphs = 0, synth = 0, deploy = 0;
+    void add(const core::Reaction& r) {
+      graphs += r.graphs_seconds;
+      synth += r.synth_seconds;
+      deploy += r.deploy_seconds;
+    }
+  } full_phases, delta_phases;
   int routes = 0, rules = 0;
   auto both = [&](const std::string& cmd) {
     full_dut.run(cmd);
@@ -232,10 +244,18 @@ int main(int argc, char** argv) {
     // per emitted program (Table VI) — the cost delta synthesis avoids.
     full_modeled += fr.modeled_seconds;
     delta_modeled += dr.modeled_seconds;
+    full_phases.add(fr);
+    delta_phases.add(dr);
   }
 
   std::uint64_t full_graphs = full_ctl.graph_resynth_count() - full_base;
   std::uint64_t delta_graphs = delta_ctl.graph_resynth_count() - delta_base;
+  // Both controllers render only the descriptions that changed, whatever
+  // they then re-synthesize.
+  std::uint64_t full_rendered =
+      full_ctl.graph_render_count() - full_render_base;
+  std::uint64_t delta_rendered =
+      delta_ctl.graph_render_count() - delta_render_base;
   double speedup = delta_time > 0 ? full_time / delta_time : 0;
   double modeled_speedup =
       delta_modeled > 0 ? full_modeled / delta_modeled : 0;
@@ -255,6 +275,18 @@ int main(int argc, char** argv) {
              std::to_string(delta_graphs),
              fmt(static_cast<double>(delta_graphs) / kEvents, 1)},
             {14, 14, 16, 16, 10});
+  std::printf("\n");
+  print_row({"mode", "graphs(ms)", "synthesize(ms)", "deploy(ms)",
+             "rendered"},
+            {14, 14, 16, 16, 10});
+  print_row({"from-scratch", fmt(full_phases.graphs * 1e3, 1),
+             fmt(full_phases.synth * 1e3, 1), fmt(full_phases.deploy * 1e3, 1),
+             std::to_string(full_rendered)},
+            {14, 14, 16, 16, 10});
+  print_row({"delta", fmt(delta_phases.graphs * 1e3, 1),
+             fmt(delta_phases.synth * 1e3, 1),
+             fmt(delta_phases.deploy * 1e3, 1), std::to_string(delta_rendered)},
+            {14, 14, 16, 16, 10});
   std::printf("\nstorm: wall speedup %.1fx, modeled reaction speedup %.1fx, "
               "graph-emission ratio %.1fx, deployed FPM sets %s\n",
               speedup, modeled_speedup, resynth_ratio,
@@ -267,6 +299,18 @@ int main(int argc, char** argv) {
   reporter.set("storm_full_graphs", static_cast<double>(full_graphs));
   reporter.set("storm_delta_graphs", static_cast<double>(delta_graphs));
   reporter.set("storm_equivalent", equivalent);
+  reporter.set("storm_full_rendered", static_cast<double>(full_rendered));
+  reporter.set("storm_delta_rendered", static_cast<double>(delta_rendered));
+  util::Json phase_ms = util::Json::object();
+  for (const auto& [mode, sums] :
+       {std::pair{"full", full_phases}, std::pair{"delta", delta_phases}}) {
+    util::Json row = util::Json::object();
+    row["graphs"] = sums.graphs * 1e3;
+    row["synthesize"] = sums.synth * 1e3;
+    row["deploy"] = sums.deploy * 1e3;
+    phase_ms[mode] = std::move(row);
+  }
+  reporter.set("storm_phase_wall_ms", std::move(phase_ms));
 
   // --- rule-event cost against ruleset size ---------------------------------
   // The perfbench gateway_imix config (router, classifier, flow cache) at

@@ -1,6 +1,7 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -155,24 +156,88 @@ void Controller::record_deploy_success() {
   health_.next_retry_ns = 0;
 }
 
+void Controller::refresh_graphs(std::vector<std::string>& dropped) {
+  std::vector<DeviceGraph> descriptions =
+      topology_.describe(introspection_.view());
+  std::vector<DeviceEntry> old_devices = std::exchange(devices_, {});
+  std::vector<std::string> old_sigs = std::exchange(graph_sigs_, {});
+  util::JsonArray old_graphs;
+  if (util::JsonArray* a = graphs_.mutable_array()) {
+    old_graphs = std::move(*a);
+  }
+  util::JsonArray graphs;
+  graphs.reserve(descriptions.size());
+  graph_sigs_.reserve(descriptions.size());
+  devices_.reserve(descriptions.size());
+
+  // Both lists ascend by ifindex: `o` walks the old entries and `og` the
+  // position of the next old graph. Every old key leaves coverage_ before
+  // any new key enters it, since a device name can move to another ifindex.
+  std::size_t o = 0;
+  std::size_t og = 0;
+  std::vector<std::size_t> entering;
+  auto retire = [&](const DeviceEntry& e) {
+    if (!e.has_graph) return;
+    coverage_.erase(e.key);
+    ++og;
+  };
+  for (DeviceGraph& d : descriptions) {
+    while (o < old_devices.size() &&
+           old_devices[o].description.ifindex < d.ifindex) {
+      retire(old_devices[o++]);
+    }
+    if (o < old_devices.size() && old_devices[o].description == d) {
+      // Unchanged: the graph, its dump and its dropped names carry over.
+      DeviceEntry& e = old_devices[o++];
+      if (e.has_graph) {
+        graphs.push_back(std::move(old_graphs[og]));
+        graph_sigs_.push_back(std::move(old_sigs[og]));
+        ++og;
+      }
+      dropped.insert(dropped.end(), e.dropped.begin(), e.dropped.end());
+      devices_.push_back(std::move(e));
+      continue;
+    }
+    DeviceEntry& e = devices_.emplace_back();
+    e.description = std::move(d);
+    if (!e.description.has_nodes()) continue;
+    ++graph_render_count_;
+    util::JsonArray one;
+    one.push_back(TopologyManager::render(e.description));
+    util::Json pruned =
+        capability_.prune(util::Json(std::move(one)), &e.dropped);
+    dropped.insert(dropped.end(), e.dropped.begin(), e.dropped.end());
+    util::JsonArray& kept = *pruned.mutable_array();
+    if (kept.empty()) continue;
+    e.has_graph = true;
+    const ebpf::HookType hook = e.description.hook == "tc"
+                                    ? ebpf::HookType::kTcIngress
+                                    : ebpf::HookType::kXdp;
+    e.key = {e.description.device, static_cast<int>(hook)};
+    graph_sigs_.push_back(TopologyManager::signature(kept.front()));
+    graphs.push_back(std::move(kept.front()));
+    entering.push_back(devices_.size() - 1);
+  }
+  while (o < old_devices.size()) retire(old_devices[o++]);
+  for (std::size_t i : entering) coverage_.insert(devices_[i].key);
+  graphs_ = util::Json(std::move(graphs));
+}
+
 Reaction Controller::rebuild_and_deploy(bool force) {
-  auto t0 = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double>(to - from).count();
+  };
+  const auto t0 = Clock::now();
   Reaction reaction;
   reaction.changed = true;
 
-  // The fresh build is moved through the prune, not copied.
-  graphs_ = capability_.prune(topology_.build(introspection_.view()),
-                              &reaction.dropped_fpms);
-
-  // One dump per graph: the per-graph signatures are the delta-synthesis
-  // diff basis, and their join is the whole-set signature.
-  const util::JsonArray& graphs = graphs_.array_items();
-  std::vector<std::string> graph_sigs;
-  graph_sigs.reserve(graphs.size());
-  for (const util::Json& g : graphs) {
-    graph_sigs.push_back(TopologyManager::signature(g));
-  }
-  std::string signature = TopologyManager::join_signatures(graph_sigs);
+  // The whole signature is the join of the per-graph dumps, the
+  // delta-synthesis diff basis.
+  refresh_graphs(reaction.dropped_fpms);
+  std::string signature = TopologyManager::join_signatures(graph_sigs_);
+  const auto t_graphs = Clock::now();
+  reaction.graphs_seconds = seconds(t0, t_graphs);
   if (signature == last_signature_ && !force) {
     // Configuration changed but the derived fast path did not (e.g. a
     // dynamic neighbour entry, or a bridge with no ports yet): nothing to
@@ -181,8 +246,7 @@ Reaction Controller::rebuild_and_deploy(bool force) {
     // and graph-rebuild time (plus, in the real controller, the render/diff
     // of the unchanged templates — modeled below).
     reaction.changed = false;
-    auto t_end = std::chrono::steady_clock::now();
-    reaction.wall_seconds = std::chrono::duration<double>(t_end - t0).count();
+    reaction.wall_seconds = seconds(t0, Clock::now());
     reaction.modeled_seconds = reaction.wall_seconds + 0.48;
     return reaction;
   }
@@ -193,33 +257,34 @@ Reaction Controller::rebuild_and_deploy(bool force) {
 
   // Delta synthesis (DESIGN.md §17): diff each graph's description against
   // the signature recorded at its last successful deploy and re-emit only
-  // the changed ones. `coverage` carries the full desired device set so the
+  // the changed ones. `coverage_` carries the full desired device set so the
   // deployer withdraws exactly the devices no graph wants anymore — reused
   // devices keep their current program untouched. A forced redeploy
   // (snippet, guard re-probe, failure retry) regenerates everything: those
   // paths change program content without changing graph descriptions.
   const bool delta = options_.delta_synthesis && !force;
-  std::set<std::pair<std::string, int>> coverage;
   std::map<std::pair<std::string, int>, std::string> desired_sigs;
   std::vector<SynthesisResult> results;
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const util::Json& g = graphs[i];
-    const std::string device = g.at("device").as_string();
-    ebpf::HookType hook = g.at("hook").as_string() == "tc"
-                              ? ebpf::HookType::kTcIngress
-                              : ebpf::HookType::kXdp;
-    const std::pair<std::string, int> key{device, static_cast<int>(hook)};
-    std::string& graph_sig = graph_sigs[i];
-    coverage.insert(key);
-    auto deployed = deployed_graph_sigs_.find(key);
-    if (delta && deployed != deployed_graph_sigs_.end() &&
-        deployed->second == graph_sig) {
-      ++reaction.reused_graphs;
-      continue;
+  const util::JsonArray& graphs = graphs_.array_items();
+  std::size_t k = 0;  // position of the next graph
+  for (const DeviceEntry& e : devices_) {
+    if (!e.has_graph) continue;
+    const util::Json& g = graphs[k];
+    const std::string& graph_sig = graph_sigs_[k];
+    ++k;
+    if (delta) {
+      auto deployed = deployed_graph_sigs_.find(e.key);
+      if (deployed != deployed_graph_sigs_.end() &&
+          deployed->second == graph_sig) {
+        ++reaction.reused_graphs;
+        continue;
+      }
     }
     // Fresh tail-call indices are assigned by the deployer slot; pass the
     // next free index hint (only meaningful for tail-call mode).
-    std::uint32_t base = deployer_.next_chain_index(device, hook);
+    const std::string& device = e.key.first;
+    std::uint32_t base = deployer_.next_chain_index(
+        device, static_cast<ebpf::HookType>(e.key.second));
     auto result = synthesizer_.synthesize(g, base);
     if (!result.ok()) {
       LFP_WARN("controller") << "synthesis failed for " << device << ": "
@@ -228,12 +293,15 @@ Reaction Controller::rebuild_and_deploy(bool force) {
     }
     ++graph_resynth_count_;
     ++reaction.synthesized_graphs;
-    desired_sigs[key] = std::move(graph_sig);
+    desired_sigs[e.key] = graph_sig;
     results.push_back(std::move(result).take());
   }
+  const auto t_synth = Clock::now();
+  reaction.synth_seconds = seconds(t_graphs, t_synth);
 
   ++health_.deploy_attempts;
-  DeployReport report = deployer_.deploy(results, old_is_current, &coverage);
+  DeployReport report = deployer_.deploy(results, old_is_current, &coverage_);
+  reaction.deploy_seconds = seconds(t_synth, Clock::now());
   reaction.graphs = graphs.size();
   reaction.programs = report.programs;
   reaction.insns = report.total_insns;
@@ -242,7 +310,7 @@ Reaction Controller::rebuild_and_deploy(bool force) {
   // deploy failed drop it so the retry re-synthesizes them even under delta.
   for (auto it = deployed_graph_sigs_.begin();
        it != deployed_graph_sigs_.end();) {
-    if (!coverage.count(it->first)) it = deployed_graph_sigs_.erase(it);
+    if (!coverage_.count(it->first)) it = deployed_graph_sigs_.erase(it);
     else ++it;
   }
   for (auto& [key, sig] : desired_sigs) {
@@ -264,9 +332,7 @@ Reaction Controller::rebuild_and_deploy(bool force) {
     record_deploy_success();
   }
 
-  auto t1 = std::chrono::steady_clock::now();
-  reaction.wall_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
+  reaction.wall_seconds = seconds(t0, Clock::now());
   reaction.modeled_seconds =
       reaction.wall_seconds + report.modeled_compile_seconds;
   return reaction;

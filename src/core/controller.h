@@ -14,6 +14,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +82,14 @@ struct Reaction {
   std::size_t reused_graphs = 0;
   double wall_seconds = 0;     // measured in this reproduction
   double modeled_seconds = 0;  // + modeled clang/libbpf stages (Table VI)
+  // The wall time of the reaction's three phases, each part of
+  // wall_seconds: the graphs (describe, render, prune, dump and join), the
+  // synthesis of the graphs to re-emit, and the deploy (verify, load,
+  // attach). A reaction whose signature did not change spends only the
+  // first.
+  double graphs_seconds = 0;
+  double synth_seconds = 0;
+  double deploy_seconds = 0;
 };
 
 class Controller {
@@ -108,6 +117,9 @@ class Controller {
   // Individual graphs synthesized across all reactions: the delta-synthesis
   // work metric (a from-scratch controller pays graphs-per-reaction here).
   std::uint64_t graph_resynth_count() const { return graph_resynth_count_; }
+  // Device descriptions rendered into graphs across all reactions: a
+  // reaction renders only the devices whose description changed.
+  std::uint64_t graph_render_count() const { return graph_render_count_; }
 
   // Health record: degraded-mode state and failure counters (including the
   // per-injection-point table when fault injection is armed).
@@ -119,6 +131,10 @@ class Controller {
 
  private:
   Reaction rebuild_and_deploy(bool force = false);
+  // Brings devices_, graphs_, graph_sigs_ and coverage_ up to the view,
+  // rendering, pruning and dumping only the devices whose description
+  // changed; appends the prune's dropped FPM names in graph order.
+  void refresh_graphs(std::vector<std::string>& dropped);
   // Guard maintenance pass at the top of run_once; returns true when a
   // quarantined unit's re-probe deadline passed (forces a redeploy).
   bool maintain_guard();
@@ -137,7 +153,23 @@ class Controller {
   // Declared after deployer_ so the guard (whose units front the deployer's
   // attachments on the device hooks) is destroyed first.
   std::unique_ptr<EquivalenceGuard> guard_;
+  // One entry per attachable device, ascending by ifindex: its last
+  // description and what the capability prune made of it. When the prune
+  // kept a node, the device's graph and that graph's dump sit at the next
+  // position of graphs_ and graph_sigs_, and `key` names its deployer slot.
+  struct DeviceEntry {
+    DeviceGraph description;
+    bool has_graph = false;
+    std::pair<std::string, int> key;  // (device, hook)
+    std::vector<std::string> dropped;  // "device:fpm", in prune order
+  };
+  std::vector<DeviceEntry> devices_;
   util::Json graphs_;
+  // graphs_[i].dump(): the per-graph delta-synthesis diff basis, joined
+  // into the whole signature.
+  std::vector<std::string> graph_sigs_;
+  // The keys of graphs_: every device the deployer must not withdraw.
+  std::set<std::pair<std::string, int>> coverage_;
   std::string last_signature_;
   // Signature of the fast path that actually serves traffic (last successful
   // deploy); tells the deployer whether the old program is still current when
@@ -149,6 +181,7 @@ class Controller {
   std::map<std::pair<std::string, int>, std::string> deployed_graph_sigs_;
   std::uint64_t resynth_count_ = 0;
   std::uint64_t graph_resynth_count_ = 0;
+  std::uint64_t graph_render_count_ = 0;
   bool force_resynth_ = false;
   HealthStatus health_;
   // Breaker closes observed at the last run_once; a new close with no unit

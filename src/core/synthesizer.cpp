@@ -57,7 +57,6 @@ util::Result<ebpf::Program> Synthesizer::synthesize_inline(
 
   bool has_bridge = nodes.contains("bridge");
   bool has_router = nodes.contains("router");
-  bool has_filter = nodes.contains("filter");
   bool has_lb = nodes.contains("loadbalance");
 
   FpmLibrary::emit_prologue(b, /*punt_multicast=*/true);
@@ -69,10 +68,11 @@ util::Result<ebpf::Program> Synthesizer::synthesize_inline(
     FpmLibrary::emit_bridge(b, nodes.at("bridge").at("conf"), has_router);
   }
   if (has_router) {
-    FpmLibrary::emit_l3(
-        b, has_filter ? nodes.at("filter").at("conf") : util::Json(nullptr),
-        nodes.at("router").at("conf"), device_mac_for_l3(graph),
-        /*skip_mac_check=*/has_bridge);
+    // Without a filter node this conf reads null, as util::Json::at does
+    // for a missing key.
+    FpmLibrary::emit_l3(b, nodes.at("filter").at("conf"),
+                        nodes.at("router").at("conf"), device_mac_for_l3(graph),
+                        /*skip_mac_check=*/has_bridge);
   } else if (!has_bridge) {
     return util::Error::make("synth.nodes", "unsupported node combination");
   }

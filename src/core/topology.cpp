@@ -32,13 +32,49 @@ ForwardRules scan_forward_rules(const WorldView& view) {
   return f;
 }
 
+util::Json render_filter(const FilterConf& f) {
+  util::Json conf = util::Json::object();
+  conf["hook"] = "FORWARD";
+  conf["rule_count"] = static_cast<std::int64_t>(f.rule_count);
+  conf["needs_ports"] = f.forward.needs_ports;
+  conf["uses_sets"] = f.forward.uses_sets;
+  conf["has_out_if"] = f.forward.has_out_if;
+  return conf;
+}
+
+util::Json render_node(util::Json conf, bool next_router) {
+  util::Json node = util::Json::object();
+  node["conf"] = std::move(conf);
+  if (next_router) node["next_nf"] = "router";
+  return node;
+}
+
 }  // namespace
 
-util::Json TopologyManager::build(const WorldView& view) const {
-  util::JsonArray graphs;
-  graphs.reserve(view.links.size());
-  const ForwardRules forward = scan_forward_rules(view);
+std::vector<DeviceGraph> TopologyManager::describe(
+    const WorldView& view) const {
+  // What every device's graph shares, read once per pass.
   const std::size_t global_routes = view.global_route_count();
+  const bool routing_active = view.ip_forward() && global_routes > 0;
+  std::optional<FilterConf> filter;
+  if (view.forward_rule_count() > 0 || view.forward_has_policy_drop()) {
+    filter = FilterConf{view.forward_rule_count(), scan_forward_rules(view)};
+  }
+  auto br_nf_it = view.sysctls.find("net.bridge.bridge-nf-call-iptables");
+  const bool br_nf = br_nf_it != view.sysctls.end() && br_nf_it->second != 0;
+  std::optional<LoadBalanceNode> loadbalance;
+  if (!view.services.empty()) {
+    // The VIP endpoints are baked into the synthesized code: traffic not
+    // addressed to any service skips the conntrack lookup entirely.
+    LoadBalanceNode& lb = loadbalance.emplace();
+    lb.services.reserve(view.services.size());
+    for (const ServiceObject& svc : view.services) {
+      lb.services.push_back({svc.vip, svc.port, svc.proto});
+    }
+  }
+
+  std::vector<DeviceGraph> graphs;
+  graphs.reserve(view.links.size());
   for (const auto& [ifindex, link] : view.links) {
     if (!link.up) continue;
     bool attachable =
@@ -48,8 +84,110 @@ util::Json TopologyManager::build(const WorldView& view) const {
          (link.kind == "veth" || link.kind == "physical")) ||
         (options_.attach_overlay && link.kind == "vxlan" && link.master == 0);
     if (!attachable) continue;
-    util::Json g = build_for_device(view, link, forward, global_routes);
-    if (g.at("nodes").size() > 0) graphs.push_back(std::move(g));
+    DeviceGraph& g = graphs.emplace_back();
+    g.device = link.ifname;
+    g.ifindex = link.ifindex;
+    g.hook = options_.hook;
+    g.dev_mac = link.mac;
+
+    // Load balancer, filter and router for traffic routed at `owner`'s
+    // addresses. Locally-terminated traffic (addresses the owner holds) is
+    // a slow-path concern; the synthesized code punts it before the FIB
+    // lookup (configuration-specialized early exit).
+    auto add_l3 = [&](const LinkObject& owner) {
+      g.loadbalance = loadbalance;
+      g.filter = filter;
+      RouterNode& router = g.router.emplace();
+      router.route_count = global_routes;
+      router.local_addrs.reserve(owner.addrs.size());
+      for (const std::string& addr : owner.addrs) {
+        router.local_addrs.push_back(addr.substr(0, addr.find('/')));
+      }
+    };
+
+    const LinkObject* master = nullptr;
+    if (link.master != 0) {
+      auto it = view.links.find(link.master);
+      if (it != view.links.end()) master = &it->second;
+    }
+    if (master && master->kind == "bridge") {
+      // The device is an enslaved bridge port.
+      BridgeNode& bridge = g.bridge.emplace();
+      bridge.bridge = master->ifname;
+      bridge.bridge_ifindex = master->ifindex;
+      bridge.bridge_mac = master->mac;
+      bridge.stp = master->stp;
+      bridge.vlan_filtering = master->vlan_filtering;
+      if (br_nf) bridge.filter = filter;
+      // Routed traffic addressed to the bridge interface continues to the
+      // router FPM when the bridge has addresses and routing is active
+      // (paper: "routes referring to the bridge interfaces will create a
+      // next_nf: router FPM within the bridge JSON description").
+      if (routing_active && master->has_addresses()) add_l3(*master);
+    } else if (routing_active && link.has_addresses()) {
+      add_l3(link);  // plain L3 device
+    }
+  }
+  return graphs;
+}
+
+util::Json TopologyManager::render(const DeviceGraph& g) {
+  util::Json graph = util::Json::object();
+  graph["device"] = g.device;
+  graph["ifindex"] = g.ifindex;
+  graph["hook"] = g.hook;
+  graph["dev_mac"] = g.dev_mac;
+  util::Json nodes = util::Json::object();
+  if (g.bridge) {
+    const BridgeNode& b = *g.bridge;
+    util::Json conf = util::Json::object();
+    conf["bridge"] = b.bridge;
+    conf["bridge_ifindex"] = b.bridge_ifindex;
+    conf["bridge_mac"] = b.bridge_mac;
+    conf["STP_enabled"] = b.stp;
+    conf["VLAN_enabled"] = b.vlan_filtering;
+    if (b.filter) {
+      conf["br_netfilter"] = true;
+      conf["filter"] = render_filter(*b.filter);
+    }
+    nodes["bridge"] = render_node(std::move(conf), g.router.has_value());
+  }
+  if (g.loadbalance) {
+    const std::vector<ServiceEndpoint>& endpoints = g.loadbalance->services;
+    util::Json conf = util::Json::object();
+    conf["service_count"] = static_cast<std::int64_t>(endpoints.size());
+    util::Json services = util::Json::array();
+    for (const ServiceEndpoint& svc : endpoints) {
+      util::Json sj = util::Json::object();
+      sj["vip"] = svc.vip;
+      sj["port"] = svc.port;
+      sj["proto"] = svc.proto;
+      services.push_back(std::move(sj));
+    }
+    conf["services"] = std::move(services);
+    nodes["loadbalance"] = render_node(std::move(conf), true);
+  }
+  if (g.filter) {
+    nodes["filter"] = render_node(render_filter(*g.filter), true);
+  }
+  if (g.router) {
+    util::Json conf = util::Json::object();
+    conf["route_count"] = static_cast<std::int64_t>(g.router->route_count);
+    util::Json locals = util::Json::array();
+    for (const std::string& addr : g.router->local_addrs) {
+      locals.push_back(addr);
+    }
+    conf["local_addrs"] = std::move(locals);
+    nodes["router"] = render_node(std::move(conf), false);
+  }
+  graph["nodes"] = std::move(nodes);
+  return graph;
+}
+
+util::Json TopologyManager::build(const WorldView& view) const {
+  util::JsonArray graphs;
+  for (const DeviceGraph& g : describe(view)) {
+    if (g.has_nodes()) graphs.push_back(render(g));
   }
   return util::Json(std::move(graphs));
 }
@@ -67,135 +205,6 @@ std::string TopologyManager::join_signatures(
   }
   joined += ']';
   return joined;
-}
-
-util::Json TopologyManager::build_for_device(
-    const WorldView& view, const LinkObject& link, const ForwardRules& forward,
-    std::size_t global_routes) const {
-  util::Json graph = util::Json::object();
-  graph["device"] = link.ifname;
-  graph["ifindex"] = link.ifindex;
-  graph["hook"] = options_.hook;
-  graph["dev_mac"] = link.mac;
-  util::Json nodes = util::Json::object();
-
-  bool routing_active = view.ip_forward() && global_routes > 0;
-  bool filtering_active =
-      view.forward_rule_count() > 0 || view.forward_has_policy_drop();
-
-  const LinkObject* master = nullptr;
-  if (link.master != 0) {
-    auto it = view.links.find(link.master);
-    if (it != view.links.end()) master = &it->second;
-  }
-
-  auto filter_conf = [&view, &forward]() {
-    util::Json fconf = util::Json::object();
-    fconf["hook"] = "FORWARD";
-    fconf["rule_count"] = static_cast<std::int64_t>(view.forward_rule_count());
-    fconf["needs_ports"] = forward.needs_ports;
-    fconf["uses_sets"] = forward.uses_sets;
-    fconf["has_out_if"] = forward.has_out_if;
-    return fconf;
-  };
-
-  bool br_nf = view.sysctls.count("net.bridge.bridge-nf-call-iptables") &&
-               view.sysctls.at("net.bridge.bridge-nf-call-iptables") != 0;
-  bool lb_active = !view.services.empty();
-
-  auto lb_node = [&view]() {
-    util::Json conf = util::Json::object();
-    conf["service_count"] =
-        static_cast<std::int64_t>(view.services.size());
-    // The VIP endpoints are baked into the synthesized code: traffic not
-    // addressed to any service skips the conntrack lookup entirely.
-    util::Json services = util::Json::array();
-    for (const ServiceObject& svc : view.services) {
-      util::Json sj = util::Json::object();
-      sj["vip"] = svc.vip;
-      sj["port"] = svc.port;
-      sj["proto"] = svc.proto;
-      services.push_back(std::move(sj));
-    }
-    conf["services"] = std::move(services);
-    util::Json node = util::Json::object();
-    node["conf"] = std::move(conf);
-    node["next_nf"] = "router";
-    return node;
-  };
-
-  // --- bridge node: device is an enslaved bridge port -------------------------
-  if (master && master->kind == "bridge") {
-    util::Json conf = util::Json::object();
-    conf["bridge"] = master->ifname;
-    conf["bridge_ifindex"] = master->ifindex;
-    conf["bridge_mac"] = master->mac;
-    conf["STP_enabled"] = master->stp;
-    conf["VLAN_enabled"] = master->vlan_filtering;
-    // br_netfilter: bridged traffic traverses the FORWARD chain, so the
-    // bridge FPM must evaluate it too (specialized in only when active).
-    if (br_nf && filtering_active) {
-      conf["br_netfilter"] = true;
-      conf["filter"] = filter_conf();
-    }
-    util::Json node = util::Json::object();
-    node["conf"] = std::move(conf);
-    // Routed traffic addressed to the bridge interface continues to the
-    // router FPM when the bridge has addresses and routing is active
-    // (paper: "routes referring to the bridge interfaces will create a
-    // next_nf: router FPM within the bridge JSON description").
-    bool bridge_routes = routing_active && master->has_addresses();
-    if (bridge_routes) node["next_nf"] = "router";
-    nodes["bridge"] = std::move(node);
-    if (bridge_routes) {
-      if (lb_active) nodes["loadbalance"] = lb_node();
-      if (filtering_active) {
-        util::Json fnode = util::Json::object();
-        fnode["conf"] = filter_conf();
-        fnode["next_nf"] = "router";
-        nodes["filter"] = std::move(fnode);
-      }
-      util::Json rconf = util::Json::object();
-      rconf["route_count"] = static_cast<std::int64_t>(global_routes);
-      // Locally-terminated traffic (addresses owned by the bridge) is a
-      // slow-path concern; the synthesized code punts it before the FIB
-      // lookup (configuration-specialized early exit).
-      util::Json locals = util::Json::array();
-      for (const std::string& addr : master->addrs) {
-        locals.push_back(addr.substr(0, addr.find('/')));
-      }
-      rconf["local_addrs"] = std::move(locals);
-      util::Json rnode = util::Json::object();
-      rnode["conf"] = std::move(rconf);
-      nodes["router"] = std::move(rnode);
-    }
-    graph["nodes"] = std::move(nodes);
-    return graph;
-  }
-
-  // --- plain L3 device ----------------------------------------------------------
-  if (routing_active && link.has_addresses()) {
-    if (lb_active) nodes["loadbalance"] = lb_node();
-    if (filtering_active) {
-      util::Json fnode = util::Json::object();
-      fnode["conf"] = filter_conf();
-      fnode["next_nf"] = "router";
-      nodes["filter"] = std::move(fnode);
-    }
-    util::Json rconf = util::Json::object();
-    rconf["route_count"] = static_cast<std::int64_t>(global_routes);
-    util::Json locals = util::Json::array();
-    for (const std::string& addr : link.addrs) {
-      locals.push_back(addr.substr(0, addr.find('/')));
-    }
-    rconf["local_addrs"] = std::move(locals);
-    util::Json rnode = util::Json::object();
-    rnode["conf"] = std::move(rconf);
-    nodes["router"] = std::move(rnode);
-  }
-
-  graph["nodes"] = std::move(nodes);
-  return graph;
 }
 
 }  // namespace linuxfp::core

@@ -2,15 +2,18 @@
 // diffs each FPM graph against the signature recorded at its last deploy and
 // re-emits only the changed ones. These tests pin the equivalence contract —
 // a delta controller and a from-scratch controller driven through identical
-// event sequences must converge to identical deployed programs — plus the
-// work accounting (unchanged graphs are reused, not re-synthesized), the
-// withdrawal rule, and the failed-device retry path.
+// event sequences must converge to identical deployed programs, and the
+// graphs a controller keeps per device must equal a fresh build after every
+// reaction — plus the work accounting (unchanged graphs are reused, not
+// re-synthesized), the withdrawal rule, and the failed-device retry path.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/capability.h"
 #include "core/controller.h"
+#include "core/topology.h"
 #include "ebpf/loader.h"
 #include "kernel/commands.h"
 #include "kernel/kernel.h"
@@ -109,49 +112,126 @@ void compare_deployments(Controller& a, Controller& b, MixedDut& dut,
   }
 }
 
+// The graphs a reaction leaves must be those of a from-scratch build of the
+// controller's view, pruned with the controller's helpers: byte for byte,
+// with the same dropped FPM names in the same order. The controller renders
+// only the devices whose description changed, so a description that missed
+// one input of the graph would leave a stale graph behind.
+void expect_from_scratch_graphs(const Controller& ctl,
+                                const ControllerOptions& options,
+                                const Reaction& reaction,
+                                const std::string& where) {
+  TopologyOptions topology;
+  topology.attach_physical = options.attach_physical;
+  topology.attach_bridge_ports = options.attach_bridge_ports;
+  topology.attach_overlay = options.attach_overlay;
+  topology.hook = options.hook;
+  std::vector<std::string> dropped;
+  const util::Json fresh = CapabilityManager(ctl.helpers())
+                               .prune(TopologyManager(topology).build(
+                                          ctl.view()),
+                                      &dropped);
+  EXPECT_EQ(ctl.current_graphs().dump(), fresh.dump()) << where;
+  EXPECT_EQ(reaction.dropped_fpms, dropped) << where;
+}
+
 TEST(DeltaSynth, ConvergesWithFromScratchUnderChurn) {
-  MixedDut delta_dut, full_dut;
-  Controller delta_ctl(delta_dut.kernel, mixed_options(true));
-  Controller full_ctl(full_dut.kernel, mixed_options(false));
-  delta_ctl.start();
-  full_ctl.start();
+  // The same event stream drives a delta controller, a from-scratch one,
+  // and a delta controller on mainline helpers, whose prune drops FPMs.
+  MixedDut delta_dut, full_dut, mainline_dut;
+  const ControllerOptions delta_opts = mixed_options(true);
+  const ControllerOptions full_opts = mixed_options(false);
+  ControllerOptions mainline_opts = mixed_options(true);
+  mainline_opts.mainline_helpers_only = true;
+  Controller delta_ctl(delta_dut.kernel, delta_opts);
+  Controller full_ctl(full_dut.kernel, full_opts);
+  Controller mainline_ctl(mainline_dut.kernel, mainline_opts);
+  std::size_t mainline_drops = 0;
+  auto check = [&](const Reaction& delta, const Reaction& full,
+                   const Reaction& mainline, const std::string& where) {
+    expect_from_scratch_graphs(delta_ctl, delta_opts, delta, where);
+    expect_from_scratch_graphs(full_ctl, full_opts, full, where);
+    expect_from_scratch_graphs(mainline_ctl, mainline_opts, mainline, where);
+    mainline_drops += mainline.dropped_fpms.size();
+  };
+  check(delta_ctl.start(), full_ctl.start(), mainline_ctl.start(), "startup");
   compare_deployments(delta_ctl, full_ctl, delta_dut, "startup");
 
+  auto react = [&](const std::string& where) {
+    const Reaction d = delta_ctl.run_once();
+    const Reaction f = full_ctl.run_once();
+    const Reaction m = mainline_ctl.run_once();
+    check(d, f, m, where);
+  };
   auto both = [&](const std::string& cmd) {
     delta_dut.run(cmd);
     full_dut.run(cmd);
+    mainline_dut.run(cmd);
+    react(cmd);
   };
-  auto react = [&] {
-    delta_ctl.run_once();
-    full_ctl.run_once();
+  auto add_pod = [&] {
+    delta_dut.add_pod();
+    full_dut.add_pod();
+    mainline_dut.add_pod();
+    react("pod add");
+  };
+  auto del_pod = [&] {
+    delta_dut.del_pod();
+    full_dut.del_pod();
+    mainline_dut.del_pod();
+    react("pod del");
   };
 
   // An event storm touching different slices of the graph set.
   for (int i = 0; i < 3; ++i) {
-    delta_dut.add_pod();
-    full_dut.add_pod();
-    react();
+    add_pod();
     compare_deployments(delta_ctl, full_ctl, delta_dut, "pod add");
+  }
+  // Each input a device description reads, flipped and flipped back.
+  for (const char* cmd : {
+           "sysctl -w net.ipv4.ip_forward=0",
+           "sysctl -w net.ipv4.ip_forward=1",
+           "ip route del 10.101.0.0/24",
+           "ip route del 10.100.0.0/24",  // the last global route
+           "ip route add 10.100.0.0/24 via 10.10.2.2 dev eth1",
+           "ip route add 10.101.0.0/24 via 10.10.2.2 dev eth1",
+           // A DROP policy alone makes filtering active.
+           "iptables -P FORWARD DROP",
+           "iptables -P FORWARD ACCEPT",
+           "iptables -N CHECKS",
+           "iptables -A FORWARD -j CHECKS",  // the first rule
+           // What the filter specializes on, from a chain FORWARD jumps to.
+           "iptables -A CHECKS -p tcp --dport 22 -j DROP",
+           "sysctl -w net.bridge.bridge-nf-call-iptables=1",
+           "sysctl -w net.bridge.bridge-nf-call-iptables=0",
+           // Bridge ports gain router nodes and lose them again.
+           "ip addr add 10.20.0.1/24 dev br0",
+           "ip addr del 10.20.0.1/24 dev br0",
+           "brctl stp br0 on",
+           "bridge vlan add dev pod0 vid 10",
+           "ipvsadm -A -t 10.0.0.100:80 -s rr",
+           "ipvsadm -D -t 10.0.0.100:80",
+           "ip addr add 10.10.9.1/24 dev eth0",
+           "ip addr del 10.10.9.1/24 dev eth0",
+           "ip link set eth0 down",
+           "ip link set eth0 up",
+       }) {
+    both(cmd);
+    compare_deployments(delta_ctl, full_ctl, delta_dut, cmd);
   }
   for (int i = 0; i < 12; ++i) {
     both("ip route add 10." + std::to_string(120 + i) +
          ".0.0/24 via 10.10.2.2 dev eth1");
-    react();
   }
   compare_deployments(delta_ctl, full_ctl, delta_dut, "routes");
   both("iptables -A FORWARD -s 10.66.0.1 -j DROP");
-  react();
   both("ip route del 10.120.0.0/24");
-  react();
   both("ip link set eth2 down");
-  react();
   compare_deployments(delta_ctl, full_ctl, delta_dut, "link down");
   both("ip link set eth2 up");
-  react();
-  delta_dut.del_pod();
-  full_dut.del_pod();
-  react();
+  del_pod();
   compare_deployments(delta_ctl, full_ctl, delta_dut, "final");
+  EXPECT_GT(mainline_drops, 0u);
 
   // The whole point: the delta controller synthesized a fraction of the
   // graph-emissions the from-scratch controller burned on the same events.

@@ -154,6 +154,17 @@ print(f"reaction storm smoke: modeled_speedup={modeled:.1f} "
 # over from-scratch synthesis (ROADMAP item 6 targets >= 5x).
 print(f"reaction storm wall speedup (host time, report-only): "
       f"{doc['storm_speedup']:.2f}")
+# Report-only host time, no gate: where the storm's reaction wall time goes,
+# summed per phase over the storm.
+for mode, phases in doc["storm_phase_wall_ms"].items():
+    print(f"reaction storm {mode} phase wall (host time, report-only): " +
+          ", ".join(f"{name} {ms:.1f} ms" for name, ms in phases.items()))
+# A reaction renders only the devices whose description changed: as many
+# graphs as delta synthesis re-emits, in either mode. A controller that
+# rebuilt every graph would render 68 per event.
+rendered = doc["storm_delta_rendered"]
+print(f"reaction storm graphs rendered: full={doc['storm_full_rendered']:.0f} "
+      f"delta={rendered:.0f} delta_graphs={doc['storm_delta_graphs']:.0f}")
 # Report-only host time, no gate: one iptables -A/-D event at two FORWARD
 # ruleset sizes on the gateway testbed.
 rule_event = doc["rule_event_wall_ms"]
@@ -166,6 +177,13 @@ if ratio < 5.0:
     raise SystemExit(f"delta graph-emission ratio {ratio:.1f}x below 5x")
 if not equivalent:
     raise SystemExit("delta deployed FPM set diverged from from-scratch")
+if rendered != doc["storm_delta_graphs"]:
+    raise SystemExit(f"storm rendered {rendered:.0f} graphs, delta synthesis "
+                     f"re-emitted {doc['storm_delta_graphs']:.0f}")
+if doc["storm_full_rendered"] != rendered:
+    raise SystemExit(f"from-scratch storm rendered "
+                     f"{doc['storm_full_rendered']:.0f} graphs, delta "
+                     f"{rendered:.0f}")
 EOF
 
 # Modeled numbers repeat exactly: the engine benches run a second time and
