@@ -7,8 +7,9 @@
 // a few routed uplinks plus a bridge full of pod ports — through a sustained
 // stream of mixed config events, comparing a from-scratch controller (every
 // event re-emits every graph) against delta synthesis (only graphs whose
-// description changed are re-emitted). Reaction work must be proportional to
-// the delta, not to the topology size.
+// description changed are re-emitted). Each controller runs the same event
+// sequence on its own DUT, one storm after the other. Reaction work must be
+// proportional to the delta, not to the topology size.
 //
 // The rule-event scaling mode times one iptables -A/-D pair on the gateway
 // testbed at 1k and 10k FORWARD rules: change events are applied to the
@@ -191,8 +192,6 @@ int main(int argc, char** argv) {
   std::uint64_t full_render_base = full_ctl.graph_render_count();
   std::uint64_t delta_render_base = delta_ctl.graph_render_count();
 
-  double full_time = 0, delta_time = 0;
-  double full_modeled = 0, delta_modeled = 0;
   // Wall time per reaction phase, summed over the storm: graphs (describe,
   // render, prune, dump, join), synthesize, deploy.
   struct PhaseSums {
@@ -202,51 +201,58 @@ int main(int argc, char** argv) {
       synth += r.synth_seconds;
       deploy += r.deploy_seconds;
     }
-  } full_phases, delta_phases;
-  int routes = 0, rules = 0;
-  auto both = [&](const std::string& cmd) {
-    full_dut.run(cmd);
-    delta_dut.run(cmd);
   };
-  for (int ev = 0; ev < kEvents; ++ev) {
-    switch (ev % 5) {
-      case 0:
-        both("ip route add 10." + std::to_string(101 + routes % 100) + "." +
-             std::to_string(routes / 100) + ".0/24 via 10.10.2.2 dev eth1");
-        ++routes;
-        break;
-      case 1:
-        both("iptables -A FORWARD -s 10.66." + std::to_string(rules / 250) +
-             "." + std::to_string(1 + rules % 250) + " -j DROP");
-        ++rules;
-        break;
-      case 2:
-        full_dut.add_pod();
-        delta_dut.add_pod();
-        break;
-      case 3:
-        if (routes > 0) {
-          --routes;
-          both("ip route del 10." + std::to_string(101 + routes % 100) + "." +
-               std::to_string(routes / 100) + ".0/24");
-        }
-        break;
-      default:
-        full_dut.del_pod();
-        delta_dut.del_pod();
-        break;
-    }
-    core::Reaction fr = full_ctl.run_once();
-    core::Reaction dr = delta_ctl.run_once();
-    full_time += fr.wall_seconds;
-    delta_time += dr.wall_seconds;
+  struct StormRun {
+    double wall = 0;
     // Modeled time folds in the clang/libbpf stages the real controller pays
     // per emitted program (Table VI) — the cost delta synthesis avoids.
-    full_modeled += fr.modeled_seconds;
-    delta_modeled += dr.modeled_seconds;
-    full_phases.add(fr);
-    delta_phases.add(dr);
-  }
+    double modeled = 0;
+    PhaseSums phases;
+  };
+  // Drives one controller through the whole event sequence on its own DUT.
+  // Each controller runs its storm alone, so its reactions are timed on
+  // caches that only its own work touched, not right after the other
+  // controller's deploy.
+  auto run_storm = [&](StormDut& dut, core::Controller& ctl) {
+    StormRun out;
+    int routes = 0, rules = 0;
+    for (int ev = 0; ev < kEvents; ++ev) {
+      switch (ev % 5) {
+        case 0:
+          dut.run("ip route add 10." + std::to_string(101 + routes % 100) +
+                  "." + std::to_string(routes / 100) +
+                  ".0/24 via 10.10.2.2 dev eth1");
+          ++routes;
+          break;
+        case 1:
+          dut.run("iptables -A FORWARD -s 10.66." +
+                  std::to_string(rules / 250) + "." +
+                  std::to_string(1 + rules % 250) + " -j DROP");
+          ++rules;
+          break;
+        case 2:
+          dut.add_pod();
+          break;
+        case 3:
+          if (routes > 0) {
+            --routes;
+            dut.run("ip route del 10." + std::to_string(101 + routes % 100) +
+                    "." + std::to_string(routes / 100) + ".0/24");
+          }
+          break;
+        default:
+          dut.del_pod();
+          break;
+      }
+      const core::Reaction r = ctl.run_once();
+      out.wall += r.wall_seconds;
+      out.modeled += r.modeled_seconds;
+      out.phases.add(r);
+    }
+    return out;
+  };
+  const StormRun delta = run_storm(delta_dut, delta_ctl);
+  const StormRun full = run_storm(full_dut, full_ctl);
 
   std::uint64_t full_graphs = full_ctl.graph_resynth_count() - full_base;
   std::uint64_t delta_graphs = delta_ctl.graph_resynth_count() - delta_base;
@@ -256,9 +262,9 @@ int main(int argc, char** argv) {
       full_ctl.graph_render_count() - full_render_base;
   std::uint64_t delta_rendered =
       delta_ctl.graph_render_count() - delta_render_base;
-  double speedup = delta_time > 0 ? full_time / delta_time : 0;
+  double speedup = delta.wall > 0 ? full.wall / delta.wall : 0;
   double modeled_speedup =
-      delta_modeled > 0 ? full_modeled / delta_modeled : 0;
+      delta.modeled > 0 ? full.modeled / delta.modeled : 0;
   double resynth_ratio =
       delta_graphs > 0 ? static_cast<double>(full_graphs) / delta_graphs : 0;
   bool equivalent =
@@ -267,11 +273,11 @@ int main(int argc, char** argv) {
   print_row({"mode", "sum wall(ms)", "sum modeled(s)", "graphs emitted",
              "per event"},
             {14, 14, 16, 16, 10});
-  print_row({"from-scratch", fmt(full_time * 1e3, 1), fmt(full_modeled, 1),
+  print_row({"from-scratch", fmt(full.wall * 1e3, 1), fmt(full.modeled, 1),
              std::to_string(full_graphs),
              fmt(static_cast<double>(full_graphs) / kEvents, 1)},
             {14, 14, 16, 16, 10});
-  print_row({"delta", fmt(delta_time * 1e3, 1), fmt(delta_modeled, 1),
+  print_row({"delta", fmt(delta.wall * 1e3, 1), fmt(delta.modeled, 1),
              std::to_string(delta_graphs),
              fmt(static_cast<double>(delta_graphs) / kEvents, 1)},
             {14, 14, 16, 16, 10});
@@ -279,13 +285,13 @@ int main(int argc, char** argv) {
   print_row({"mode", "graphs(ms)", "synthesize(ms)", "deploy(ms)",
              "rendered"},
             {14, 14, 16, 16, 10});
-  print_row({"from-scratch", fmt(full_phases.graphs * 1e3, 1),
-             fmt(full_phases.synth * 1e3, 1), fmt(full_phases.deploy * 1e3, 1),
+  print_row({"from-scratch", fmt(full.phases.graphs * 1e3, 1),
+             fmt(full.phases.synth * 1e3, 1), fmt(full.phases.deploy * 1e3, 1),
              std::to_string(full_rendered)},
             {14, 14, 16, 16, 10});
-  print_row({"delta", fmt(delta_phases.graphs * 1e3, 1),
-             fmt(delta_phases.synth * 1e3, 1),
-             fmt(delta_phases.deploy * 1e3, 1), std::to_string(delta_rendered)},
+  print_row({"delta", fmt(delta.phases.graphs * 1e3, 1),
+             fmt(delta.phases.synth * 1e3, 1),
+             fmt(delta.phases.deploy * 1e3, 1), std::to_string(delta_rendered)},
             {14, 14, 16, 16, 10});
   std::printf("\nstorm: wall speedup %.1fx, modeled reaction speedup %.1fx, "
               "graph-emission ratio %.1fx, deployed FPM sets %s\n",
@@ -303,7 +309,7 @@ int main(int argc, char** argv) {
   reporter.set("storm_delta_rendered", static_cast<double>(delta_rendered));
   util::Json phase_ms = util::Json::object();
   for (const auto& [mode, sums] :
-       {std::pair{"full", full_phases}, std::pair{"delta", delta_phases}}) {
+       {std::pair{"full", full.phases}, std::pair{"delta", delta.phases}}) {
     util::Json row = util::Json::object();
     row["graphs"] = sums.graphs * 1e3;
     row["synthesize"] = sums.synth * 1e3;

@@ -5,7 +5,9 @@
 // callee-saved, r10 read-only frame pointer), a 512-byte stack, ALU64 ops,
 // sized memory accesses, conditional forward jumps, helper calls and tail
 // calls. Pointers are tagged with a memory region so the VM can bounds-check
-// at runtime and the verifier can type-check statically.
+// at runtime and the verifier can type-check statically. A load or store the
+// verifier proved to hit one region at one offset on every path is decoded
+// to a handler that skips the tag (see DecodedOp).
 #pragma once
 
 #include <cstdint>
@@ -68,44 +70,42 @@ struct Insn {
   MemSize size = MemSize::kU64;
 };
 
-// Register-file slot that mirrors the current instruction's immediate; the
-// interpreter's register array is sized kNumRegs + 1 so the second-operand
-// fetch is a single unconditional indexed load (regs[src_sel]) instead of a
-// per-instruction use_imm branch.
-inline constexpr int kImmSlot = kNumRegs;
-
-// The interpreter's handler for one decoded instruction: the Op, except that
-// each memory op is split by access size (so no handler switches on the
-// size) and a call to bpf_tail_call gets its own handler (the interpreter
-// performs it; it is not a registry helper). The interpreter's dispatch table
-// has one entry per value, in this order.
+// The interpreter's handler for one decoded instruction: the Op, split so
+// that no handler decides at run time what decode already knows.
+//  - Every two-operand ALU op and every conditional jump has an immediate
+//    form (`*Imm`: the second operand is DecodedInsn::imm) and a register
+//    form (`*Reg`: regs[src]).
+//  - Loads and stores are split by access size, so no handler switches on
+//    the size. The checked forms (kLdx8 ... kSt64) decode the base
+//    register's pointer tag and bounds-check the region it names. The
+//    proven forms (kProvenLdx8 ... kProvenSt64) serve an access the verifier
+//    pinned to one region and one offset on every path: they add
+//    DecodedInsn::off to the run's base of DecodedInsn::region and keep only
+//    the length compare against that region's size.
+//  - A call to bpf_tail_call gets its own handler (the interpreter performs
+//    it; it is not a registry helper).
+// The interpreter's dispatch table has one entry per value, in this order.
 enum class DecodedOp : std::uint8_t {
-  kMov, kAdd, kSub, kMul, kDiv, kMod, kAnd, kOr, kXor, kLsh, kRsh, kArsh,
+  kMovImm, kMovReg, kAddImm, kAddReg, kSubImm, kSubReg,
+  kMulImm, kMulReg, kDivImm, kDivReg, kModImm, kModReg,
+  kAndImm, kAndReg, kOrImm, kOrReg, kXorImm, kXorReg,
+  kLshImm, kLshReg, kRshImm, kRshReg, kArshImm, kArshReg,
   kNeg, kBe16, kBe32,
   kLdx8, kLdx16, kLdx32, kLdx64,
   kStx8, kStx16, kStx32, kStx64,
   kSt8, kSt16, kSt32, kSt64,
-  kJa, kJeq, kJne, kJgt, kJge, kJlt, kJle, kJset,
+  kProvenLdx8, kProvenLdx16, kProvenLdx32, kProvenLdx64,
+  kProvenStx8, kProvenStx16, kProvenStx32, kProvenStx64,
+  kProvenSt8, kProvenSt16, kProvenSt32, kProvenSt64,
+  kJa,
+  kJeqImm, kJeqReg, kJneImm, kJneReg, kJgtImm, kJgtReg,
+  kJgeImm, kJgeReg, kJltImm, kJltReg, kJleImm, kJleReg,
+  kJsetImm, kJsetReg,
   kCall, kTailCall,
   kExit,
 };
 inline constexpr std::size_t kNumDecodedOps =
     static_cast<std::size_t>(DecodedOp::kExit) + 1;
-
-// Load-time decoded form of an Insn: the handler is chosen, the operand
-// selector is resolved into a register-file index and jump targets are
-// absolute, so the hot loop does no per-instruction re-derivation.
-struct DecodedInsn {
-  DecodedOp op = DecodedOp::kExit;
-  std::uint8_t dst = 0;
-  std::uint8_t src = 0;       // raw source register (pointer special cases)
-  std::uint8_t src_sel = 0;   // regs[] index of the second operand (kImmSlot
-                              // when use_imm)
-  bool use_imm = true;
-  std::int32_t off = 0;
-  std::int64_t imm = 0;
-  std::size_t jump_target = 0;  // absolute pc for kJa / taken kJ*
-};
 
 // Pointer tagging: region in bits [56,64), payload in the low 48 bits.
 enum class Region : std::uint8_t {
@@ -115,6 +115,20 @@ enum class Region : std::uint8_t {
   kCtx = 3,       // payload = offset into the context struct
   kMapValue = 4,  // payload = (handle << 24) | offset
 };
+
+// Load-time decoded form of an Insn: the handler is chosen (operand form,
+// access size, proven or checked) and jump targets are absolute, so the hot
+// loop does no per-instruction re-derivation.
+struct DecodedInsn {
+  DecodedOp op = DecodedOp::kExit;
+  std::uint8_t dst = 0;
+  std::uint8_t src = 0;
+  Region region = Region::kNone;  // proven loads and stores: what off indexes
+  std::int32_t off = 0;  // memory displacement; proven forms: region offset
+  std::int64_t imm = 0;
+  std::size_t jump_target = 0;  // absolute pc for kJa / taken kJ*
+};
+static_assert(sizeof(DecodedInsn) <= 32, "decoded stream stays dense");
 
 inline std::uint64_t make_ptr(Region region, std::uint64_t payload) {
   return (static_cast<std::uint64_t>(region) << 56) | (payload & 0xffffffffffffull);

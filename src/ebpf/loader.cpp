@@ -75,12 +75,15 @@ util::Result<std::uint32_t> Attachment::load(Program prog) {
   VerifyOptions opts;
   opts.helpers = &helpers_;
   opts.maps = &maps_;
-  auto status = verify(prog, opts);
+  ProgramProofs proofs;
+  auto status = verify(prog, opts, nullptr, &proofs);
   if (!status.ok()) return status.error();
   programs_.push_back(std::move(prog));
-  // Decode eagerly: per-CPU VMs run this program concurrently and must only
-  // ever read the finished stream, never build it.
-  programs_.back().decode();
+  // Decode eagerly, from what the verifier proved: per-CPU VMs run this
+  // program concurrently and must only ever read the finished stream, never
+  // build it. The program keeps the stream and its stack floor, not the
+  // proofs.
+  programs_.back().decode(&proofs);
   return static_cast<std::uint32_t>(programs_.size() - 1);
 }
 

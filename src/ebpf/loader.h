@@ -89,6 +89,8 @@ class Attachment : public kern::PacketProgram {
   util::Status set_entry(std::uint32_t prog_id);
 
   MapSet& maps() { return maps_; }
+  // The capability set the verifier checks and the VMs call into.
+  const HelperRegistry& helpers() const { return helpers_; }
 
   // Binds an AF_XDP socket; the returned slot is what an XSK-map entry must
   // contain for bpf_redirect_map to deliver into this socket.

@@ -33,6 +33,22 @@ const char* hook_type_name(HookType type);
 const char* helper_name(std::uint32_t id);
 const char* action_name(std::uint64_t ret);
 
+// What the verifier proved about one program (verify()'s optional output),
+// for Program::decode. access[pc] is the region and the absolute offset
+// (base pointer offset + displacement) that the load or store at pc reaches
+// on every path; region kNone means unproven (not a memory access, a
+// map-value access, or paths that disagree), and then off means nothing.
+// stack_floor is the lowest stack byte any load, store or typed helper
+// buffer of the program touches.
+struct AccessProof {
+  Region region = Region::kNone;
+  std::int32_t off = 0;
+};
+struct ProgramProofs {
+  std::vector<AccessProof> access;
+  std::size_t stack_floor = kStackSize;
+};
+
 struct Program {
   std::string name;
   HookType hook = HookType::kXdp;
@@ -41,15 +57,22 @@ struct Program {
   std::size_t size() const { return insns.size(); }
 
   // Decoded twin of insns for the interpreter hot loop. The loader builds it
-  // eagerly at load time (so concurrent per-CPU VMs only ever read it); the
-  // lazy path in code() exists for directly-constructed test programs, which
-  // are single-threaded. Mutating insns after a run requires decoded.clear().
+  // eagerly at load time from the verifier's proofs (so concurrent per-CPU
+  // VMs only ever read it); the lazy path in code() exists for
+  // directly-constructed test programs, which are single-threaded, and
+  // decodes without proofs: every access checked, floor 0. Mutating insns
+  // after a run requires decoded.clear().
   const std::vector<DecodedInsn>& code() const {
     if (decoded.size() != insns.size()) decode();
     return decoded;
   }
-  void decode() const;
+  // Without `proofs`, every load and store keeps its checked handler. With
+  // them (from an accepted verify of these insns), each proven access gets a
+  // proven handler and the run zeroes the stack only from stack_floor up.
+  void decode(const ProgramProofs* proofs = nullptr) const;
   mutable std::vector<DecodedInsn> decoded;
+  // Lowest stack byte the decoded stream may touch; valid after code().
+  mutable std::size_t stack_floor = 0;
 };
 
 // Well-known helper ids (kernel-numbering where one exists).

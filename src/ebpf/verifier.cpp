@@ -1,7 +1,9 @@
 #include "ebpf/verifier.h"
 
+#include <algorithm>
 #include <array>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,10 +84,16 @@ Status reject(const std::string& code, std::size_t pc,
                      "insn " + std::to_string(pc) + ": " + message);
 }
 
+// Marks an access whose visits disagreed (or that is never provable): region
+// kNone with this offset is never pinned again. A never-visited access reads
+// {kNone, 0}; a pinned offset is >= 0.
+constexpr std::int32_t kUnpinned = std::numeric_limits<std::int32_t>::min();
+
 class Verifier {
  public:
-  Verifier(const Program& prog, const VerifyOptions& opts, VerifyStats* stats)
-      : prog_(prog), opts_(opts), stats_(stats) {}
+  Verifier(const Program& prog, const VerifyOptions& opts, VerifyStats* stats,
+           ProgramProofs* proofs)
+      : prog_(prog), opts_(opts), stats_(stats), proofs_(proofs) {}
 
   Status run() {
     LFP_CHECK_MSG(opts_.helpers != nullptr, "verifier needs a helper set");
@@ -117,6 +125,10 @@ class Verifier {
     }
     // The last reachable instruction chain must exit; symbolic exec enforces
     // "pc past end" as an error anyway.
+    if (proofs_) {
+      proofs_->access.assign(prog_.insns.size(), AccessProof{});
+      proofs_->stack_floor = kStackSize;
+    }
 
     AbsState init;
     init.pc = 0;
@@ -167,6 +179,33 @@ class Verifier {
   }
 
  private:
+  // Records that the access at `pc` reached `region` at offset `off` on the
+  // path being explored. The first visit pins the pair; a visit that
+  // disagrees unpins it for good. A pruned visit needs no call: its state
+  // fingerprint equals an explored one, which covers the base register's
+  // type and offset, the only inputs of the pair.
+  void pin(std::size_t pc, Region region, std::int64_t off) {
+    if (!proofs_) return;
+    AccessProof& p = proofs_->access[pc];
+    const bool first = p.region == Region::kNone && p.off == 0;
+    if (first && off <= std::numeric_limits<std::int32_t>::max()) {
+      p = {region, static_cast<std::int32_t>(off)};
+    } else if (first || p.region != region || p.off != off) {
+      p = {Region::kNone, kUnpinned};
+    }
+  }
+  // The access at `pc` is never proven (a map value's span handle is known
+  // only at run time).
+  void unpin(std::size_t pc) {
+    if (proofs_) proofs_->access[pc] = {Region::kNone, kUnpinned};
+  }
+  void note_stack(std::int64_t lo) {
+    if (proofs_) {
+      proofs_->stack_floor =
+          std::min(proofs_->stack_floor, static_cast<std::size_t>(lo));
+    }
+  }
+
   Status check_mem_access(const AbsState& st, const RegState& base,
                           std::int32_t disp, MemSize size, std::size_t pc,
                           bool is_store) {
@@ -177,6 +216,8 @@ class Verifier {
         if (lo < 0 || lo + width > static_cast<std::int64_t>(kStackSize)) {
           return reject("stack_oob", pc, "stack access out of bounds");
         }
+        pin(pc, Region::kStack, lo);
+        note_stack(lo);
         return {};
       }
       case RT::kPtrCtx: {
@@ -188,6 +229,7 @@ class Verifier {
           // data/data_end are read-only, as in the kernel.
           return reject("ctx_ro", pc, "write to read-only ctx field");
         }
+        pin(pc, Region::kCtx, lo);
         return {};
       }
       case RT::kPtrPacket: {
@@ -199,6 +241,7 @@ class Verifier {
                             std::to_string(lo + width) + " verified, have " +
                             std::to_string(st.pkt_verified) + ")");
         }
+        pin(pc, Region::kPacket, lo);
         return {};
       }
       case RT::kPtrMapValue: {
@@ -206,6 +249,7 @@ class Verifier {
         if (lo < 0 || lo + width > static_cast<std::int64_t>(base.mv_size)) {
           return reject("mapvalue_oob", pc, "map value access out of bounds");
         }
+        unpin(pc);
         return {};
       }
       case RT::kPtrMapValueOrNull:
@@ -232,6 +276,7 @@ class Verifier {
           r[reg].off + min_size > static_cast<std::int64_t>(kStackSize)) {
         return reject("helper_arg", pc, "stack buffer too small for helper");
       }
+      note_stack(r[reg].off);
       return {};
     };
     switch (helper_id) {
@@ -528,20 +573,20 @@ class Verifier {
   const Program& prog_;
   const VerifyOptions& opts_;
   VerifyStats* stats_;
+  ProgramProofs* proofs_;
   std::unordered_map<std::size_t, std::unordered_set<std::uint64_t>> seen_;
 };
 
 }  // namespace
 
 Status verify(const Program& prog, const VerifyOptions& options,
-              VerifyStats* stats) {
+              VerifyStats* stats, ProgramProofs* proofs) {
   // Injected rejection: models a kernel verifier that refuses a program the
   // synthesizer believed to be valid (version skew, complexity limits).
-  if (auto st = util::FaultInjector::global().check(util::kFaultVerifier);
-      !st.ok()) {
-    return st;
-  }
-  return Verifier(prog, options, stats).run();
+  Status st = util::FaultInjector::global().check(util::kFaultVerifier);
+  if (st.ok()) st = Verifier(prog, options, stats, proofs).run();
+  if (!st.ok() && proofs) *proofs = ProgramProofs{};
+  return st;
 }
 
 }  // namespace linuxfp::ebpf

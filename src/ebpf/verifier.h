@@ -17,6 +17,11 @@
 //  - helper calls are checked against the capability set (registered
 //    helpers) and per-helper argument contracts; calls clobber r1-r5;
 //  - exit requires an initialized r0.
+//
+// Proofs (optional output of an accepted program, consumed by
+// Program::decode): per load and store, the region and the absolute offset
+// it reaches on every path, and the lowest stack byte the program touches.
+// DESIGN.md §8 gives the argument that these hold at run time.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +44,11 @@ struct VerifyOptions {
 };
 
 // Returns ok on acceptance; error.code starts with "verifier." on rejection.
+// When `proofs` is given, it receives the program's proofs on acceptance and
+// is left empty (no access proven) on rejection; recording costs nothing
+// when it is null.
 util::Status verify(const Program& prog, const VerifyOptions& options,
-                    VerifyStats* stats = nullptr);
+                    VerifyStats* stats = nullptr,
+                    ProgramProofs* proofs = nullptr);
 
 }  // namespace linuxfp::ebpf

@@ -21,19 +21,23 @@ DecodedOp decoded_op(const Insn& in) {
     }
     return static_cast<DecodedOp>(static_cast<int>(u8) + step);
   };
+  // Two-operand handlers come in (immediate, register) pairs.
+  auto form = [&](DecodedOp imm) {
+    return static_cast<DecodedOp>(static_cast<int>(imm) + (in.use_imm ? 0 : 1));
+  };
   switch (in.op) {
-    case Op::kMov: return DecodedOp::kMov;
-    case Op::kAdd: return DecodedOp::kAdd;
-    case Op::kSub: return DecodedOp::kSub;
-    case Op::kMul: return DecodedOp::kMul;
-    case Op::kDiv: return DecodedOp::kDiv;
-    case Op::kMod: return DecodedOp::kMod;
-    case Op::kAnd: return DecodedOp::kAnd;
-    case Op::kOr: return DecodedOp::kOr;
-    case Op::kXor: return DecodedOp::kXor;
-    case Op::kLsh: return DecodedOp::kLsh;
-    case Op::kRsh: return DecodedOp::kRsh;
-    case Op::kArsh: return DecodedOp::kArsh;
+    case Op::kMov: return form(DecodedOp::kMovImm);
+    case Op::kAdd: return form(DecodedOp::kAddImm);
+    case Op::kSub: return form(DecodedOp::kSubImm);
+    case Op::kMul: return form(DecodedOp::kMulImm);
+    case Op::kDiv: return form(DecodedOp::kDivImm);
+    case Op::kMod: return form(DecodedOp::kModImm);
+    case Op::kAnd: return form(DecodedOp::kAndImm);
+    case Op::kOr: return form(DecodedOp::kOrImm);
+    case Op::kXor: return form(DecodedOp::kXorImm);
+    case Op::kLsh: return form(DecodedOp::kLshImm);
+    case Op::kRsh: return form(DecodedOp::kRshImm);
+    case Op::kArsh: return form(DecodedOp::kArshImm);
     case Op::kNeg: return DecodedOp::kNeg;
     case Op::kBe16: return DecodedOp::kBe16;
     case Op::kBe32: return DecodedOp::kBe32;
@@ -41,13 +45,13 @@ DecodedOp decoded_op(const Insn& in) {
     case Op::kStx: return sized(DecodedOp::kStx8);
     case Op::kSt: return sized(DecodedOp::kSt8);
     case Op::kJa: return DecodedOp::kJa;
-    case Op::kJeq: return DecodedOp::kJeq;
-    case Op::kJne: return DecodedOp::kJne;
-    case Op::kJgt: return DecodedOp::kJgt;
-    case Op::kJge: return DecodedOp::kJge;
-    case Op::kJlt: return DecodedOp::kJlt;
-    case Op::kJle: return DecodedOp::kJle;
-    case Op::kJset: return DecodedOp::kJset;
+    case Op::kJeq: return form(DecodedOp::kJeqImm);
+    case Op::kJne: return form(DecodedOp::kJneImm);
+    case Op::kJgt: return form(DecodedOp::kJgtImm);
+    case Op::kJge: return form(DecodedOp::kJgeImm);
+    case Op::kJlt: return form(DecodedOp::kJltImm);
+    case Op::kJle: return form(DecodedOp::kJleImm);
+    case Op::kJset: return form(DecodedOp::kJsetImm);
     case Op::kCall:
       return static_cast<std::uint32_t>(in.imm) == kHelperTailCall
                  ? DecodedOp::kTailCall
@@ -55,6 +59,18 @@ DecodedOp decoded_op(const Insn& in) {
     case Op::kExit: return DecodedOp::kExit;
   }
   return DecodedOp::kExit;
+}
+
+// The proven twin of a checked load or store handler: the twelve proven
+// handlers follow the twelve checked ones in the same order.
+static_assert(static_cast<int>(DecodedOp::kProvenLdx8) -
+                      static_cast<int>(DecodedOp::kLdx8) ==
+                  12 &&
+              static_cast<int>(DecodedOp::kSt64) -
+                      static_cast<int>(DecodedOp::kLdx8) ==
+                  11);
+DecodedOp proven_op(DecodedOp checked) {
+  return static_cast<DecodedOp>(static_cast<int>(checked) + 12);
 }
 
 // Helpers whose behaviour is a pure function of the packet bytes, the
@@ -103,36 +119,25 @@ template <typename T>
                   ptr_payload(tagged) + static_cast<std::uint64_t>(delta));
 }
 
-// The second ALU/branch operand. The register file's kImmSlot mirrors this
-// instruction's immediate, so the operand is one unconditional indexed load
-// (no use_imm branch).
-[[gnu::always_inline]] inline std::uint64_t operand(std::uint64_t* regs,
-                                                   const DecodedInsn& in) {
-  regs[kImmSlot] = static_cast<std::uint64_t>(in.imm);
-  return regs[in.src_sel];
-}
-
-// A conditional jump's operands. Pointer comparisons compare payloads within
-// the same region (the data_end bounds-check pattern).
+// A register-form conditional jump's operands. Pointer comparisons compare
+// payloads within the same region (the data_end bounds-check pattern).
 struct JumpOperands {
   std::uint64_t a;
   std::uint64_t b;
 };
-[[gnu::always_inline]] inline JumpOperands jump_operands(
-    std::uint64_t* regs, const DecodedInsn& in) {
-  std::uint64_t a = regs[in.dst];
-  std::uint64_t b = operand(regs, in);
-  if (ptr_region(a) != Region::kNone && !in.use_imm &&
-      ptr_region(b) == ptr_region(a)) {
-    a = ptr_payload(a);
-    b = ptr_payload(b);
+[[gnu::always_inline]] inline JumpOperands jump_operands(std::uint64_t a,
+                                                         std::uint64_t b) {
+  if (ptr_region(a) != Region::kNone && ptr_region(b) == ptr_region(a)) {
+    return {ptr_payload(a), ptr_payload(b)};
   }
   return {a, b};
 }
 
 }  // namespace
 
-void Program::decode() const {
+void Program::decode(const ProgramProofs* proofs) const {
+  LFP_CHECK_MSG(!proofs || proofs->access.size() == insns.size(),
+                "proofs of another program");
   decoded.clear();
   decoded.reserve(insns.size());
   for (std::size_t pc = 0; pc < insns.size(); ++pc) {
@@ -141,14 +146,25 @@ void Program::decode() const {
     d.op = decoded_op(in);
     d.dst = in.dst;
     d.src = in.src;
-    d.src_sel = in.use_imm ? static_cast<std::uint8_t>(kImmSlot) : in.src;
-    d.use_imm = in.use_imm;
     d.off = in.off;
     d.imm = in.imm;
     d.jump_target = static_cast<std::size_t>(
         static_cast<std::int64_t>(pc) + 1 + in.off);
+    if (proofs && proofs->access[pc].region != Region::kNone) {
+      const AccessProof& proof = proofs->access[pc];
+      LFP_CHECK_MSG(in.op == Op::kLdx || in.op == Op::kStx || in.op == Op::kSt,
+                    "access proof on a non-memory instruction");
+      LFP_CHECK_MSG(proof.off >= 0 && (proof.region == Region::kStack ||
+                                       proof.region == Region::kPacket ||
+                                       proof.region == Region::kCtx),
+                    "access proof outside the per-run regions");
+      d.op = proven_op(d.op);
+      d.region = proof.region;
+      d.off = proof.off;
+    }
     decoded.push_back(d);
   }
+  stack_floor = proofs ? proofs->stack_floor : 0;
 }
 
 const char* hook_type_name(HookType type) {
@@ -291,12 +307,26 @@ std::uint64_t HelperContext::make_map_value_ptr(std::uint8_t* base,
 
 // --- Vm -----------------------------------------------------------------------
 
+[[gnu::always_inline]] inline void Vm::zero_stack_from(RunState& state,
+                                                      std::size_t lo) {
+  if (lo < state.zeroed) {
+    std::memset(state.stack + lo, 0, state.zeroed - lo);
+    state.zeroed = lo;
+  }
+}
+
 [[gnu::always_inline]] inline std::uint8_t* Vm::resolve(
     RunState& state, std::uint64_t tagged, std::size_t len) {
   const std::uint64_t payload = ptr_payload(tagged);
   switch (ptr_region(tagged)) {
     case Region::kStack:
-      return payload + len <= kStackSize ? state.stack + payload : nullptr;
+      if (payload + len > kStackSize) return nullptr;
+      // Below every access the verifier saw: only a helper reading through
+      // an untyped argument, or a checked access the proofs did not cover.
+      if (__builtin_expect(payload < state.zeroed, 0)) {
+        zero_stack_from(state, payload);
+      }
+      return state.stack + payload;
     case Region::kPacket:
       return payload + len <= state.pkt->size() ? state.pkt->data() + payload
                                                 : nullptr;
@@ -360,7 +390,9 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
   RunState state;
   state.pkt = &pkt;
   state.recorder = recorder;
-  std::memset(state.stack, 0, sizeof(state.stack));
+  state.stack = frame_;
+  entry_prog.code();  // a lazy decode sets the floor
+  zero_stack_from(state, entry_prog.stack_floor);
   std::memset(state.ctx, 0, sizeof(state.ctx));
   std::memset(state.regs, 0, sizeof(state.regs));
 
@@ -403,7 +435,42 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
     goto* kDispatch[static_cast<std::size_t>(insn->op)];              \
   } while (0)
 
-// A load of sizeof(T) bytes: regs[dst] = *(T*)(regs[src] + off).
+// An ALU op in both operand forms: the statements run with `src` bound to
+// the immediate (op_<name>_imm) or to regs[insn->src] (op_<name>_reg), and
+// kReg telling which.
+#define LFP_VM_ALU(name, ...)                                               \
+  op_##name##_imm : {                                                       \
+    [[maybe_unused]] constexpr bool kReg = false;                           \
+    const std::uint64_t src = static_cast<std::uint64_t>(insn->imm);        \
+    __VA_ARGS__;                                                            \
+    ++pc;                                                                   \
+    LFP_VM_NEXT();                                                          \
+  }                                                                         \
+  op_##name##_reg : {                                                       \
+    [[maybe_unused]] constexpr bool kReg = true;                            \
+    const std::uint64_t src = regs[insn->src];                              \
+    __VA_ARGS__;                                                            \
+    ++pc;                                                                   \
+    LFP_VM_NEXT();                                                          \
+  }
+
+// A conditional jump in both operand forms, taken when `cond` holds over
+// `a` (regs[dst]) and `b` (the immediate, or the JumpOperands of regs[dst]
+// and regs[src]).
+#define LFP_VM_JUMP(name, cond)                                             \
+  op_##name##_imm : {                                                       \
+    const std::uint64_t a = regs[insn->dst];                                \
+    const std::uint64_t b = static_cast<std::uint64_t>(insn->imm);          \
+    pc = (cond) ? insn->jump_target : pc + 1;                               \
+    LFP_VM_NEXT();                                                          \
+  }                                                                         \
+  op_##name##_reg : {                                                       \
+    const auto [a, b] = jump_operands(regs[insn->dst], regs[insn->src]);    \
+    pc = (cond) ? insn->jump_target : pc + 1;                               \
+    LFP_VM_NEXT();                                                          \
+  }
+
+// A checked load of sizeof(T) bytes: regs[dst] = *(T*)(regs[src] + off).
 #define LFP_VM_LDX(T)                                                       \
   do {                                                                      \
     const std::uint64_t addr = ptr_add(regs[insn->src], insn->off);         \
@@ -419,7 +486,7 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
     LFP_VM_NEXT();                                                          \
   } while (0)
 
-// A store of sizeof(T) bytes: *(T*)(regs[dst] + off) = value.
+// A checked store of sizeof(T) bytes: *(T*)(regs[dst] + off) = value.
 #define LFP_VM_STORE(T, value)                                              \
   do {                                                                      \
     const std::uint64_t addr = ptr_add(regs[insn->dst], insn->off);         \
@@ -435,26 +502,50 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
     LFP_VM_NEXT();                                                          \
   } while (0)
 
-// A conditional jump taken when `cond` holds over the JumpOperands `j`.
-#define LFP_VM_JUMP_IF(cond)                                                \
+// A proven access of sizeof(T) bytes at offset off of the run's region
+// `region` (the verifier pinned both on every path): no tag to decode and
+// no region to switch on. The length compare stays, so a verifier miss
+// aborts instead of touching host memory. `access` loads or stores through
+// p; `note` is the recorder's packet read or write hook.
+#define LFP_VM_PROVEN(T, note, access)                                      \
   do {                                                                      \
-    const JumpOperands j = jump_operands(regs, *insn);                      \
-    pc = (cond) ? insn->jump_target : pc + 1;                               \
+    const auto r = static_cast<std::size_t>(insn->region);                  \
+    const std::uint64_t off = static_cast<std::uint32_t>(insn->off);        \
+    if (__builtin_expect(off + sizeof(T) > limit[r], 0)) {                  \
+      return fail_access(make_ptr(insn->region, off), sizeof(T), executed,  \
+                         tail_calls);                                       \
+    }                                                                       \
+    if (recorder && insn->region == Region::kPacket) {                      \
+      recorder->note(off, sizeof(T));                                       \
+    }                                                                       \
+    std::uint8_t* const p = base[r] + off;                                  \
+    access;                                                                 \
+    ++pc;                                                                   \
     LFP_VM_NEXT();                                                          \
   } while (0)
 
 VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
   // One entry per DecodedOp, in enum order.
   static const void* const kDispatch[] = {
-      &&op_mov,   &&op_add,   &&op_sub,   &&op_mul,   &&op_div,
-      &&op_mod,   &&op_and,   &&op_or,    &&op_xor,   &&op_lsh,
-      &&op_rsh,   &&op_arsh,  &&op_neg,   &&op_be16,  &&op_be32,
-      &&op_ldx8,  &&op_ldx16, &&op_ldx32, &&op_ldx64,
-      &&op_stx8,  &&op_stx16, &&op_stx32, &&op_stx64,
-      &&op_st8,   &&op_st16,  &&op_st32,  &&op_st64,
-      &&op_ja,    &&op_jeq,   &&op_jne,   &&op_jgt,   &&op_jge,
-      &&op_jlt,   &&op_jle,   &&op_jset,
-      &&op_call,  &&op_tail_call,
+      &&op_mov_imm,  &&op_mov_reg,  &&op_add_imm,  &&op_add_reg,
+      &&op_sub_imm,  &&op_sub_reg,  &&op_mul_imm,  &&op_mul_reg,
+      &&op_div_imm,  &&op_div_reg,  &&op_mod_imm,  &&op_mod_reg,
+      &&op_and_imm,  &&op_and_reg,  &&op_or_imm,   &&op_or_reg,
+      &&op_xor_imm,  &&op_xor_reg,  &&op_lsh_imm,  &&op_lsh_reg,
+      &&op_rsh_imm,  &&op_rsh_reg,  &&op_arsh_imm, &&op_arsh_reg,
+      &&op_neg,      &&op_be16,     &&op_be32,
+      &&op_ldx8,     &&op_ldx16,    &&op_ldx32,    &&op_ldx64,
+      &&op_stx8,     &&op_stx16,    &&op_stx32,    &&op_stx64,
+      &&op_st8,      &&op_st16,     &&op_st32,     &&op_st64,
+      &&op_pldx8,    &&op_pldx16,   &&op_pldx32,   &&op_pldx64,
+      &&op_pstx8,    &&op_pstx16,   &&op_pstx32,   &&op_pstx64,
+      &&op_pst8,     &&op_pst16,    &&op_pst32,    &&op_pst64,
+      &&op_ja,
+      &&op_jeq_imm,  &&op_jeq_reg,  &&op_jne_imm,  &&op_jne_reg,
+      &&op_jgt_imm,  &&op_jgt_reg,  &&op_jge_imm,  &&op_jge_reg,
+      &&op_jlt_imm,  &&op_jlt_reg,  &&op_jle_imm,  &&op_jle_reg,
+      &&op_jset_imm, &&op_jset_reg,
+      &&op_call,     &&op_tail_call,
       &&op_exit,
   };
   static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == kNumDecodedOps,
@@ -465,9 +556,14 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
   std::uint64_t* const regs = state.regs;
   engine::FlowCacheRecorder* const recorder = state.recorder;
   util::PacketTrace* const trace = util::active_packet_trace();
+  // The proven handlers' region bases and sizes, indexed by Region. No
+  // helper moves or resizes the packet, so they hold for the whole run.
+  std::uint8_t* const base[] = {nullptr, state.stack, state.pkt->data(),
+                                state.ctx};
+  const std::uint64_t limit[] = {0, kStackSize, state.pkt->size(), kCtxSize};
 
   // Hot loop runs over the pre-decoded instruction stream: handler, operand
-  // selector and jump targets were resolved at load time (Program::decode).
+  // form and jump targets were resolved at load time (Program::decode).
   const DecodedInsn* code = entry_prog.code().data();
   std::size_t prog_size = entry_prog.insns.size();
   std::size_t pc = 0;
@@ -477,78 +573,42 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
 
   LFP_VM_NEXT();
 
-op_mov:
-  regs[insn->dst] = operand(regs, *insn);
-  ++pc;
-  LFP_VM_NEXT();
-op_add: {
-  const std::uint64_t src = operand(regs, *insn);
-  std::uint64_t& dst = regs[insn->dst];
-  dst = ptr_region(dst) != Region::kNone
-            ? ptr_add(dst, static_cast<std::int64_t>(src))
-            : dst + src;
-  ++pc;
-  LFP_VM_NEXT();
-}
-op_sub: {
-  const std::uint64_t src = operand(regs, *insn);
-  std::uint64_t& dst = regs[insn->dst];
-  if (ptr_region(dst) != Region::kNone && !insn->use_imm &&
-      ptr_region(regs[insn->src]) == ptr_region(dst)) {
-    // pointer - pointer = scalar distance
-    dst = ptr_payload(dst) - ptr_payload(regs[insn->src]);
-  } else if (ptr_region(dst) != Region::kNone) {
-    dst = ptr_add(dst, -static_cast<std::int64_t>(src));
-  } else {
-    dst -= src;
-  }
-  ++pc;
-  LFP_VM_NEXT();
-}
-op_mul:
-  regs[insn->dst] *= operand(regs, *insn);
-  ++pc;
-  LFP_VM_NEXT();
-op_div: {
-  const std::uint64_t src = operand(regs, *insn);
-  if (src == 0) return fail("division by zero", executed, tail_calls);
-  regs[insn->dst] /= src;
-  ++pc;
-  LFP_VM_NEXT();
-}
-op_mod: {
-  const std::uint64_t src = operand(regs, *insn);
-  if (src == 0) return fail("mod by zero", executed, tail_calls);
-  regs[insn->dst] %= src;
-  ++pc;
-  LFP_VM_NEXT();
-}
-op_and:
-  regs[insn->dst] &= operand(regs, *insn);
-  ++pc;
-  LFP_VM_NEXT();
-op_or:
-  regs[insn->dst] |= operand(regs, *insn);
-  ++pc;
-  LFP_VM_NEXT();
-op_xor:
-  regs[insn->dst] ^= operand(regs, *insn);
-  ++pc;
-  LFP_VM_NEXT();
-op_lsh:
-  regs[insn->dst] <<= (operand(regs, *insn) & 63);
-  ++pc;
-  LFP_VM_NEXT();
-op_rsh:
-  regs[insn->dst] >>= (operand(regs, *insn) & 63);
-  ++pc;
-  LFP_VM_NEXT();
-op_arsh:
-  regs[insn->dst] = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(regs[insn->dst]) >>
-      (operand(regs, *insn) & 63));
-  ++pc;
-  LFP_VM_NEXT();
+  LFP_VM_ALU(mov, regs[insn->dst] = src)
+  LFP_VM_ALU(add, {
+    std::uint64_t& dst = regs[insn->dst];
+    dst = ptr_region(dst) != Region::kNone
+              ? ptr_add(dst, static_cast<std::int64_t>(src))
+              : dst + src;
+  })
+  LFP_VM_ALU(sub, {
+    std::uint64_t& dst = regs[insn->dst];
+    if (kReg && ptr_region(dst) != Region::kNone &&
+        ptr_region(src) == ptr_region(dst)) {
+      // pointer - pointer = scalar distance
+      dst = ptr_payload(dst) - ptr_payload(src);
+    } else if (ptr_region(dst) != Region::kNone) {
+      dst = ptr_add(dst, -static_cast<std::int64_t>(src));
+    } else {
+      dst -= src;
+    }
+  })
+  LFP_VM_ALU(mul, regs[insn->dst] *= src)
+  LFP_VM_ALU(div, {
+    if (src == 0) return fail("division by zero", executed, tail_calls);
+    regs[insn->dst] /= src;
+  })
+  LFP_VM_ALU(mod, {
+    if (src == 0) return fail("mod by zero", executed, tail_calls);
+    regs[insn->dst] %= src;
+  })
+  LFP_VM_ALU(and, regs[insn->dst] &= src)
+  LFP_VM_ALU(or, regs[insn->dst] |= src)
+  LFP_VM_ALU(xor, regs[insn->dst] ^= src)
+  LFP_VM_ALU(lsh, regs[insn->dst] <<= (src & 63))
+  LFP_VM_ALU(rsh, regs[insn->dst] >>= (src & 63))
+  LFP_VM_ALU(arsh, regs[insn->dst] = static_cast<std::uint64_t>(
+                       static_cast<std::int64_t>(regs[insn->dst]) >>
+                       (src & 63)))
 op_neg:
   regs[insn->dst] = static_cast<std::uint64_t>(
       -static_cast<std::int64_t>(regs[insn->dst]));
@@ -591,23 +651,56 @@ op_st32:
   LFP_VM_STORE(std::uint32_t, static_cast<std::uint64_t>(insn->imm));
 op_st64:
   LFP_VM_STORE(std::uint64_t, static_cast<std::uint64_t>(insn->imm));
+op_pldx8:
+  LFP_VM_PROVEN(std::uint8_t, note_packet_read,
+                regs[insn->dst] = load_as<std::uint8_t>(p));
+op_pldx16:
+  LFP_VM_PROVEN(std::uint16_t, note_packet_read,
+                regs[insn->dst] = load_as<std::uint16_t>(p));
+op_pldx32:
+  LFP_VM_PROVEN(std::uint32_t, note_packet_read,
+                regs[insn->dst] = load_as<std::uint32_t>(p));
+op_pldx64:
+  LFP_VM_PROVEN(std::uint64_t, note_packet_read,
+                regs[insn->dst] = load_as<std::uint64_t>(p));
+op_pstx8:
+  LFP_VM_PROVEN(std::uint8_t, note_packet_write,
+                store_as<std::uint8_t>(p, regs[insn->src]));
+op_pstx16:
+  LFP_VM_PROVEN(std::uint16_t, note_packet_write,
+                store_as<std::uint16_t>(p, regs[insn->src]));
+op_pstx32:
+  LFP_VM_PROVEN(std::uint32_t, note_packet_write,
+                store_as<std::uint32_t>(p, regs[insn->src]));
+op_pstx64:
+  LFP_VM_PROVEN(std::uint64_t, note_packet_write,
+                store_as<std::uint64_t>(p, regs[insn->src]));
+op_pst8:
+  LFP_VM_PROVEN(std::uint8_t, note_packet_write,
+                store_as<std::uint8_t>(
+                    p, static_cast<std::uint64_t>(insn->imm)));
+op_pst16:
+  LFP_VM_PROVEN(std::uint16_t, note_packet_write,
+                store_as<std::uint16_t>(
+                    p, static_cast<std::uint64_t>(insn->imm)));
+op_pst32:
+  LFP_VM_PROVEN(std::uint32_t, note_packet_write,
+                store_as<std::uint32_t>(
+                    p, static_cast<std::uint64_t>(insn->imm)));
+op_pst64:
+  LFP_VM_PROVEN(std::uint64_t, note_packet_write,
+                store_as<std::uint64_t>(
+                    p, static_cast<std::uint64_t>(insn->imm)));
 op_ja:
   pc = insn->jump_target;
   LFP_VM_NEXT();
-op_jeq:
-  LFP_VM_JUMP_IF(j.a == j.b);
-op_jne:
-  LFP_VM_JUMP_IF(j.a != j.b);
-op_jgt:
-  LFP_VM_JUMP_IF(j.a > j.b);
-op_jge:
-  LFP_VM_JUMP_IF(j.a >= j.b);
-op_jlt:
-  LFP_VM_JUMP_IF(j.a < j.b);
-op_jle:
-  LFP_VM_JUMP_IF(j.a <= j.b);
-op_jset:
-  LFP_VM_JUMP_IF((j.a & j.b) != 0);
+  LFP_VM_JUMP(jeq, a == b)
+  LFP_VM_JUMP(jne, a != b)
+  LFP_VM_JUMP(jgt, a > b)
+  LFP_VM_JUMP(jge, a >= b)
+  LFP_VM_JUMP(jlt, a < b)
+  LFP_VM_JUMP(jle, a <= b)
+  LFP_VM_JUMP(jset, (a & b) != 0)
 op_call: {
   const auto helper_id = static_cast<std::uint32_t>(insn->imm);
   const Helper* helper = helpers_.find(helper_id);
@@ -663,6 +756,9 @@ op_tail_call: {
   code = next.code().data();
   prog_size = next.insns.size();
   pc = 0;
+  // The next program's proven stack accesses reach down to its floor, which
+  // this run may not have zeroed yet.
+  zero_stack_from(state, next.stack_floor);
   // Tail call preserves only the context pointer convention: r1 is
   // re-established; caller-saved state is lost.
   regs[kR1] = make_ptr(Region::kCtx, 0);
@@ -685,9 +781,11 @@ budget_exceeded:
   return fail("instruction budget exceeded", executed, tail_calls);
 }
 
-#undef LFP_VM_JUMP_IF
+#undef LFP_VM_PROVEN
 #undef LFP_VM_STORE
 #undef LFP_VM_LDX
+#undef LFP_VM_JUMP
+#undef LFP_VM_ALU
 #undef LFP_VM_NEXT
 
 }  // namespace linuxfp::ebpf

@@ -3,7 +3,11 @@
 // Executes verified programs against a packet + context. Cycles charged:
 // per-instruction cost, per-helper base cost plus whatever the helper itself
 // charges (e.g. a FIB lookup charges the kernel's LPM cost), and a tail-call
-// penalty per transition — the source of the Fig 10 result.
+// penalty per transition — the source of the Fig 10 result. The cycles do
+// not depend on how a program was decoded: a load or store the verifier
+// proved runs a handler that adds its offset to the run's base of its region
+// and keeps one length compare; every other access decodes the pointer tag
+// and bounds-checks the region it names (DESIGN.md §8).
 #pragma once
 
 #include <array>
@@ -52,6 +56,11 @@ class Vm {
   // The CPU this VM models (one engine worker per CPU). Selects the slot of
   // per-CPU maps and the return value of bpf_get_smp_processor_id. A Vm is
   // single-threaded; parallelism comes from one Vm per CPU over shared maps.
+  // It owns the 512 B stack frame its runs use: a run zeroes the frame only
+  // from the program's stack floor up, and further down only where it
+  // reaches (a tail call into a program with a lower floor, or a helper's
+  // or checked access below the zeroed range). So a run never reads a byte
+  // an earlier run left, and what it leaves is deterministic.
   void set_cpu(unsigned cpu) { cpu_ = cpu; }
   unsigned cpu() const { return cpu_; }
 
@@ -86,11 +95,12 @@ class Vm {
 
   struct RunState {
     net::Packet* pkt = nullptr;
-    std::uint8_t stack[kStackSize];
+    std::uint8_t* stack = nullptr;  // the Vm's frame_
+    // Lowest frame byte zeroed so far in this run: [zeroed, kStackSize)
+    // holds only bytes this run wrote or zeroed.
+    std::size_t zeroed = kStackSize;
     std::uint8_t ctx[kCtxSize];
-    // One extra slot (kImmSlot) mirrors the current instruction's immediate
-    // so operand selection is an unconditional indexed load.
-    std::uint64_t regs[kNumRegs + 1];
+    std::uint64_t regs[kNumRegs];
     engine::FlowCacheRecorder* recorder = nullptr;
     std::uint64_t extra_cycles = 0;
     int redirect_ifindex = 0;
@@ -103,8 +113,11 @@ class Vm {
     std::vector<Span> spans;
   };
 
+  // Zeroes the frame from byte `lo` up to the range already zeroed.
+  static void zero_stack_from(RunState& state, std::size_t lo);
   // The host address of `len` bytes at tagged pointer `tagged`, or null when
-  // the region or bounds check fails. Inline: every load and store runs it.
+  // the region or bounds check fails. A stack access below the zeroed range
+  // zeroes the gap first. Inline: every checked load and store runs it.
   static std::uint8_t* resolve(RunState& state, std::uint64_t tagged,
                                std::size_t len);
   // resolve() with the reason for a failure, for HelperContext::mem and the
@@ -132,6 +145,7 @@ class Vm {
   const std::vector<Program>* prog_table_;
   unsigned cpu_ = 0;
   RunState* state_ = nullptr;  // valid during run()
+  alignas(8) std::uint8_t frame_[kStackSize] = {};
 
   struct Counts {
     std::array<std::uint64_t, HelperRegistry::kIdLimit> helper_calls{};

@@ -3,7 +3,12 @@
 //     runtime with a memory error, on any packet.
 //  2. Robustness: random instruction streams (mostly garbage) must be
 //     cleanly rejected — never crash the verifier or, if accepted, the VM.
+//  3. Proofs: an accepted program decoded from its proofs (proven handlers,
+//     stack zeroed from its floor up) runs exactly like the same program
+//     decoded without them, on a frame the previous runs left dirty.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "ebpf/builder.h"
 #include "ebpf/kernel_helpers.h"
@@ -25,14 +30,41 @@ class FuzzRig {
     return verify(p, opts);
   }
 
-  VmResult run(const Program& p, net::Packet& pkt) {
-    Vm vm(cost_, helpers_, maps_, nullptr);
-    return vm.run(p, pkt, 1, nullptr);
+  // Runs accepted program `p` on `pkt` twice, each on its own persistent Vm:
+  // decoded without proofs (every access checked, whole frame zeroed), and
+  // decoded from its proofs, as Attachment::load does. Requires equal
+  // results and packet bytes, and returns the unproven run's result.
+  VmResult run_both(const Program& p, net::Packet& pkt) {
+    VerifyOptions opts;
+    opts.helpers = &helpers_;
+    opts.maps = &maps_;
+    ProgramProofs proofs;
+    EXPECT_TRUE(verify(p, opts, nullptr, &proofs).ok());
+    Program proven = p;
+    proven.decode(&proofs);
+    Program checked = p;
+    checked.decoded.clear();
+    net::Packet twin(pkt);
+    const VmResult a = checked_vm_.run(checked, pkt, 1, nullptr);
+    const VmResult b = proven_vm_.run(proven, twin, 1, nullptr);
+    EXPECT_EQ(a.ret, b.ret);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.insns_executed, b.insns_executed);
+    EXPECT_EQ(a.tail_calls, b.tail_calls);
+    EXPECT_EQ(a.redirect_ifindex, b.redirect_ifindex);
+    EXPECT_EQ(a.redirect_xsk, b.redirect_xsk);
+    EXPECT_EQ(a.aborted, b.aborted);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_TRUE(std::equal(pkt.data(), pkt.data() + pkt.size(), twin.data(),
+                           twin.data() + twin.size()));
+    return a;
   }
 
   kern::CostModel cost_;
   HelperRegistry helpers_;
   MapSet maps_;
+  Vm checked_vm_{cost_, helpers_, maps_, nullptr};
+  Vm proven_vm_{cost_, helpers_, maps_, nullptr};
 };
 
 // Completely random (garbage) instruction streams.
@@ -65,8 +97,9 @@ TEST(VerifierFuzz, GarbageProgramsNeverCrashAndAcceptedOnesNeverAbort) {
     if (!st.ok()) continue;  // rejection is fine; not crashing is the test
     ++accepted;
     for (std::size_t len : {0u, 14u, 60u, 1500u}) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " len " << len);
       net::Packet pkt(len);
-      auto r = rig.run(p, pkt);
+      auto r = rig.run_both(p, pkt);
       // Division by zero is the one runtime trap the verifier does not
       // track (the kernel patches in a runtime guard instead; our VM's
       // abort models that guard).
@@ -159,7 +192,7 @@ TEST(VerifierFuzz, StructuredProgramsAlwaysVerifyAndRunClean) {
       for (std::size_t i = 0; i < pkt.size(); ++i) {
         pkt.data()[i] = static_cast<std::uint8_t>(rng.next_u64());
       }
-      auto r = rig.run(p, pkt);
+      auto r = rig.run_both(p, pkt);
       ASSERT_FALSE(r.aborted)
           << "trial " << trial << " len " << len << ": " << r.error;
       EXPECT_EQ(r.ret, kActPass);

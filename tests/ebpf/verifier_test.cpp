@@ -291,5 +291,138 @@ TEST_F(VerifierTest, StatsReportExploration) {
   EXPECT_GT(stats.states_visited, 0u);
 }
 
+// --- proofs: what an accepted program exports for Program::decode ----------
+
+// Index of the only instruction of `op` in `p`.
+std::size_t pc_of(const Program& p, Op op) {
+  std::size_t found = p.insns.size();
+  for (std::size_t pc = 0; pc < p.insns.size(); ++pc) {
+    if (p.insns[pc].op == op) {
+      EXPECT_EQ(found, p.insns.size()) << "more than one " << op_name(op);
+      found = pc;
+    }
+  }
+  EXPECT_LT(found, p.insns.size());
+  return found;
+}
+
+// A store reached on two paths whose base registers point at `a_off` and
+// `b_off` below the frame pointer. r4 differs between the paths, so neither
+// visit is pruned as a repeat of the other.
+Program two_path_store(std::int64_t a_off, std::int64_t b_off) {
+  ProgramBuilder b("two_paths", HookType::kXdp);
+  b.ldx(kR3, kR1, kCtxIfindex, MemSize::kU64);
+  b.mov_reg(kR2, kR10);
+  b.jeq(kR3, 1, "b");
+  b.add(kR2, -a_off);
+  b.mov(kR4, 1);
+  b.ja("store");
+  b.label("b");
+  b.add(kR2, -b_off);
+  b.mov(kR4, 2);
+  b.label("store");
+  b.st(kR2, 0, 7, MemSize::kU64);
+  b.ret(kActPass);
+  return b.build().value();
+}
+
+TEST_F(VerifierTest, ProofPinsAnAccessOnlyWhenEveryPathAgrees) {
+  for (bool agree : {true, false}) {
+    SCOPED_TRACE(agree ? "equal offsets" : "different offsets");
+    const Program p = two_path_store(16, agree ? 16 : 24);
+    ProgramProofs proofs;
+    VerifyStats stats;
+    ASSERT_TRUE(verify(p, opts_, &stats, &proofs).ok());
+    ASSERT_EQ(proofs.access.size(), p.insns.size());
+    const std::size_t store = pc_of(p, Op::kSt);
+    // The ctx load is on every path, once.
+    EXPECT_EQ(proofs.access[0].region, Region::kCtx);
+    EXPECT_EQ(proofs.access[0].off, kCtxIfindex);
+    p.decode(&proofs);
+    if (agree) {
+      EXPECT_EQ(proofs.access[store].region, Region::kStack);
+      EXPECT_EQ(proofs.access[store].off, 512 - 16);
+      EXPECT_EQ(p.decoded[store].op, DecodedOp::kProvenSt64);
+      EXPECT_EQ(p.decoded[store].off, 512 - 16);
+      EXPECT_EQ(p.stack_floor, 512u - 16);
+    } else {
+      EXPECT_EQ(proofs.access[store].region, Region::kNone);
+      EXPECT_EQ(p.decoded[store].op, DecodedOp::kSt64);
+      EXPECT_EQ(p.decoded[store].off, 0);  // the displacement, unresolved
+      EXPECT_EQ(p.stack_floor, 512u - 24);
+    }
+    // Non-memory instructions carry no proof.
+    EXPECT_EQ(proofs.access[1].region, Region::kNone);
+  }
+}
+
+TEST_F(VerifierTest, MapValueAccessIsNeverProven) {
+  std::uint32_t map_id = maps_.create("m", MapType::kHash, 4, 8, 4);
+  ProgramBuilder b("mapval", HookType::kXdp);
+  b.mov_reg(kR2, kR10);
+  b.add(kR2, -8);
+  b.st(kR2, 0, 1, MemSize::kU32);
+  b.mov(kR1, map_id);
+  b.call(kHelperMapLookup);
+  b.jeq(kR0, 0, "miss");
+  b.ldx(kR0, kR0, 0, MemSize::kU64);
+  b.exit();
+  b.label("miss");
+  b.ret(kActPass);
+  const Program p = b.build().value();
+  ProgramProofs proofs;
+  ASSERT_TRUE(verify(p, opts_, nullptr, &proofs).ok());
+  const std::size_t load = pc_of(p, Op::kLdx);
+  EXPECT_EQ(proofs.access[load].region, Region::kNone);
+  // The key store on the stack is proven.
+  EXPECT_EQ(proofs.access[pc_of(p, Op::kSt)].region, Region::kStack);
+  p.decode(&proofs);
+  EXPECT_EQ(p.decoded[load].op, DecodedOp::kLdx64);
+}
+
+TEST_F(VerifierTest, StackFloorIsTheLowestStackAccess) {
+  ProgramBuilder b("floor", HookType::kXdp);
+  b.st(kR10, -8, 1, MemSize::kU64);       // 504
+  b.ldx(kR3, kR10, -100, MemSize::kU8);   // 412
+  b.mov_reg(kR2, kR10);
+  b.add(kR2, -200);
+  b.ldx(kR3, kR2, 16, MemSize::kU16);     // 312 + 16 = 328
+  b.ldx(kR3, kR1, kCtxIfindex, MemSize::kU64);  // ctx: not the stack
+  b.ret(kActPass);
+  ProgramProofs proofs;
+  ASSERT_TRUE(verify(b.build().value(), opts_, nullptr, &proofs).ok());
+  EXPECT_EQ(proofs.stack_floor, 328u);
+
+  // No stack access: nothing to zero.
+  ProgramBuilder none("nostack", HookType::kXdp);
+  none.ret(kActPass);
+  ASSERT_TRUE(verify(none.build().value(), opts_, nullptr, &proofs).ok());
+  EXPECT_EQ(proofs.stack_floor, kStackSize);
+
+  // A typed helper buffer counts: bpf_fib_lookup writes 40 B at r2.
+  ProgramBuilder fib("fib", HookType::kXdp);
+  fib.mov_reg(kR2, kR10);
+  fib.add(kR2, -64);
+  fib.st(kR2, 0, 0, MemSize::kU64);  // 448
+  fib.mov_reg(kR2, kR10);
+  fib.add(kR2, -128);                // 384, only the helper touches it
+  fib.call(kHelperFibLookup);
+  fib.ret(kActPass);
+  ASSERT_TRUE(verify(fib.build().value(), opts_, nullptr, &proofs).ok());
+  EXPECT_EQ(proofs.stack_floor, 384u);
+}
+
+TEST_F(VerifierTest, RejectedProgramExportsNoProofs) {
+  ProgramProofs proofs;
+  ASSERT_TRUE(verify(two_path_store(16, 16), opts_, nullptr, &proofs).ok());
+  ASSERT_FALSE(proofs.access.empty());
+  ProgramBuilder b("oob", HookType::kXdp);
+  b.st(kR10, 0, 1, MemSize::kU64);
+  b.ret(kActPass);
+  EXPECT_FALSE(verify(b.build().value(), opts_, nullptr, &proofs).ok());
+  EXPECT_TRUE(proofs.access.empty());
+  EXPECT_EQ(proofs.stack_floor, kStackSize);
+}
+
 }  // namespace
 }  // namespace linuxfp::ebpf

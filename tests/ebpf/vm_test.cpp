@@ -4,6 +4,7 @@
 
 #include "ebpf/builder.h"
 #include "ebpf/kernel_helpers.h"
+#include "ebpf/verifier.h"
 #include "kernel/kernel.h"
 #include "net/headers.h"
 
@@ -17,6 +18,29 @@ class VmTest : public ::testing::Test {
   VmResult run(Program prog, net::Packet& pkt) {
     Vm vm(cost_, helpers_, maps_, &progs_);
     return vm.run(prog, pkt, 1, nullptr);
+  }
+
+  // `prog` verified and decoded from its proofs, as Attachment::load does.
+  Program proven(Program prog) {
+    VerifyOptions opts;
+    opts.helpers = &helpers_;
+    opts.maps = &maps_;
+    ProgramProofs proofs;
+    EXPECT_TRUE(verify(prog, opts, nullptr, &proofs).ok());
+    prog.decode(&proofs);
+    return prog;
+  }
+
+  // Fills the whole frame of `vm` with 0xff, as an earlier run may leave it.
+  void dirty_frame(Vm& vm) {
+    ProgramBuilder b("dirty", HookType::kXdp);
+    b.mov(kR2, -1);
+    for (int slot = 1; slot <= static_cast<int>(kStackSize / 8); ++slot) {
+      b.stx(kR10, -8 * slot, kR2, MemSize::kU64);
+    }
+    b.ret(kActPass);
+    net::Packet pkt(64);
+    ASSERT_FALSE(vm.run(b.build().value(), pkt, 1, nullptr).aborted);
   }
 
   kern::CostModel cost_;
@@ -443,9 +467,10 @@ TEST_F(VmTest, NarrowLoadsZeroExtend) {
   }
 
   // Every access size in every region (stack, packet, ctx, map value), for
-  // each of ldx, stx and st: fill 8 bytes with ones, store the pattern at
-  // the size under test, then read it back at that size (ldx width) or at
-  // u64 (store width). A handler of the wrong width fails one of the three.
+  // each of ldx, stx and st, checked and proven: fill 8 bytes with ones,
+  // store the pattern at the size under test, then read it back at that
+  // size (ldx width) or at u64 (store width). A handler of the wrong width
+  // fails one of the three.
   const std::uint32_t vals = maps_.create("vals", MapType::kHash, 4, 8, 4);
   std::uint32_t key = 7;
   std::uint64_t zero = 0;
@@ -465,6 +490,10 @@ TEST_F(VmTest, NarrowLoadsZeroExtend) {
         break;
       case Where::kPacket:
         b.ldx(kR6, kR1, kCtxData, MemSize::kU64);
+        b.ldx(kR2, kR1, kCtxDataEnd, MemSize::kU64);
+        b.mov_reg(kR3, kR6);
+        b.add(kR3, 16);
+        b.jgt_reg(kR3, kR2, "out");
         b.add(kR6, 8);
         break;
       case Where::kCtx:
@@ -477,6 +506,7 @@ TEST_F(VmTest, NarrowLoadsZeroExtend) {
         b.st(kR2, 0, key, MemSize::kU32);
         b.mov(kR1, vals);
         b.call(kHelperMapLookup);
+        b.jeq(kR0, 0, "out");
         b.mov_reg(kR6, kR0);
         break;
     }
@@ -489,6 +519,8 @@ TEST_F(VmTest, NarrowLoadsZeroExtend) {
     }
     b.ldx(kR0, kR6, 0, check == Check::kStxLdx ? size : MemSize::kU64);
     b.exit();
+    b.label("out");
+    b.ret(kActAborted);
     return b.build().value();
   };
   for (Where where :
@@ -503,10 +535,26 @@ TEST_F(VmTest, NarrowLoadsZeroExtend) {
         SCOPED_TRACE(::testing::Message()
                      << "region " << static_cast<int>(where) << " u" << bits
                      << " check " << static_cast<int>(check));
-        net::Packet pkt(64);
-        auto r = run(mem_prog(where, size, check), pkt);
-        ASSERT_FALSE(r.aborted) << r.error;
-        EXPECT_EQ(r.ret, check == Check::kStxLdx ? low : (low | ~mask));
+        // Checked handlers (decoded without proofs), then the proven ones
+        // (every access but the map value's is pinned).
+        const Program checked = mem_prog(where, size, check);
+        const Program pinned = proven(checked);
+        int proven_ops = 0;
+        for (const DecodedInsn& d : pinned.code()) {
+          proven_ops += d.op >= DecodedOp::kProvenLdx8 &&
+                        d.op <= DecodedOp::kProvenSt64;
+        }
+        // Three accesses through r6, plus the packet's two ctx loads or the
+        // map key's stack store; the map value's own three stay checked.
+        EXPECT_EQ(proven_ops, where == Where::kPacket     ? 5
+                              : where == Where::kMapValue ? 1
+                                                          : 3);
+        for (const Program* prog : {&checked, &pinned}) {
+          net::Packet pkt(64);
+          auto r = run(*prog, pkt);
+          ASSERT_FALSE(r.aborted) << r.error;
+          EXPECT_EQ(r.ret, check == Check::kStxLdx ? low : (low | ~mask));
+        }
       }
     }
   }
@@ -654,6 +702,101 @@ TEST_F(VmTest, AbortReasonsPinned) {
     EXPECT_EQ(r.cycles, c.executed * cost_.bpf_insn + c.extra_cycles);
     EXPECT_EQ(r.tail_calls, c.tail_calls);
   }
+}
+
+// A run zeroes the frame only from the entry program's stack floor up. A
+// tail call into a program with a lower floor zeroes the gap first, so on a
+// frame an earlier run left dirty the callee reads 0 from every byte this run
+// did not write, and reads what the caller wrote.
+TEST_F(VmTest, TailCallZeroesTheStackBelowTheCallersFloor) {
+  const std::uint32_t pa = maps_.create("jmp", MapType::kProgArray, 4, 4, 1);
+  // Callee, floor 0: r0 = the sum of the frame's 64 u64 slots.
+  ProgramBuilder callee("callee", HookType::kXdp);
+  callee.mov(kR0, 0);
+  for (int slot = 64; slot >= 1; --slot) {
+    callee.ldx(kR2, kR10, -8 * slot, MemSize::kU64);
+    callee.add_reg(kR0, kR2);
+  }
+  callee.exit();
+  progs_.push_back(proven(callee.build().value()));
+  ASSERT_EQ(progs_[0].stack_floor, 0u);
+  ASSERT_TRUE(maps_.get(pa)->set_prog(0, 0).ok());
+  // Caller, floor 504: writes its slot, then tail-calls the callee.
+  ProgramBuilder caller("caller", HookType::kXdp);
+  caller.st(kR10, -8, 0x1234, MemSize::kU64);
+  caller.mov(kR2, pa);
+  caller.mov(kR3, 0);
+  caller.call(kHelperTailCall);
+  caller.ret(kActPass);
+  const Program entry = proven(caller.build().value());
+  ASSERT_EQ(entry.stack_floor, kStackSize - 8);
+  for (const DecodedInsn& d : progs_[0].code()) {
+    EXPECT_FALSE(d.op == DecodedOp::kLdx64) << "callee load left checked";
+  }
+
+  Vm vm(cost_, helpers_, maps_, &progs_);
+  dirty_frame(vm);
+  net::Packet pkt(64);
+  const VmResult r = vm.run(entry, pkt, 1, nullptr);
+  ASSERT_FALSE(r.aborted) << r.error;
+  EXPECT_EQ(r.tail_calls, 1u);
+  EXPECT_EQ(r.ret, 0x1234u);
+}
+
+// A helper reads through whatever r1-r5 hold. bpf_csum_diff's buffers are
+// not typed by the verifier, so a tagged constant reaches it as a scalar and
+// can point below the stack floor: the helper's access zeroes the gap first.
+TEST_F(VmTest, HelperReadBelowTheStackFloorReadsZeros) {
+  ProgramBuilder b("csum", HookType::kXdp);
+  b.st(kR10, -8, -1, MemSize::kU64);  // floor 504
+  b.mov(kR1, 0);
+  b.mov(kR2, 0);
+  b.mov(kR3, static_cast<std::int64_t>(make_ptr(Region::kStack, 0)));
+  b.mov(kR4, kStackSize - 8);
+  b.mov(kR5, 0);
+  b.call(kHelperCsumDiff);  // checksum of bytes [0, 504): 0 iff all zero
+  b.exit();
+  const Program prog = proven(b.build().value());
+  ASSERT_EQ(prog.stack_floor, kStackSize - 8);
+
+  Vm vm(cost_, helpers_, maps_, &progs_);
+  dirty_frame(vm);
+  net::Packet pkt(64);
+  const VmResult r = vm.run(prog, pkt, 1, nullptr);
+  ASSERT_FALSE(r.aborted) << r.error;
+  EXPECT_EQ(r.ret, 0u);
+  // The same program decoded without proofs zeroes the whole frame itself.
+  Program unproven = prog;
+  unproven.decoded.clear();
+  dirty_frame(vm);
+  EXPECT_EQ(vm.run(unproven, pkt, 1, nullptr).ret, 0u);
+  EXPECT_EQ(unproven.stack_floor, 0u);
+}
+
+// A proven access keeps its length compare: if the verifier were wrong about
+// a packet bound, the run aborts with the checked handler's message instead
+// of reading past the packet.
+TEST_F(VmTest, ProvenAccessKeepsTheLengthCompare) {
+  ProgramBuilder b("pkt", HookType::kXdp);
+  b.ldx(kR2, kR1, kCtxData, MemSize::kU64);
+  b.ldx(kR3, kR1, kCtxDataEnd, MemSize::kU64);
+  b.mov_reg(kR4, kR2);
+  b.add(kR4, 14);
+  b.jgt_reg(kR4, kR3, "short");
+  b.ldx(kR0, kR2, 12, MemSize::kU16);
+  b.exit();
+  b.label("short");
+  b.ret(kActDrop);
+  Program prog = proven(b.build().value());
+  const std::size_t load = 5;
+  ASSERT_EQ(prog.decoded[load].op, DecodedOp::kProvenLdx16);
+  // Pretend the proof had named offset 63 (within no 64 B packet's 2 B).
+  prog.decoded[load].off = 63;
+  net::Packet pkt(64);
+  const VmResult r = run(prog, pkt);
+  EXPECT_TRUE(r.aborted);
+  EXPECT_EQ(r.error, "packet access out of bounds");
+  EXPECT_EQ(r.insns_executed, 6u);
 }
 
 TEST_F(VmTest, InstructionBudgetGuard) {
