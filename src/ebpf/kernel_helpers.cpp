@@ -37,8 +37,8 @@ void register_generic(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t, std::uint64_t, std::uint64_t) -> std::uint64_t {
         Map* map = ctx.map(static_cast<std::uint32_t>(r1));
         if (!map) return 0;
-        auto key = ctx.mem(r2, map->key_size());
-        if (!key.ok()) return 0;
+        std::uint8_t* key = ctx.mem(r2, map->key_size());
+        if (!key) return 0;
         const kern::CostModel& c = cost_of(ctx, cost);
         ctx.charge(map->is_array_like()
                        ? c.bpf_map_array
@@ -46,7 +46,7 @@ void register_generic(HelperRegistry& registry, const kern::CostModel& cost) {
                                                            : c.bpf_map_hash));
         // On a per-CPU map this yields the running CPU's slot, so concurrent
         // workers each write private bytes (this_cpu_ptr semantics).
-        std::uint8_t* value = map->lookup(key.value(), ctx.cpu());
+        std::uint8_t* value = map->lookup(key, ctx.cpu());
         if (!value) return 0;
         return ctx.make_map_value_ptr(value, map->value_size());
       });
@@ -57,14 +57,14 @@ void register_generic(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t r3, std::uint64_t, std::uint64_t) -> std::uint64_t {
         Map* map = ctx.map(static_cast<std::uint32_t>(r1));
         if (!map) return static_cast<std::uint64_t>(-1);
-        auto key = ctx.mem(r2, map->key_size());
-        auto value = ctx.mem(r3, map->value_size());
-        if (!key.ok() || !value.ok()) return static_cast<std::uint64_t>(-1);
+        std::uint8_t* key = ctx.mem(r2, map->key_size());
+        std::uint8_t* value = ctx.mem(r3, map->value_size());
+        if (!key || !value) return static_cast<std::uint64_t>(-1);
         const kern::CostModel& c = cost_of(ctx, cost);
         ctx.charge(map->is_array_like() ? c.bpf_map_array : c.bpf_map_hash);
         // Program-side per-CPU update touches only this CPU's slot (and, for
         // per-CPU hashes, fails on a missing key rather than inserting).
-        return map->update_cpu(key.value(), value.value(), ctx.cpu()).ok()
+        return map->update_cpu(key, value, ctx.cpu()).ok()
                    ? 0
                    : static_cast<std::uint64_t>(-1);
       });
@@ -75,11 +75,11 @@ void register_generic(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t, std::uint64_t, std::uint64_t) -> std::uint64_t {
         Map* map = ctx.map(static_cast<std::uint32_t>(r1));
         if (!map) return static_cast<std::uint64_t>(-1);
-        auto key = ctx.mem(r2, map->key_size());
-        if (!key.ok()) return static_cast<std::uint64_t>(-1);
+        std::uint8_t* key = ctx.mem(r2, map->key_size());
+        if (!key) return static_cast<std::uint64_t>(-1);
         const kern::CostModel& c = cost_of(ctx, cost);
         ctx.charge(map->is_array_like() ? c.bpf_map_array : c.bpf_map_hash);
-        return map->erase(key.value()) ? 0 : static_cast<std::uint64_t>(-1);
+        return map->erase(key) ? 0 : static_cast<std::uint64_t>(-1);
       });
 
   // bpf_tail_call is intercepted by the interpreter itself; the registration
@@ -144,16 +144,16 @@ void register_generic(HelperRegistry& registry, const kern::CostModel& cost) {
         // csum_diff(from, from_size, to, to_size, seed)
         std::uint32_t seed = static_cast<std::uint32_t>(r5);
         if (r2 > 0) {
-          auto from = ctx.mem(r1, r2);
-          if (!from.ok()) return static_cast<std::uint64_t>(-1);
+          const std::uint8_t* from = ctx.mem(r1, r2);
+          if (!from) return static_cast<std::uint64_t>(-1);
           // subtracting: add one's complement
-          std::uint32_t sum = net::checksum_fold(from.value(), r2);
+          std::uint32_t sum = net::checksum_fold(from, r2);
           seed += static_cast<std::uint16_t>(~sum);
         }
         if (r4 > 0) {
-          auto to = ctx.mem(r3, r4);
-          if (!to.ok()) return static_cast<std::uint64_t>(-1);
-          seed = net::checksum_fold(to.value(), r4, seed);
+          const std::uint8_t* to = ctx.mem(r3, r4);
+          if (!to) return static_cast<std::uint64_t>(-1);
+          seed = net::checksum_fold(to, r4, seed);
         }
         while (seed >> 16) seed = (seed & 0xffff) + (seed >> 16);
         return seed;
@@ -169,9 +169,8 @@ void register_fib(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t, std::uint64_t, std::uint64_t) -> std::uint64_t {
         kern::Kernel* kernel = ctx.kernel();
         if (!kernel) return kFibLkupNotFwded;
-        auto params = ctx.mem(r2, kFibParamSize);
-        if (!params.ok()) return kFibLkupNotFwded;
-        std::uint8_t* p = params.value();
+        std::uint8_t* p = ctx.mem(r2, kFibParamSize);
+        if (!p) return kFibLkupNotFwded;
         ctx.charge(cost_of(ctx, cost).bpf_fib_lookup_helper);
 
         if (auto* rec = ctx.recorder()) {
@@ -211,9 +210,8 @@ void register_fdb(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t, std::uint64_t, std::uint64_t) -> std::uint64_t {
         kern::Kernel* kernel = ctx.kernel();
         if (!kernel) return kFdbLkupMiss;
-        auto params = ctx.mem(r2, kFdbParamSize);
-        if (!params.ok()) return kFdbLkupMiss;
-        std::uint8_t* p = params.value();
+        std::uint8_t* p = ctx.mem(r2, kFdbParamSize);
+        if (!p) return kFdbLkupMiss;
         ctx.charge(cost_of(ctx, cost).bpf_fdb_lookup_helper);
 
         if (auto* rec = ctx.recorder()) {
@@ -280,9 +278,8 @@ void register_ipt(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t, std::uint64_t, std::uint64_t) -> std::uint64_t {
         kern::Kernel* kernel = ctx.kernel();
         if (!kernel) return kIptVerdictPunt;
-        auto params = ctx.mem(r2, kIptParamSize);
-        if (!params.ok()) return kIptVerdictPunt;
-        std::uint8_t* p = params.value();
+        std::uint8_t* p = ctx.mem(r2, kIptParamSize);
+        if (!p) return kIptVerdictPunt;
 
         if (auto* rec = ctx.recorder()) {
           // Rule table, ipset membership and device names (-i/-o matches).
@@ -372,9 +369,8 @@ void register_ct(HelperRegistry& registry, const kern::CostModel& cost) {
              std::uint64_t, std::uint64_t, std::uint64_t) -> std::uint64_t {
         kern::Kernel* kernel = ctx.kernel();
         if (!kernel) return kCtLkupMiss;
-        auto params = ctx.mem(r2, kCtParamSize);
-        if (!params.ok()) return kCtLkupMiss;
-        std::uint8_t* p = params.value();
+        std::uint8_t* p = ctx.mem(r2, kCtParamSize);
+        if (!p) return kCtLkupMiss;
         ctx.charge(cost_of(ctx, cost).conntrack_lookup);
 
         net::FlowKey key;

@@ -109,8 +109,9 @@ class HelperContext {
   // and the slot per-CPU map helpers address.
   unsigned cpu() const;
 
-  // Translates a tagged pointer to host memory with bounds checking.
-  util::Result<std::uint8_t*> mem(std::uint64_t tagged, std::size_t len);
+  // The host address of `len` bytes at tagged pointer `tagged`, or null
+  // when the region or bounds check fails.
+  std::uint8_t* mem(std::uint64_t tagged, std::size_t len);
 
   // Charges extra cycles beyond the per-helper base cost.
   void charge(std::uint64_t cycles);

@@ -259,19 +259,6 @@ std::size_t MapSet::count() const {
 
 // --- HelperContext ------------------------------------------------------------
 
-util::Result<std::uint8_t*> HelperContext::mem(std::uint64_t tagged,
-                                               std::size_t len) {
-  auto r = vm_.translate(tagged, len);
-  // Helpers receive an untyped span; conservatively treat packet-region
-  // accesses as both read and written for the flow-cache diff.
-  if (r.ok() && vm_.state_->recorder &&
-      ptr_region(tagged) == Region::kPacket) {
-    vm_.state_->recorder->note_packet_read(ptr_payload(tagged), len);
-    vm_.state_->recorder->note_packet_write(ptr_payload(tagged), len);
-  }
-  return r;
-}
-
 engine::FlowCacheRecorder* HelperContext::recorder() {
   return vm_.state_->recorder;
 }
@@ -299,7 +286,7 @@ unsigned HelperContext::cpu() const { return vm_.cpu(); }
 
 std::uint64_t HelperContext::make_map_value_ptr(std::uint8_t* base,
                                                 std::size_t size) {
-  auto& spans = vm_.state_->spans;
+  auto& spans = *vm_.state_->spans;
   spans.push_back({base, size});
   return make_ptr(Region::kMapValue,
                   (static_cast<std::uint64_t>(spans.size() - 1) << 24));
@@ -335,14 +322,25 @@ std::uint64_t HelperContext::make_map_value_ptr(std::uint8_t* base,
     case Region::kMapValue: {
       const std::uint64_t handle = payload >> 24;
       const std::uint64_t off = payload & 0xffffff;
-      if (handle >= state.spans.size()) return nullptr;
-      const RunState::Span& span = state.spans[handle];
+      if (handle >= state.spans->size()) return nullptr;
+      const Span& span = (*state.spans)[handle];
       return off + len <= span.size ? span.base + off : nullptr;
     }
     case Region::kNone:
       break;
   }
   return nullptr;
+}
+
+std::uint8_t* HelperContext::mem(std::uint64_t tagged, std::size_t len) {
+  std::uint8_t* p = Vm::resolve(*vm_.state_, tagged, len);
+  // Helpers receive an untyped span; conservatively treat packet-region
+  // accesses as both read and written for the flow-cache diff.
+  if (p && vm_.state_->recorder && ptr_region(tagged) == Region::kPacket) {
+    vm_.state_->recorder->note_packet_read(ptr_payload(tagged), len);
+    vm_.state_->recorder->note_packet_write(ptr_payload(tagged), len);
+  }
+  return p;
 }
 
 util::Result<std::uint8_t*> Vm::translate(std::uint64_t tagged,
@@ -357,7 +355,7 @@ util::Result<std::uint8_t*> Vm::translate(std::uint64_t tagged,
     case Region::kCtx:
       return util::Error::make("vm.oob", "ctx access out of bounds");
     case Region::kMapValue:
-      if ((ptr_payload(tagged) >> 24) >= state_->spans.size()) {
+      if ((ptr_payload(tagged) >> 24) >= state_->spans->size()) {
         return util::Error::make("vm.oob", "bad map value handle");
       }
       return util::Error::make("vm.oob", "map value access out of bounds");
@@ -391,6 +389,8 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
   state.pkt = &pkt;
   state.recorder = recorder;
   state.stack = frame_;
+  spans_.clear();
+  state.spans = &spans_;
   entry_prog.code();  // a lazy decode sets the floor
   zero_stack_from(state, entry_prog.stack_floor);
   std::memset(state.ctx, 0, sizeof(state.ctx));

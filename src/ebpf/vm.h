@@ -93,6 +93,13 @@ class Vm {
  private:
   friend class HelperContext;
 
+  // A map value handed out by bpf_map_lookup_elem: a map-value pointer's
+  // handle indexes the run's spans.
+  struct Span {
+    std::uint8_t* base;
+    std::size_t size;
+  };
+
   struct RunState {
     net::Packet* pkt = nullptr;
     std::uint8_t* stack = nullptr;  // the Vm's frame_
@@ -105,12 +112,7 @@ class Vm {
     std::uint64_t extra_cycles = 0;
     int redirect_ifindex = 0;
     int redirect_xsk = -1;
-    // Live map-value spans handed out by map_lookup during this run.
-    struct Span {
-      std::uint8_t* base;
-      std::size_t size;
-    };
-    std::vector<Span> spans;
+    std::vector<Span>* spans = nullptr;  // the Vm's spans_
   };
 
   // Zeroes the frame from byte `lo` up to the range already zeroed.
@@ -120,8 +122,8 @@ class Vm {
   // zeroes the gap first. Inline: every checked load and store runs it.
   static std::uint8_t* resolve(RunState& state, std::uint64_t tagged,
                                std::size_t len);
-  // resolve() with the reason for a failure, for HelperContext::mem and the
-  // abort message of a faulting load or store.
+  // resolve() with the reason for a failure, for the abort message of a
+  // faulting load or store.
   util::Result<std::uint8_t*> translate(std::uint64_t tagged, std::size_t len);
 
   // The threaded interpreter loop; state_ must be live.
@@ -146,6 +148,10 @@ class Vm {
   unsigned cpu_ = 0;
   RunState* state_ = nullptr;  // valid during run()
   alignas(8) std::uint8_t frame_[kStackSize] = {};
+  // The map-value spans of the current run. A run starts by clearing them
+  // and keeps their capacity, so a map hit allocates only when a run holds
+  // more spans than any run before it on this VM.
+  std::vector<Span> spans_;
 
   struct Counts {
     std::array<std::uint64_t, HelperRegistry::kIdLimit> helper_calls{};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace linuxfp::kern {
@@ -218,6 +222,136 @@ TEST(Fib, RandomizedAgainstLinearScan) {
     } else {
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(got->route.dst.to_string(), best->dst.to_string());
+    }
+  }
+}
+
+// Seeded churn against two oracles: the route a linear scan picks (longest
+// prefix, then lowest metric), and the closed-form depth of the binary trie,
+// which never frees a node: the most leading bits the destination shares
+// with any prefix ever added, each capped at that prefix's length. Prefixes
+// nest around a few anchors and favour the lengths on either side of the
+// index's 8-bit strides, and every mutation is followed by probes inside,
+// on both edges of and just outside every prefix the round has used.
+TEST(Fib, IndexMatchesOraclesUnderChurn) {
+  constexpr std::uint8_t kStrideNeighbours[] = {0,  7,  8,  9,  15, 16,
+                                                17, 23, 24, 25, 31, 32};
+  util::Rng rng(2024);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<net::Ipv4Prefix> pool;
+    const std::uint32_t anchors[] = {rng.next_u32(), rng.next_u32(),
+                                     rng.next_u32()};
+    while (pool.size() < 48) {
+      const auto len = static_cast<std::uint8_t>(
+          rng.next_below(2) ? kStrideNeighbours[rng.next_below(12)]
+                            : rng.next_below(33));
+      // Flip a few bits of an anchor so prefixes share long runs of bits.
+      std::uint32_t addr = anchors[rng.next_below(3)];
+      for (int flips = static_cast<int>(rng.next_below(3)); flips > 0;
+           --flips) {
+        addr ^= 1u << rng.next_below(32);
+      }
+      pool.emplace_back(net::Ipv4Addr(addr), len);
+    }
+
+    Fib fib;
+    std::vector<Route> live;               // the oracle's route set
+    std::vector<net::Ipv4Prefix> created;  // every prefix ever added
+    auto expect_route = [&](std::uint32_t dst) {
+      const Route* best = nullptr;
+      for (const Route& r : live) {
+        if (!r.dst.contains(net::Ipv4Addr(dst))) continue;
+        if (!best || r.dst.prefix_len() > best->dst.prefix_len() ||
+            (r.dst.prefix_len() == best->dst.prefix_len() &&
+             r.metric < best->metric)) {
+          best = &r;
+        }
+      }
+      return best;
+    };
+    auto expect_depth = [&](std::uint32_t dst) {
+      std::size_t depth = 0;
+      for (const net::Ipv4Prefix& p : created) {
+        const std::uint32_t diff = dst ^ p.network().value();
+        const std::size_t shared = diff ? __builtin_clz(diff) : 32;
+        depth = std::max<std::size_t>(depth,
+                                      std::min<std::size_t>(shared,
+                                                            p.prefix_len()));
+      }
+      return depth;
+    };
+    auto probe_all = [&](int step) {
+      for (const net::Ipv4Prefix& p : pool) {
+        const std::uint32_t first = p.network().value();
+        const std::uint32_t last = first | ~p.mask();
+        const std::uint32_t probes[] = {
+            first, last,
+            static_cast<std::uint32_t>(first +
+                                       rng.next_u32() % (last - first + 1ull)),
+            first - 1, last + 1};
+        for (std::uint32_t dst : probes) {
+          const Route* want = expect_route(dst);
+          auto got = fib.lookup(net::Ipv4Addr(dst));
+          const std::string where = "round " + std::to_string(round) +
+                                    " step " + std::to_string(step) +
+                                    " dst " + net::Ipv4Addr(dst).to_string();
+          if (!want) {
+            ASSERT_FALSE(got.has_value()) << where;
+            continue;
+          }
+          ASSERT_TRUE(got.has_value()) << where;
+          ASSERT_EQ(got->route, *want) << where;
+          ASSERT_EQ(got->depth, expect_depth(dst)) << where;
+        }
+      }
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t op = rng.next_below(10);
+      if (op < 5 || live.empty()) {
+        // Add, a replace of (prefix, metric), or a same-prefix backup.
+        Route r;
+        r.dst = pool[rng.next_below(pool.size())];
+        r.metric = static_cast<std::uint32_t>(10 * rng.next_below(3));
+        r.gateway = net::Ipv4Addr(rng.next_u32() | 1);
+        r.oif = static_cast<int>(1 + rng.next_below(6));
+        fib.add_route(r);
+        created.push_back(r.dst);
+        auto same = std::find_if(live.begin(), live.end(), [&](const Route& x) {
+          return x.dst == r.dst && x.metric == r.metric;
+        });
+        if (same != live.end()) {
+          *same = r;
+        } else {
+          live.push_back(r);
+        }
+      } else if (op < 7) {
+        // Delete exactly (prefix, metric).
+        const Route victim = live[rng.next_below(live.size())];
+        ASSERT_TRUE(fib.del_route(victim.dst, victim.metric));
+        live.erase(std::find(live.begin(), live.end(), victim));
+      } else if (op < 9) {
+        // Metric-less delete: the active route of a prefix, or nothing.
+        const net::Ipv4Prefix prefix = pool[rng.next_below(pool.size())];
+        auto active = live.end();
+        for (auto it = live.begin(); it != live.end(); ++it) {
+          if (it->dst == prefix &&
+              (active == live.end() || it->metric < active->metric)) {
+            active = it;
+          }
+        }
+        ASSERT_EQ(fib.del_route(prefix), active != live.end());
+        if (active != live.end()) live.erase(active);
+      } else {
+        const int oif = static_cast<int>(1 + rng.next_below(6));
+        const auto before = live.size();
+        live.erase(std::remove_if(live.begin(), live.end(),
+                                  [&](const Route& x) { return x.oif == oif; }),
+                   live.end());
+        ASSERT_EQ(fib.purge_interface(oif).size(), before - live.size());
+      }
+      ASSERT_EQ(fib.size(), live.size());
+      ASSERT_NO_FATAL_FAILURE(probe_all(step));
     }
   }
 }

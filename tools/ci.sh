@@ -242,10 +242,11 @@ echo "status golden: linuxfpctl_demo --json matches tools/golden"
 # Host time of one process() call on prebuilt 64 B router packets, LinuxFP
 # XDP fast path over the Linux slow path it replaces; the fast path should
 # reach <= 1.0. Next to it, the router FPM's Attachment::run alone, per run
-# and per executed instruction. Reported, not gated: host time on a shared
-# machine is noisy.
+# and per executed instruction, and one Fib::lookup over 1,000 /24 routes
+# (both paths make one per forwarded packet). Reported, not gated: host time
+# on a shared machine is noisy.
 build/bench/bench_micro_substrate \
-  --benchmark_filter='^BM_(Slow|Fast)PathForwardPrebuilt$|^BM_RouterFpmNsPerInsn$' \
+  --benchmark_filter='^BM_(Slow|Fast)PathForwardPrebuilt$|^BM_RouterFpmNsPerInsn$|^BM_FibLookup$' \
   --benchmark_min_time=0.2 --benchmark_format=json |
 python3 -c '
 import json, sys
@@ -254,9 +255,10 @@ slow = runs["BM_SlowPathForwardPrebuilt"]["cpu_time"]
 fast = runs["BM_FastPathForwardPrebuilt"]["cpu_time"]
 fpm_run = runs["BM_RouterFpmNsPerInsn"]["cpu_time"]
 fpm_insn = 1e9 / runs["BM_RouterFpmNsPerInsn"]["items_per_second"]
+fib = runs["BM_FibLookup"]["cpu_time"]
 print(f"process() on prebuilt packets: Linux {slow:.0f} ns, LinuxFP {fast:.0f} ns,"
       f" LinuxFP/Linux {fast / slow:.2f}; router FPM {fpm_run:.0f} ns/run,"
-      f" {fpm_insn:.2f} ns/insn (report only)")'
+      f" {fpm_insn:.2f} ns/insn; FIB lookup {fib:.1f} ns (report only)")'
 echo "bench smoke OK"
 
 # --- observability overhead guard -----------------------------------------
