@@ -96,9 +96,22 @@ void Deployer::degrade_to_pass(Slot& slot) {
     auto st = slot.attachment->swap(slot.pass_prog);
     LFP_CHECK_MSG(st.ok(), "degrade-to-pass swap failed");
   }
+  release_live(slot);
   // A quarantined unit stays quarantined (this degrade IS its completion);
   // any other mode resets so the next real deploy re-canaries.
   if (guard_) guard_->on_degrade(slot.device, slot.hook);
+}
+
+void Deployer::release_live(Slot& slot) {
+  // Every deploy wires its chain at fresh indices, so these are the replaced
+  // object's own.
+  ebpf::Map* prog_array = slot.attachment->maps().get(0);
+  for (std::size_t i = 1; i < slot.live.prog_ids.size(); ++i) {
+    std::uint32_t index = slot.live_base + static_cast<std::uint32_t>(i);
+    prog_array->erase(reinterpret_cast<const std::uint8_t*>(&index));
+  }
+  slot.attachment->release_object(slot.live);
+  slot.live = {};
 }
 
 void Deployer::quarantine(const std::string& device, ebpf::HookType hook) {
@@ -164,6 +177,10 @@ util::Status Deployer::deploy_one(const SynthesisResult& result,
       slot.next_chain_index,
       base + static_cast<std::uint32_t>(ids.size() ? ids.size() : 1));
   slot.has_deployed = true;
+  // Committed: nothing reaches the replaced object any more.
+  release_live(slot);
+  slot.live = std::move(*obj);
+  slot.live_base = base;
   if (guard_) guard_->on_swap(result.device, result.hook, kernel_.now_ns());
   for (const ebpf::Program& prog : result.programs) {
     report.total_insns += prog.size();

@@ -3,9 +3,15 @@
 //
 // Each (device, hook) gets one long-lived Attachment whose entry point is a
 // tail-call dispatcher; deploying a new fast path loads the new programs and
-// atomically retargets prog_array[0] (paper §IV-A2, Fig 4). The old programs
-// remain loaded (like kernel programs pinned by references) until the
-// attachment is torn down.
+// atomically retargets prog_array[0] (paper §IV-A2, Fig 4). Once that swap
+// commits, or a degrade parks the hook on its PASS program, the object it
+// replaced is released: its chain's prog-array entries are erased and its
+// programs' code is freed (Attachment::release_object; ids stay). The
+// dispatcher and the PASS program are never released. Releasing right after
+// the swap relies on the contract that no engine worker runs an attachment
+// while a deploy runs (the controller reacts between engine passes); under
+// live traffic it would need a grace period until every worker has left the
+// old program.
 //
 // Every per-device deploy is a transaction: if any step fails (program load,
 // verifier rejection, map create/update, attach), everything that step
@@ -119,12 +125,19 @@ class Deployer {
     std::uint32_t pass_prog = 0;
     bool has_pass_prog = false;
     bool has_deployed = false;  // at least one successful deploy_one
+    // The object prog_array[0] serves (empty after a degrade), and the
+    // tail_call_base its chain was wired at.
+    ebpf::LoadedObject live;
+    std::uint32_t live_base = 0;
   };
   util::Status deploy_one(const SynthesisResult& result, DeployReport& report);
   util::Result<Slot*> slot_for(const std::string& device, ebpf::HookType hook);
   // Atomically swaps the device to its PASS fallback (bare slow path).
   // Fault-suppressed: degradation is the terminal fallback and must not fail.
   void degrade_to_pass(Slot& slot);
+  // Releases slot.live, which a swap has just replaced: erases its chain's
+  // prog-array entries and frees its code.
+  void release_live(Slot& slot);
 
   kern::Kernel& kernel_;
   const ebpf::HelperRegistry& helpers_;

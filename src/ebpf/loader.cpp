@@ -132,6 +132,16 @@ void Attachment::unload_object(const LoadedObject& obj) {
   bump_flow_epoch();
 }
 
+void Attachment::release_object(const LoadedObject& obj) {
+  for (std::uint32_t id : obj.prog_ids) {
+    LFP_CHECK_MSG(id != entry_prog_ && id != active_prog_,
+                  "release_object: program is still the entry or active");
+    Program& prog = programs_[id];
+    std::vector<Insn>().swap(prog.insns);
+    std::vector<DecodedInsn>().swap(prog.decoded);
+  }
+}
+
 void Attachment::enable_dispatcher() {
   if (dispatcher_enabled_) return;
   // The dispatcher is the degradation anchor: its tail-call-or-PASS stub is

@@ -80,6 +80,13 @@ class Attachment : public kern::PacketProgram {
   // recently loaded object can be unloaded (program ids are table indices and
   // must stay stable for everything loaded before it).
   void unload_object(const LoadedObject& obj);
+  // Frees the code of an object that a swap has replaced: each program's
+  // instructions and decoded stream. Its ids, names and table slots stay, so
+  // no id moves; a released program has no instructions. The caller
+  // unreferences the object first (prog-array entries of its chain); the
+  // entry and the active program are never in it. Control-plane call: no
+  // worker may be running this attachment.
+  void release_object(const LoadedObject& obj);
 
   // Dispatcher mode: entry tail-calls prog_array[0]. swap() retargets it.
   void enable_dispatcher();

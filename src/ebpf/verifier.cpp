@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <limits>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "util/fault.h"
 #include "util/logging.h"
@@ -31,10 +29,10 @@ enum class RT : std::uint8_t {
 
 struct RegState {
   RT type = RT::kUninit;
-  std::int64_t off = 0;          // pointer offset
   bool const_known = false;      // scalar constant tracking
-  std::int64_t const_val = 0;
   std::uint32_t mv_size = 0;     // map value size for map-value pointers
+  std::int64_t off = 0;          // pointer offset
+  std::int64_t const_val = 0;    // meaningful only while const_known
 
   static RegState scalar() {
     RegState r;
@@ -51,7 +49,15 @@ struct RegState {
   bool is_ptr() const {
     return type != RT::kUninit && type != RT::kScalar;
   }
+  // Equal registers behave alike on every later step. A constant that is no
+  // longer known is never read again, so it takes no part.
+  bool operator==(const RegState& o) const {
+    return type == o.type && off == o.off && mv_size == o.mv_size &&
+           const_known == o.const_known &&
+           (!const_known || const_val == o.const_val);
+  }
 };
+static_assert(sizeof(RegState) == 24, "explored states stay compact");
 
 struct AbsState {
   std::size_t pc = 0;
@@ -59,24 +65,13 @@ struct AbsState {
   // Bytes from packet start proven to be readable (data + verified <= end).
   std::int64_t pkt_verified = 0;
 
-  // State fingerprint for join-point pruning: exploring the same abstract
-  // state at the same pc twice cannot find new violations.
-  std::uint64_t fingerprint() const {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    for (const RegState& r : regs) {
-      mix(static_cast<std::uint64_t>(r.type));
-      mix(static_cast<std::uint64_t>(r.off));
-      mix(r.const_known ? static_cast<std::uint64_t>(r.const_val) + 1 : 0);
-      mix(r.mv_size);
-    }
-    mix(static_cast<std::uint64_t>(pkt_verified));
-    return h;
+  // Exploring an equal state at the same pc again cannot find new
+  // violations, nor pin a different access.
+  bool same_as(const AbsState& o) const {
+    return pkt_verified == o.pkt_verified && regs == o.regs;
   }
 };
+static_assert(sizeof(AbsState) == 280, "explored states stay compact");
 
 Status reject(const std::string& code, std::size_t pc,
               const std::string& message) {
@@ -88,6 +83,12 @@ Status reject(const std::string& code, std::size_t pc,
 // kNone with this offset is never pinned again. A never-visited access reads
 // {kNone, 0}; a pinned offset is >= 0.
 constexpr std::int32_t kUnpinned = std::numeric_limits<std::int32_t>::min();
+
+// Explored-state list heads: a pc that is no prune point, and the end of a
+// prune point's list.
+constexpr std::uint32_t kNoPrunePoint =
+    std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kEndOfList = kNoPrunePoint - 1;
 
 class Verifier {
  public:
@@ -105,18 +106,33 @@ class Verifier {
                          "program exceeds " + std::to_string(kMaxInsns) +
                              " instructions");
     }
-    // Structural pass: jump targets and back-edge rejection.
-    for (std::size_t pc = 0; pc < prog_.insns.size(); ++pc) {
+    // Structural pass: jump targets and back-edge rejection. Every jump
+    // target and the fall-through of every conditional jump is a prune
+    // point: the only pcs where explored states are kept and compared.
+    const std::size_t n = prog_.insns.size();
+    head_.assign(n, kNoPrunePoint);
+    std::size_t prune_points = 0, cond_jumps = 0;
+    auto mark = [&](std::size_t pc) {
+      if (head_[pc] == kNoPrunePoint) {
+        head_[pc] = kEndOfList;
+        ++prune_points;
+      }
+    };
+    for (std::size_t pc = 0; pc < n; ++pc) {
       const Insn& insn = prog_.insns[pc];
       if (insn.op >= Op::kJa && insn.op <= Op::kJset) {
         std::int64_t target =
             static_cast<std::int64_t>(pc) + 1 + insn.off;
-        if (target < 0 ||
-            target >= static_cast<std::int64_t>(prog_.insns.size())) {
+        if (target < 0 || target >= static_cast<std::int64_t>(n)) {
           return reject("jump_oob", pc, "jump target out of range");
         }
         if (insn.off < 0) {
           return reject("back_edge", pc, "backward jump (loop) not allowed");
+        }
+        mark(static_cast<std::size_t>(target));
+        if (insn.op != Op::kJa) {
+          ++cond_jumps;
+          if (pc + 1 < n) mark(pc + 1);
         }
       }
       if (insn.dst >= kNumRegs || insn.src >= kNumRegs) {
@@ -132,12 +148,17 @@ class Verifier {
 
     AbsState init;
     init.pc = 0;
-    init.regs[kR1] = RegState{RT::kPtrCtx, 0, false, 0, 0};
-    init.regs[kR10] =
-        RegState{RT::kPtrStack, static_cast<std::int64_t>(kStackSize),
-                 false, 0, 0};
+    init.regs[kR1] = RegState{.type = RT::kPtrCtx};
+    init.regs[kR10] = RegState{
+        .type = RT::kPtrStack, .off = static_cast<std::int64_t>(kStackSize)};
 
-    std::deque<AbsState> worklist;
+    // Sized so that exploring allocates nothing more in the common case:
+    // one kept state per prune point, and one pending branch per
+    // conditional jump, the most the worklist can hold, since a path
+    // meets each conditional jump at most once (jumps only go forward).
+    states_.reserve(prune_points);
+    std::vector<AbsState> worklist;
+    worklist.reserve(cond_jumps + 1);
     worklist.push_back(init);
     std::size_t visited = 0;
 
@@ -152,10 +173,10 @@ class Verifier {
                              "too many states explored");
         }
         if (stats_) stats_->states_visited = visited;
-        // Join-point pruning: identical abstract state already explored
-        // here, so this path cannot uncover anything new.
-        if (!seen_[st.pc].insert(st.fingerprint()).second) break;
-        if (st.pc >= prog_.insns.size()) {
+        // Prune point: an equal state was already explored here, so this
+        // path cannot uncover anything new.
+        if (st.pc < n && head_[st.pc] != kNoPrunePoint && explored(st)) break;
+        if (st.pc >= n) {
           return reject("fallthrough", st.pc - 1,
                         "control flow falls off program end");
         }
@@ -179,11 +200,24 @@ class Verifier {
   }
 
  private:
+  // True when a state equal to `st` was explored at its pc (a prune point);
+  // otherwise records `st` there and returns false.
+  bool explored(const AbsState& st) {
+    std::uint32_t& head = head_[st.pc];
+    for (std::uint32_t i = head; i != kEndOfList; i = states_[i].next) {
+      if (states_[i].state.same_as(st)) return true;
+    }
+    states_.push_back({st, head});
+    head = static_cast<std::uint32_t>(states_.size() - 1);
+    return false;
+  }
+
   // Records that the access at `pc` reached `region` at offset `off` on the
   // path being explored. The first visit pins the pair; a visit that
   // disagrees unpins it for good. A pruned visit needs no call: its state
-  // fingerprint equals an explored one, which covers the base register's
-  // type and offset, the only inputs of the pair.
+  // equals an explored one, so every access it would still reach was pinned
+  // with the same base register type and offset, the only inputs of the
+  // pair.
   void pin(std::size_t pc, Region region, std::int64_t off) {
     if (!proofs_) return;
     AccessProof& p = proofs_->access[pc];
@@ -378,7 +412,7 @@ class Verifier {
   }
 
   Status step(AbsState& st, const Insn& insn,
-              std::deque<AbsState>& worklist) {
+              std::vector<AbsState>& worklist) {
     auto& regs = st.regs;
     std::size_t pc = st.pc;
 
@@ -482,11 +516,11 @@ class Verifier {
         if (regs[insn.src].type == RT::kPtrCtx && insn.size == MemSize::kU64) {
           std::int64_t field = regs[insn.src].off + insn.off;
           if (field == kCtxData) {
-            regs[insn.dst] = RegState{RT::kPtrPacket, 0, false, 0, 0};
+            regs[insn.dst] = RegState{.type = RT::kPtrPacket};
             return {};
           }
           if (field == kCtxDataEnd) {
-            regs[insn.dst] = RegState{RT::kPtrPacketEnd, 0, false, 0, 0};
+            regs[insn.dst] = RegState{.type = RT::kPtrPacketEnd};
             return {};
           }
         }
@@ -553,7 +587,7 @@ class Verifier {
             if (m) mv_size = m->value_size();
           }
           regs[kR0] =
-              RegState{RT::kPtrMapValueOrNull, 0, false, 0, mv_size};
+              RegState{.type = RT::kPtrMapValueOrNull, .mv_size = mv_size};
         } else {
           regs[kR0] = RegState::scalar();
         }
@@ -570,11 +604,20 @@ class Verifier {
     return reject("bad_op", pc, "unknown opcode");
   }
 
+  // A state kept at a prune point, and the state kept there before it.
+  struct Explored {
+    AbsState state;
+    std::uint32_t next;
+  };
+
   const Program& prog_;
   const VerifyOptions& opts_;
   VerifyStats* stats_;
   ProgramProofs* proofs_;
-  std::unordered_map<std::size_t, std::unordered_set<std::uint64_t>> seen_;
+  // head_[pc]: the last state kept at prune point pc (kEndOfList: none yet),
+  // or kNoPrunePoint. Every prune point's states are one list in states_.
+  std::vector<std::uint32_t> head_;
+  std::vector<Explored> states_;
 };
 
 }  // namespace

@@ -18,6 +18,14 @@
 //    helpers) and per-helper argument contracts; calls clobber r1-r5;
 //  - exit requires an initialized r0.
 //
+// Exploration: depth-first over a LIFO worklist, taken branch pushed and
+// fall-through continued. Prune points are every jump target and the
+// fall-through of every conditional jump; at each, the states explored
+// there are kept in flat per-verify storage, and a path whose state equals
+// one of them (field by field: type, offset, map-value size, constant-ness,
+// a known constant's value, and the verified packet length) is cut there.
+// Nothing else is kept per state.
+//
 // Proofs (optional output of an accepted program, consumed by
 // Program::decode): per load and store, the region and the absolute offset
 // it reaches on every path, and the lowest stack byte the program touches.

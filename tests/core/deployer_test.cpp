@@ -114,6 +114,70 @@ TEST(Deployer, WithdrawalInstallsPassProgram) {
             att);
 }
 
+// Programs of `att` that still hold code (a released program keeps its id
+// and name, but no instructions).
+std::size_t programs_with_code(const ebpf::Attachment& att) {
+  std::size_t n = 0;
+  for (const ebpf::Program& p : att.programs()) n += !p.insns.empty();
+  return n;
+}
+
+// Every deploy releases the object its swap replaced: 1,000 route add/del
+// pairs redeploy the router 2,000 times, yet eth0 keeps code only for the
+// dispatcher, the active FPM and at most the PASS program, and it still
+// forwards on the fast path.
+TEST(Deployer, ReplacedProgramsAreReleased) {
+  RouterDut dut;
+  dut.add_prefixes(2);
+  Controller controller(dut.kernel);
+  controller.start();
+  auto* att = controller.deployer().attachment("eth0", ebpf::HookType::kXdp);
+  ASSERT_NE(att, nullptr);
+  for (int i = 0; i < 1000; ++i) {
+    dut.run("ip route add 10.210.0.0/24 via 10.10.2.2 dev eth1");
+    controller.run_once();
+    dut.run("ip route del 10.210.0.0/24");
+    controller.run_once();
+  }
+  EXPECT_GT(att->programs().size(), 2000u);  // ids never move
+  EXPECT_LE(programs_with_code(*att), 3u);
+  kern::CycleTrace t;
+  auto summary =
+      dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(0), t);
+  EXPECT_TRUE(summary.fast_path);
+  EXPECT_EQ(dut.tx_eth1.size(), 1u);
+  EXPECT_EQ(att->stats().aborted, 0u);
+}
+
+// In tail-call mode a release also erases the replaced chain's prog-array
+// entries: the dispatcher's prog array holds only the active object (its
+// entry at index 0 and its chain), and the chain still runs.
+TEST(Deployer, ReleasedChainsLeaveTheProgArray) {
+  RouterDut dut;
+  dut.add_prefixes(2);
+  dut.run("iptables -A FORWARD -s 10.77.0.0/24 -j DROP");
+  ControllerOptions opts;
+  opts.chain = ChainMode::kTailCalls;
+  Controller controller(dut.kernel, opts);
+  controller.start();
+  auto* att = controller.deployer().attachment("eth0", ebpf::HookType::kXdp);
+  ASSERT_NE(att, nullptr);
+  for (int i = 1; i <= 20; ++i) {
+    dut.run("iptables -A FORWARD -s 10.78." + std::to_string(i) +
+            ".0/24 -j DROP");
+    controller.run_once();
+  }
+  const std::size_t active = programs_with_code(*att) - 1;  // no dispatcher
+  EXPECT_GT(active, 1u);  // a chain
+  EXPECT_EQ(att->maps().get(0)->size(), active);
+  kern::CycleTrace t;
+  auto summary =
+      dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(0), t);
+  EXPECT_TRUE(summary.fast_path);
+  EXPECT_EQ(dut.tx_eth1.size(), 1u);
+  EXPECT_EQ(att->stats().aborted, 0u);
+}
+
 TEST(Deployer, ReportAccountsProgramsAndInsns) {
   RouterDut dut;
   dut.add_prefixes(2);

@@ -226,5 +226,55 @@ TEST(VerifierFuzz, MutatedProgramsWithoutBoundsCheckRejected) {
   EXPECT_GT(exercised, 50);
 }
 
+// A register that is the constant c on one arm of a branch and an unknown
+// scalar on the other is unknown at the join, whichever arm is explored
+// first: used as a stack-pointer delta or as bpf_tail_call's prog-array id,
+// it must be rejected. The store's displacement keeps every constant arm in
+// bounds, so only the unknown arm can be the reason.
+Program join_program(std::int64_t c, bool constant_first, bool tail_call) {
+  ProgramBuilder b("join", HookType::kXdp);
+  b.mov_reg(kR6, kR1);
+  b.ldx(kR2, kR6, kCtxIfindex, MemSize::kU64);
+  if (constant_first) {  // the fall-through, explored first, is constant
+    b.jeq(kR2, 5, "join");
+    b.mov(kR2, c);
+  } else {
+    b.jeq(kR2, 5, "constant");
+    b.ja("join");
+    b.label("constant");
+    b.mov(kR2, c);
+  }
+  b.label("join");
+  if (tail_call) {
+    b.mov_reg(kR1, kR6);
+    b.mov(kR3, 0);
+    b.call(kHelperTailCall);
+  } else {
+    b.mov_reg(kR3, kR10);
+    b.add_reg(kR3, kR2);
+    b.st(kR3, -32, 7, MemSize::kU8);
+  }
+  b.ret(kActPass);
+  return b.build().value();
+}
+
+TEST(VerifierFuzz, JoinsNeverMergeAConstantWithAnUnknown) {
+  FuzzRig rig;
+  for (std::int64_t c = -16; c <= 16; ++c) {
+    for (bool constant_first : {true, false}) {
+      for (bool tail_call : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "c " << c << (constant_first ? " constant first" : "")
+                     << (tail_call ? " tail call" : " stack delta"));
+        auto st = rig.verify_prog(join_program(c, constant_first, tail_call));
+        EXPECT_FALSE(st.ok());
+        if (st.ok()) continue;
+        EXPECT_EQ(st.error().code,
+                  tail_call ? "verifier.helper_arg" : "verifier.var_ptr");
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace linuxfp::ebpf

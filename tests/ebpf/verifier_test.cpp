@@ -291,6 +291,64 @@ TEST_F(VerifierTest, StatsReportExploration) {
   EXPECT_GT(stats.states_visited, 0u);
 }
 
+// r2 is ctx->ifindex (an unknown scalar) on the taken arm and the constant -1
+// on the fall-through, which is explored first. At the join the two states
+// differ, so the unknown arm is explored too and its pointer arithmetic is
+// rejected. A state hash that maps a known -1 and an unknown scalar to one
+// value prunes that arm and accepts the program; run with ifindex 5, its
+// proven store then writes stack byte 511 while the checked twin aborts
+// with "stack access out of bounds".
+TEST_F(VerifierTest, KnownMinusOneIsNotAnUnknownScalar) {
+  ProgramBuilder b("minus_one", HookType::kXdp);
+  b.ldx(kR2, kR1, kCtxIfindex, MemSize::kU64);
+  b.jeq(kR2, 5, "join");
+  b.mov(kR2, -1);
+  b.label("join");
+  b.mov_reg(kR3, kR10);
+  b.add_reg(kR3, kR2);
+  b.st(kR3, 0, 7, MemSize::kU8);
+  b.ret(kActPass);
+  auto st = verify_prog(b.build().value());
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, "verifier.var_ptr");
+}
+
+// 40 diamonds in a row. Both arms of each write one register, `r = k;
+// r += r3` against `r = k + 1; r += r3` with r3 unknown, so they differ only
+// in a constant that is no longer known, which no later step reads: the
+// joined states are equal and exploration stays linear in the program. The
+// diamonds rotate over seven registers, so a comparison that counted those
+// stale constants would keep up to 2^7 distinct states at every join and run
+// out of the 8-states-per-instruction budget.
+TEST_F(VerifierTest, StaleConstantsDoNotSplitJoinedStates) {
+  const int regs[] = {kR2, kR4, kR5, kR6, kR7, kR8, kR9};
+  ProgramBuilder b("diamonds", HookType::kXdp);
+  b.ldx(kR3, kR1, kCtxIfindex, MemSize::kU64);
+  for (int i = 0; i < 40; ++i) {
+    const int r = regs[i % 7];
+    const std::string other = b.scoped("other");
+    const std::string join = b.scoped("join");
+    b.jeq(kR3, i, other);
+    b.mov(r, 2 * i);
+    b.add_reg(r, kR3);
+    b.ja(join);
+    b.label(other);
+    b.mov(r, 2 * i + 1);
+    b.add_reg(r, kR3);
+    b.label(join);
+    b.new_scope();
+  }
+  b.ret(kActPass);
+  const Program p = b.build().value();
+  VerifyOptions opts = opts_;
+  opts.max_states = 8 * p.size();
+  VerifyStats stats;
+  auto st = verify(p, opts, &stats);
+  ASSERT_TRUE(st.ok()) << st.error().code;
+  EXPECT_EQ(stats.paths_explored, 41u);
+  EXPECT_LT(stats.states_visited, 8 * p.size());
+}
+
 // --- proofs: what an accepted program exports for Program::decode ----------
 
 // Index of the only instruction of `op` in `p`.

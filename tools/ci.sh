@@ -242,11 +242,12 @@ echo "status golden: linuxfpctl_demo --json matches tools/golden"
 # Host time of one process() call on prebuilt 64 B router packets, LinuxFP
 # XDP fast path over the Linux slow path it replaces; the fast path should
 # reach <= 1.0. Next to it, the router FPM's Attachment::run alone, per run
-# and per executed instruction, and one Fib::lookup over 1,000 /24 routes
-# (both paths make one per forwarded packet). Reported, not gated: host time
-# on a shared machine is noisy.
+# and per executed instruction, one Fib::lookup over 1,000 /24 routes (both
+# paths make one per forwarded packet), and one verify() of the router FPM
+# (every reaction verifies each program it deploys). Reported, not gated:
+# host time on a shared machine is noisy.
 build/bench/bench_micro_substrate \
-  --benchmark_filter='^BM_(Slow|Fast)PathForwardPrebuilt$|^BM_RouterFpmNsPerInsn$|^BM_FibLookup$' \
+  --benchmark_filter='^BM_(Slow|Fast)PathForwardPrebuilt$|^BM_RouterFpmNsPerInsn$|^BM_FibLookup$|^BM_VerifierRouterProgram$' \
   --benchmark_min_time=0.2 --benchmark_format=json |
 python3 -c '
 import json, sys
@@ -256,9 +257,11 @@ fast = runs["BM_FastPathForwardPrebuilt"]["cpu_time"]
 fpm_run = runs["BM_RouterFpmNsPerInsn"]["cpu_time"]
 fpm_insn = 1e9 / runs["BM_RouterFpmNsPerInsn"]["items_per_second"]
 fib = runs["BM_FibLookup"]["cpu_time"]
+verify_us = runs["BM_VerifierRouterProgram"]["cpu_time"] / 1e3
 print(f"process() on prebuilt packets: Linux {slow:.0f} ns, LinuxFP {fast:.0f} ns,"
       f" LinuxFP/Linux {fast / slow:.2f}; router FPM {fpm_run:.0f} ns/run,"
-      f" {fpm_insn:.2f} ns/insn; FIB lookup {fib:.1f} ns (report only)")'
+      f" {fpm_insn:.2f} ns/insn; FIB lookup {fib:.1f} ns;"
+      f" router FPM verify {verify_us:.2f} us (report only)")'
 echo "bench smoke OK"
 
 # --- observability overhead guard -----------------------------------------
