@@ -9,13 +9,16 @@
 // event re-emits every graph) against delta synthesis (only graphs whose
 // description changed are re-emitted). Each controller runs the same event
 // sequence on its own DUT, one storm after the other. Reaction work must be
-// proportional to the delta, not to the topology size.
+// proportional to the delta, not to the topology size: the delta controller
+// then runs the same storm alone on hosts of 64, 512 and 5,000 pods, and
+// must render the same graphs per event at every size.
 //
 // The rule-event scaling mode times one iptables -A/-D pair on the gateway
 // testbed at 1k and 10k FORWARD rules: change events are applied to the
 // controller's view in place, so a rule event must not cost O(ruleset).
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/controller.h"
@@ -39,6 +42,7 @@ struct Step {
 struct StormDut {
   kern::Kernel kernel{"host"};
   int pods = 0;
+  std::vector<std::string> rules;  // FORWARD rules appended, in order
 
   explicit StormDut(int initial_pods) {
     for (const char* d : {"eth0", "eth1", "eth2", "eth3"}) {
@@ -80,7 +84,8 @@ struct StormDut {
 };
 
 // The deployed-FPM-set equivalence check: same attachments, bit-identical
-// active programs.
+// active programs. A deleted pod's slot is freed, so a storm's controller
+// and one started fresh on the storm's final config hold the same slots.
 bool deployments_equivalent(core::Controller& a, core::Controller& b,
                             const StormDut& da, const StormDut& db) {
   if (a.deployer().attachment_count() != b.deployer().attachment_count()) {
@@ -208,6 +213,7 @@ int main(int argc, char** argv) {
     // per emitted program (Table VI) — the cost delta synthesis avoids.
     double modeled = 0;
     PhaseSums phases;
+    util::SampleSet wall_ms;  // per reaction
   };
   // Drives one controller through the whole event sequence on its own DUT.
   // Each controller runs its storm alone, so its reactions are timed on
@@ -225,9 +231,10 @@ int main(int argc, char** argv) {
           ++routes;
           break;
         case 1:
-          dut.run("iptables -A FORWARD -s 10.66." +
-                  std::to_string(rules / 250) + "." +
-                  std::to_string(1 + rules % 250) + " -j DROP");
+          dut.rules.push_back("iptables -A FORWARD -s 10.66." +
+                              std::to_string(rules / 250) + "." +
+                              std::to_string(1 + rules % 250) + " -j DROP");
+          dut.run(dut.rules.back());
           ++rules;
           break;
         case 2:
@@ -248,6 +255,7 @@ int main(int argc, char** argv) {
       out.wall += r.wall_seconds;
       out.modeled += r.modeled_seconds;
       out.phases.add(r);
+      out.wall_ms.add(r.wall_seconds * 1e3);
     }
     return out;
   };
@@ -317,6 +325,56 @@ int main(int argc, char** argv) {
     phase_ms[mode] = std::move(row);
   }
   reporter.set("storm_phase_wall_ms", std::move(phase_ms));
+
+  // --- the delta storm at scale ---------------------------------------------
+  // The same storm on hosts of 64, 512 and 5,000 pods (smoke: 64 and 512),
+  // delta controller only. A reaction describes, renders and deploys only
+  // the devices its event touched, so every size renders the 64-pod count
+  // of graphs per event. Each storm's deployed programs must equal those of
+  // a controller started fresh on the storm's final config. Wall time per
+  // reaction and set-up time are report-only host time.
+  const std::vector<int> sizes =
+      reporter.smoke() ? std::vector<int>{64, 512}
+                       : std::vector<int>{64, 512, 5000};
+  print_header("Delta storm at scale (" + std::to_string(kEvents) +
+                   " events per size, 4 uplinks + N pod ports)",
+               "reaction cost independent of the number of devices");
+  print_row({"pods", "setup(s)", "wall p50(ms)", "wall p99(ms)",
+             "rendered/1k ev", "deployed FPMs"},
+            {8, 10, 14, 14, 16, 14});
+  util::Json scale = util::Json::object();
+  for (int pods : sizes) {
+    const auto t0 = std::chrono::steady_clock::now();
+    StormDut dut(pods);
+    core::Controller ctl(dut.kernel, delta_opts);
+    ctl.start();
+    const double setup_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    const std::uint64_t render_base = ctl.graph_render_count();
+    const StormRun run = run_storm(dut, ctl);
+    const double rendered_per_kevent =
+        static_cast<double>(ctl.graph_render_count() - render_base) * 1000.0 /
+        kEvents;
+    StormDut fresh(dut.pods);
+    for (const std::string& rule : dut.rules) fresh.run(rule);
+    core::Controller fresh_ctl(fresh.kernel, delta_opts);
+    fresh_ctl.start();
+    const bool same = deployments_equivalent(ctl, fresh_ctl, dut, fresh);
+    print_row({std::to_string(pods), fmt(setup_s, 2),
+               fmt(run.wall_ms.p50(), 4), fmt(run.wall_ms.p99(), 4),
+               fmt(rendered_per_kevent, 0),
+               same ? "EQUIVALENT" : "DIVERGED"},
+              {8, 10, 14, 14, 16, 14});
+    util::Json row = util::Json::object();
+    row["setup_s"] = setup_s;
+    row["wall_p50_ms"] = run.wall_ms.p50();
+    row["wall_p99_ms"] = run.wall_ms.p99();
+    row["rendered_per_kevent"] = rendered_per_kevent;
+    row["equivalent"] = same;
+    scale[std::to_string(pods)] = std::move(row);
+  }
+  reporter.set("storm_scale", std::move(scale));
 
   // --- rule-event cost against ruleset size ---------------------------------
   // The perfbench gateway_imix config (router, classifier, flow cache) at

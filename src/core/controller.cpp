@@ -8,6 +8,13 @@
 namespace linuxfp::core {
 
 namespace {
+// The deployer slot a device's graph deploys to.
+Deployer::SlotKey key_of(const DeviceGraph& g) {
+  const ebpf::HookType hook =
+      g.hook == "tc" ? ebpf::HookType::kTcIngress : ebpf::HookType::kXdp;
+  return {g.device, static_cast<int>(hook)};
+}
+
 TopologyOptions topo_options(const ControllerOptions& o) {
   TopologyOptions t;
   t.attach_physical = o.attach_physical;
@@ -128,9 +135,9 @@ void Controller::record_deploy_failure(const DeployReport& report) {
   }
   health_.degraded = true;
   health_.last_degraded_ns = kernel_.now_ns();
-  // The failed devices run the bare slow path and the installed signature no
-  // longer reflects reality; clear it so the retry resynthesizes.
-  last_signature_.clear();
+  // The failed devices run the bare slow path, which no graph reflects: the
+  // next reaction redeploys them even if no graph changed.
+  redeploy_pending_ = true;
   health_.next_retry_ns = kernel_.now_ns() + backoff_delay_ns();
   ++health_.retries_scheduled;
   LFP_WARN("controller") << report.failures.size()
@@ -156,71 +163,139 @@ void Controller::record_deploy_success() {
   health_.next_retry_ns = 0;
 }
 
-void Controller::refresh_graphs(std::vector<std::string>& dropped) {
-  std::vector<DeviceGraph> descriptions =
-      topology_.describe(introspection_.view());
-  std::vector<DeviceEntry> old_devices = std::exchange(devices_, {});
-  std::vector<std::string> old_sigs = std::exchange(graph_sigs_, {});
-  util::JsonArray old_graphs;
-  if (util::JsonArray* a = graphs_.mutable_array()) {
-    old_graphs = std::move(*a);
+const util::Json& Controller::current_graphs() const {
+  if (graphs_dirty_) {
+    util::JsonArray graphs;
+    graphs.reserve(graph_count_);
+    for (const auto& [ifindex, e] : devices_) {
+      if (e.graph) graphs.push_back(*e.graph);
+    }
+    graphs_ = util::Json(std::move(graphs));
+    graphs_dirty_ = false;
   }
-  util::JsonArray graphs;
-  graphs.reserve(descriptions.size());
-  graph_sigs_.reserve(descriptions.size());
-  devices_.reserve(descriptions.size());
+  return graphs_;
+}
 
-  // Both lists ascend by ifindex: `o` walks the old entries and `og` the
-  // position of the next old graph. Every old key leaves coverage_ before
-  // any new key enters it, since a device name can move to another ifindex.
-  std::size_t o = 0;
-  std::size_t og = 0;
-  std::vector<std::size_t> entering;
-  auto retire = [&](const DeviceEntry& e) {
-    if (!e.has_graph) return;
-    coverage_.erase(e.key);
-    ++og;
-  };
-  for (DeviceGraph& d : descriptions) {
-    while (o < old_devices.size() &&
-           old_devices[o].description.ifindex < d.ifindex) {
-      retire(old_devices[o++]);
+const std::vector<std::string>& Controller::dropped_fpms() {
+  if (dropped_dirty_) {
+    dropped_.clear();
+    for (const auto& [ifindex, e] : devices_) {
+      dropped_.insert(dropped_.end(), e.dropped.begin(), e.dropped.end());
     }
-    if (o < old_devices.size() && old_devices[o].description == d) {
-      // Unchanged: the graph, its dump and its dropped names carry over.
-      DeviceEntry& e = old_devices[o++];
-      if (e.has_graph) {
-        graphs.push_back(std::move(old_graphs[og]));
-        graph_sigs_.push_back(std::move(old_sigs[og]));
-        ++og;
-      }
-      dropped.insert(dropped.end(), e.dropped.begin(), e.dropped.end());
-      devices_.push_back(std::move(e));
-      continue;
+    dropped_dirty_ = false;
+  }
+  return dropped_;
+}
+
+Controller::Refresh Controller::refresh_graphs() {
+  const WorldView& view = introspection_.view();
+  ViewChanges changes = introspection_.take_changes();
+  std::vector<int>& reached = changes.links;
+  if (changes.shared) {
+    SharedInputs shared = TopologyManager::shared_inputs(view);
+    if (!shared.same_gates(shared_)) {
+      // A gate decides which nodes a graph can have: every device.
+      for (const auto& [ifindex, e] : devices_) reached.push_back(ifindex);
+    } else if (!(shared == shared_)) {
+      reached.insert(reached.end(), shared_readers_.begin(),
+                     shared_readers_.end());
     }
-    DeviceEntry& e = devices_.emplace_back();
-    e.description = std::move(d);
-    if (!e.description.has_nodes()) continue;
+    shared_ = std::move(shared);
+  }
+  std::sort(reached.begin(), reached.end());
+  reached.erase(std::unique(reached.begin(), reached.end()), reached.end());
+
+  Refresh out;
+  std::vector<SlotKey> entering;
+  for (int ifindex : reached) {
+    std::optional<DeviceGraph> description;
+    auto link = view.links.find(ifindex);
+    if (link == view.links.end()) {
+      out.deleted.push_back(ifindex);
+    } else {
+      ++describe_count_;
+      description = topology_.describe(view, shared_, link->second);
+    }
+    update_device(ifindex, std::move(description), out, entering);
+  }
+  // A key that left coverage and came back stays covered: its device's
+  // graph changed, or the device was re-created under its name (the old
+  // device's slot is freed by release_device, not withdrawn).
+  std::sort(entering.begin(), entering.end());
+  std::erase_if(out.withdrawn, [&](const SlotKey& key) {
+    return std::binary_search(entering.begin(), entering.end(), key);
+  });
+  return out;
+}
+
+void Controller::update_device(int ifindex,
+                               std::optional<DeviceGraph> description,
+                               Refresh& out, std::vector<SlotKey>& entering) {
+  auto it = devices_.find(ifindex);
+  DeviceEntry* e = it == devices_.end() ? nullptr : &it->second;
+  if (!e && !description) return;
+  if (e && description && e->description == *description) return;
+
+  std::optional<util::Json> graph;
+  std::string dump;
+  std::vector<std::string> dropped;
+  if (description && description->has_nodes()) {
     ++graph_render_count_;
     util::JsonArray one;
-    one.push_back(TopologyManager::render(e.description));
+    one.push_back(TopologyManager::render(*description));
     util::Json pruned =
-        capability_.prune(util::Json(std::move(one)), &e.dropped);
-    dropped.insert(dropped.end(), e.dropped.begin(), e.dropped.end());
+        capability_.prune(util::Json(std::move(one)), &dropped);
     util::JsonArray& kept = *pruned.mutable_array();
-    if (kept.empty()) continue;
-    e.has_graph = true;
-    const ebpf::HookType hook = e.description.hook == "tc"
-                                    ? ebpf::HookType::kTcIngress
-                                    : ebpf::HookType::kXdp;
-    e.key = {e.description.device, static_cast<int>(hook)};
-    graph_sigs_.push_back(TopologyManager::signature(kept.front()));
-    graphs.push_back(std::move(kept.front()));
-    entering.push_back(devices_.size() - 1);
+    if (!kept.empty()) {
+      dump = TopologyManager::signature(kept.front());
+      graph = std::move(kept.front());
+    }
   }
-  while (o < old_devices.size()) retire(old_devices[o++]);
-  for (std::size_t i : entering) coverage_.insert(devices_[i].key);
-  graphs_ = util::Json(std::move(graphs));
+  if (e ? e->dropped != dropped : !dropped.empty()) dropped_dirty_ = true;
+  const bool had_graph = e && e->graph;
+  const bool graph_changed =
+      had_graph != graph.has_value() || (graph && e->dump != dump);
+  if (graph_changed) {
+    out.changed = true;
+    graphs_dirty_ = true;
+    // The entry's dump is replaced below, so the recorded one is moved.
+    if (has_ok_deploy_ && !since_ok_.contains(ifindex)) {
+      since_ok_.emplace(ifindex, had_graph ? std::optional(std::move(e->dump))
+                                           : std::nullopt);
+    }
+    if (had_graph) {
+      --graph_count_;
+      out.withdrawn.push_back(e->key);
+    }
+    if (graph) {
+      ++graph_count_;
+      entering.push_back(key_of(*description));
+    }
+  }
+  if (!description) {
+    shared_readers_.erase(ifindex);
+    unsynthesized_.erase(ifindex);
+    devices_.erase(it);
+    return;
+  }
+  if (TopologyManager::reads_shared(*description)) {
+    shared_readers_.insert(ifindex);
+  } else {
+    shared_readers_.erase(ifindex);
+  }
+  DeviceEntry& entry = e ? *e : devices_[ifindex];
+  entry.description = std::move(*description);
+  entry.dropped = std::move(dropped);
+  if (!graph_changed) return;
+  entry.graph = std::move(graph);
+  entry.dump = std::move(dump);
+  entry.key = key_of(entry.description);
+  if (!entry.graph) entry.deployed_dump.clear();
+  if (entry.graph && entry.dump != entry.deployed_dump) {
+    unsynthesized_.insert(ifindex);
+  } else {
+    unsynthesized_.erase(ifindex);
+  }
 }
 
 Reaction Controller::rebuild_and_deploy(bool force) {
@@ -232,15 +307,16 @@ Reaction Controller::rebuild_and_deploy(bool force) {
   Reaction reaction;
   reaction.changed = true;
 
-  // The whole signature is the join of the per-graph dumps, the
-  // delta-synthesis diff basis.
-  refresh_graphs(reaction.dropped_fpms);
-  std::string signature = TopologyManager::join_signatures(graph_sigs_);
+  Refresh refresh = refresh_graphs();
+  // A deleted device's slots go now, changed graphs or not: a slot parked
+  // on PASS outlives its device's graph.
+  for (int ifindex : refresh.deleted) deployer_.release_device(ifindex);
+  reaction.dropped_fpms = dropped_fpms();
   const auto t_graphs = Clock::now();
   reaction.graphs_seconds = seconds(t0, t_graphs);
-  if (signature == last_signature_ && !force) {
+  if (!refresh.changed && !force && !redeploy_pending_) {
     // Configuration changed but the derived fast path did not (e.g. a
-    // dynamic neighbour entry, or a bridge with no ports yet): nothing to
+    // static neighbour entry, or a bridge with no ports yet): nothing to
     // redeploy — helpers read live state, so no action is needed. This is
     // the state-unification payoff. The reaction still spent introspection
     // and graph-rebuild time (plus, in the real controller, the render/diff
@@ -250,77 +326,79 @@ Reaction Controller::rebuild_and_deploy(bool force) {
     reaction.modeled_seconds = reaction.wall_seconds + 0.48;
     return reaction;
   }
-  bool old_is_current = !deployed_signature_.empty() &&
-                        signature == deployed_signature_;
-  last_signature_ = signature;
+  // Whether the current graphs are those of the last all-ok deploy: the old
+  // programs still match the configuration if a redeploy fails.
+  bool old_is_current = has_ok_deploy_;
+  for (const auto& [ifindex, dump] : since_ok_) {
+    auto it = devices_.find(ifindex);
+    const DeviceEntry* e = it == devices_.end() ? nullptr : &it->second;
+    const bool has_graph = e && e->graph;
+    if (has_graph != dump.has_value() || (has_graph && e->dump != *dump)) {
+      old_is_current = false;
+      break;
+    }
+  }
+  redeploy_pending_ = false;
   ++resynth_count_;
 
-  // Delta synthesis (DESIGN.md §17): diff each graph's description against
-  // the signature recorded at its last successful deploy and re-emit only
-  // the changed ones. `coverage_` carries the full desired device set so the
-  // deployer withdraws exactly the devices no graph wants anymore — reused
-  // devices keep their current program untouched. A forced redeploy
-  // (snippet, guard re-probe, failure retry) regenerates everything: those
-  // paths change program content without changing graph descriptions.
+  // Delta synthesis (DESIGN.md §17): re-emit only the graphs their deployed
+  // programs were not synthesized from. Every other device keeps its
+  // program untouched, and the deployer withdraws exactly the slots whose
+  // key left coverage. A forced redeploy (snippet, guard re-probe, failure
+  // retry) regenerates everything: those paths change program content
+  // without changing graph descriptions.
   const bool delta = options_.delta_synthesis && !force;
-  std::map<std::pair<std::string, int>, std::string> desired_sigs;
   std::vector<SynthesisResult> results;
-  const util::JsonArray& graphs = graphs_.array_items();
-  std::size_t k = 0;  // position of the next graph
-  for (const DeviceEntry& e : devices_) {
-    if (!e.has_graph) continue;
-    const util::Json& g = graphs[k];
-    const std::string& graph_sig = graph_sigs_[k];
-    ++k;
-    if (delta) {
-      auto deployed = deployed_graph_sigs_.find(e.key);
-      if (deployed != deployed_graph_sigs_.end() &&
-          deployed->second == graph_sig) {
-        ++reaction.reused_graphs;
-        continue;
-      }
-    }
+  std::vector<int> synthesized;  // the devices of `results`, by ifindex
+  auto synthesize = [&](int ifindex, const DeviceEntry& e) {
     // Fresh tail-call indices are assigned by the deployer slot; pass the
     // next free index hint (only meaningful for tail-call mode).
     const std::string& device = e.key.first;
     std::uint32_t base = deployer_.next_chain_index(
         device, static_cast<ebpf::HookType>(e.key.second));
-    auto result = synthesizer_.synthesize(g, base);
+    auto result = synthesizer_.synthesize(*e.graph, base);
     if (!result.ok()) {
       LFP_WARN("controller") << "synthesis failed for " << device << ": "
                              << result.error().message;
-      continue;
+      return;
     }
     ++graph_resynth_count_;
     ++reaction.synthesized_graphs;
-    desired_sigs[e.key] = graph_sig;
+    synthesized.push_back(ifindex);
     results.push_back(std::move(result).take());
+  };
+  if (delta) {
+    reaction.reused_graphs = graph_count_ - unsynthesized_.size();
+    for (int ifindex : unsynthesized_) synthesize(ifindex, devices_.at(ifindex));
+  } else {
+    for (const auto& [ifindex, e] : devices_) {
+      if (e.graph) synthesize(ifindex, e);
+    }
   }
   const auto t_synth = Clock::now();
   reaction.synth_seconds = seconds(t_graphs, t_synth);
 
   ++health_.deploy_attempts;
-  DeployReport report = deployer_.deploy(results, old_is_current, &coverage_);
+  DeployReport report =
+      deployer_.deploy_delta(results, old_is_current, refresh.withdrawn);
   reaction.deploy_seconds = seconds(t_synth, Clock::now());
-  reaction.graphs = graphs.size();
+  reaction.graphs = graph_count_;
   reaction.programs = report.programs;
   reaction.insns = report.total_insns;
-  // Update the per-graph diff basis: withdrawn devices forget their
-  // signature, freshly deployed devices record theirs, and devices whose
-  // deploy failed drop it so the retry re-synthesizes them even under delta.
-  for (auto it = deployed_graph_sigs_.begin();
-       it != deployed_graph_sigs_.end();) {
-    if (!coverage_.count(it->first)) it = deployed_graph_sigs_.erase(it);
-    else ++it;
-  }
-  for (auto& [key, sig] : desired_sigs) {
-    deployed_graph_sigs_[key] = std::move(sig);
-  }
-  for (const DeviceFailure& f : report.failures) {
-    for (auto it = deployed_graph_sigs_.begin();
-         it != deployed_graph_sigs_.end();) {
-      if (it->first.first == f.device) it = deployed_graph_sigs_.erase(it);
-      else ++it;
+  // Freshly deployed devices record the graph their program came from;
+  // devices whose deploy failed forget it, so the retry re-synthesizes them
+  // even under delta.
+  for (int ifindex : synthesized) {
+    DeviceEntry& e = devices_.at(ifindex);
+    const bool failed = std::any_of(
+        report.failures.begin(), report.failures.end(),
+        [&e](const DeviceFailure& f) { return f.device == e.key.first; });
+    if (failed) {
+      e.deployed_dump.clear();
+      unsynthesized_.insert(ifindex);
+    } else {
+      e.deployed_dump = e.dump;
+      unsynthesized_.erase(ifindex);
     }
   }
   if (!report.all_ok()) {
@@ -328,7 +406,8 @@ Reaction Controller::rebuild_and_deploy(bool force) {
     reaction.failed_devices = report.failures.size();
     record_deploy_failure(report);
   } else {
-    deployed_signature_ = signature;
+    has_ok_deploy_ = true;
+    since_ok_.clear();
     record_deploy_success();
   }
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -56,9 +57,9 @@ struct ControllerOptions {
   // Runtime equivalence guard (DESIGN.md §13): canary deployment, sampled
   // shadow execution and per-FPM circuit breakers. Off by default.
   GuardPolicy guard;
-  // Delta synthesis (DESIGN.md §17): diff per-graph signatures on each
-  // reaction and re-emit/re-verify/re-deploy only graphs whose description
-  // changed, so reaction time scales with the delta instead of the config.
+  // Delta synthesis (DESIGN.md §17): re-emit/re-verify/re-deploy only the
+  // graphs whose dump differs from the one their deployed program came
+  // from, so reaction time scales with the delta instead of the config.
   // Forced redeploys (snippet injection, guard re-probes, failure retries)
   // bypass the diff and rebuild everything, as do deploy-failed devices.
   bool delta_synthesis = true;
@@ -83,10 +84,10 @@ struct Reaction {
   double wall_seconds = 0;     // measured in this reproduction
   double modeled_seconds = 0;  // + modeled clang/libbpf stages (Table VI)
   // The wall time of the reaction's three phases, each part of
-  // wall_seconds: the graphs (describe, render, prune, dump and join), the
-  // synthesis of the graphs to re-emit, and the deploy (verify, load,
-  // attach). A reaction whose signature did not change spends only the
-  // first.
+  // wall_seconds: the graphs (describe, render, prune and dump of the
+  // devices the events touched), the synthesis of the graphs to re-emit,
+  // and the deploy (verify, load, attach). A reaction whose graphs did not
+  // change spends only the first.
   double graphs_seconds = 0;
   double synth_seconds = 0;
   double deploy_seconds = 0;
@@ -106,7 +107,9 @@ class Controller {
 
   kern::Kernel& kernel() { return kernel_; }
   const WorldView& view() const { return introspection_.view(); }
-  const util::Json& current_graphs() const { return graphs_; }
+  // The pruned graph of every device that has one, ascending by ifindex: a
+  // JSON array, assembled when read after a change.
+  const util::Json& current_graphs() const;
   Deployer& deployer() { return deployer_; }
   Synthesizer& synthesizer() { return synthesizer_; }
   // Null unless options.guard.enabled.
@@ -120,6 +123,10 @@ class Controller {
   // Device descriptions rendered into graphs across all reactions: a
   // reaction renders only the devices whose description changed.
   std::uint64_t graph_render_count() const { return graph_render_count_; }
+  // Devices described across all reactions: a reaction describes only the
+  // devices its events named, plus, on a change of the shared inputs, those
+  // whose description read them (all of them when a gate flipped).
+  std::uint64_t describe_count() const { return describe_count_; }
 
   // Health record: degraded-mode state and failure counters (including the
   // per-injection-point table when fault injection is armed).
@@ -130,11 +137,27 @@ class Controller {
   void set_custom_snippet(Synthesizer::CustomSnippet snippet);
 
  private:
+  using SlotKey = Deployer::SlotKey;
+
   Reaction rebuild_and_deploy(bool force = false);
-  // Brings devices_, graphs_, graph_sigs_ and coverage_ up to the view,
-  // rendering, pruning and dumping only the devices whose description
-  // changed; appends the prune's dropped FPM names in graph order.
-  void refresh_graphs(std::vector<std::string>& dropped);
+  // What one refresh found: whether any device's pruned graph appeared,
+  // disappeared or changed its dump, the deployer slots to withdraw, and
+  // the devices that were deleted.
+  struct Refresh {
+    bool changed = false;
+    std::vector<SlotKey> withdrawn;
+    std::vector<int> deleted;
+  };
+  // Brings the entries of the devices the view changes reached up to the
+  // view: re-describes them, and renders, prunes and dumps those whose
+  // description changed.
+  Refresh refresh_graphs();
+  // Replaces one device's entry by `description` (nullopt: the device is
+  // gone or no longer attachable); records in `out` what that changed.
+  void update_device(int ifindex, std::optional<DeviceGraph> description,
+                     Refresh& out, std::vector<SlotKey>& entering);
+  // The prune's dropped FPM names of every device, in ifindex order.
+  const std::vector<std::string>& dropped_fpms();
   // Guard maintenance pass at the top of run_once; returns true when a
   // quarantined unit's re-probe deadline passed (forces a redeploy).
   bool maintain_guard();
@@ -153,35 +176,44 @@ class Controller {
   // Declared after deployer_ so the guard (whose units front the deployer's
   // attachments on the device hooks) is destroyed first.
   std::unique_ptr<EquivalenceGuard> guard_;
-  // One entry per attachable device, ascending by ifindex: its last
-  // description and what the capability prune made of it. When the prune
-  // kept a node, the device's graph and that graph's dump sit at the next
-  // position of graphs_ and graph_sigs_, and `key` names its deployer slot.
+  // One entry per attachable device: its last description and what the
+  // capability prune made of it. Each entry changes only when an event
+  // reaches its device.
   struct DeviceEntry {
     DeviceGraph description;
-    bool has_graph = false;
-    std::pair<std::string, int> key;  // (device, hook)
+    // The pruned graph when the prune kept a node, its dump (the per-device
+    // change basis), and the dump its deployed program was synthesized
+    // from (empty when no deployed program came from this graph).
+    std::optional<util::Json> graph;
+    std::string dump;
+    std::string deployed_dump;
+    SlotKey key;                       // (device, hook)
     std::vector<std::string> dropped;  // "device:fpm", in prune order
   };
-  std::vector<DeviceEntry> devices_;
-  util::Json graphs_;
-  // graphs_[i].dump(): the per-graph delta-synthesis diff basis, joined
-  // into the whole signature.
-  std::vector<std::string> graph_sigs_;
-  // The keys of graphs_: every device the deployer must not withdraw.
-  std::set<std::pair<std::string, int>> coverage_;
-  std::string last_signature_;
-  // Signature of the fast path that actually serves traffic (last successful
-  // deploy); tells the deployer whether the old program is still current when
-  // a redeploy fails.
-  std::string deployed_signature_;
-  // Per-graph deployed signatures, keyed like the deployer's slots: the diff
-  // basis for delta synthesis. An entry is present iff that (device, hook)
-  // runs a successfully deployed program derived from the recorded graph.
-  std::map<std::pair<std::string, int>, std::string> deployed_graph_sigs_;
+  std::map<int, DeviceEntry> devices_;  // by ifindex
+  std::size_t graph_count_ = 0;         // entries with a graph
+  SharedInputs shared_;
+  // Entries whose description read the shared inputs.
+  std::set<int> shared_readers_;
+  // Entries with a graph that their deployed program was not synthesized
+  // from: what delta synthesis re-emits.
+  std::set<int> unsynthesized_;
+  // The graph dump (nullopt: none) at the last all-ok deploy of every
+  // device whose graph changed since: the current graphs equal those at
+  // that deploy iff each still equals its recorded dump.
+  std::map<int, std::optional<std::string>> since_ok_;
+  bool has_ok_deploy_ = false;
+  // Set at construction and by a failed deploy: the next reaction deploys
+  // even if no graph changed.
+  bool redeploy_pending_ = true;
+  std::vector<std::string> dropped_;
+  bool dropped_dirty_ = false;
+  mutable util::Json graphs_;
+  mutable bool graphs_dirty_ = true;
   std::uint64_t resynth_count_ = 0;
   std::uint64_t graph_resynth_count_ = 0;
   std::uint64_t graph_render_count_ = 0;
+  std::uint64_t describe_count_ = 0;
   bool force_resynth_ = false;
   HealthStatus health_;
   // Breaker closes observed at the last run_once; a new close with no unit

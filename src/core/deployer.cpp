@@ -1,6 +1,7 @@
 #include "core/deployer.h"
 
 #include <algorithm>
+#include <climits>
 #include <set>
 
 #include "ebpf/builder.h"
@@ -21,6 +22,10 @@ double modeled_compile_seconds(std::size_t programs, std::size_t insns,
   if (has_filter) t += 0.38;                      // libiptc full-table walk
   return t;
 }
+
+// The most programs one chain holds: one per FPM kind (bridge, loadbalance,
+// filter, router).
+constexpr std::uint32_t kMaxChainPrograms = 4;
 }  // namespace
 
 void Deployer::set_metrics(util::MetricsRegistry* registry) {
@@ -38,7 +43,7 @@ void Deployer::set_flow_cache(bool on) {
 }
 
 engine::FlowCacheStats Deployer::flow_cache_stats() const {
-  engine::FlowCacheStats total;
+  engine::FlowCacheStats total = freed_flow_cache_;
   for (const auto& [key, slot] : attachments_) {
     if (slot.attachment) total += slot.attachment->flow_cache_stats();
   }
@@ -48,8 +53,13 @@ engine::FlowCacheStats Deployer::flow_cache_stats() const {
 util::Result<Deployer::Slot*> Deployer::slot_for(const std::string& device,
                                                  ebpf::HookType hook) {
   auto key = std::make_pair(device, static_cast<int>(hook));
+  const kern::NetDevice* dev = kernel_.dev_by_name(device);
   auto it = attachments_.find(key);
-  if (it != attachments_.end()) return &it->second;
+  if (it != attachments_.end()) {
+    if (dev && dev->ifindex() == it->second.ifindex) return &it->second;
+    // The device the slot attached to is gone; the name is another's now.
+    free_slot(it);
+  }
   // Creating the slot is the fallible part of attach: the dispatcher swap-in
   // (XDP_FLAGS_REPLACE-style) can be rejected by the driver.
   if (auto st = util::FaultInjector::global().check(util::kFaultDeployerAttach);
@@ -58,6 +68,7 @@ util::Result<Deployer::Slot*> Deployer::slot_for(const std::string& device,
   }
   Slot slot;
   slot.device = device;
+  slot.ifindex = dev ? dev->ifindex() : 0;
   slot.hook = hook;
   slot.attachment = std::make_unique<ebpf::Attachment>(
       "lfp@" + device, hook, kernel_, helpers_);
@@ -71,9 +82,44 @@ util::Result<Deployer::Slot*> Deployer::slot_for(const std::string& device,
              : static_cast<kern::PacketProgram*>(slot.attachment.get());
   auto st = ebpf::attach_to_device(kernel_, device, hook, hook_prog);
   // On attach failure nothing was installed on the device; dropping the
-  // local Slot releases everything the attempt created.
-  if (!st.ok()) return st.error();
+  // local Slot releases everything the attempt created (and the guard unit,
+  // which would otherwise outlive its attachment).
+  if (!st.ok()) {
+    if (guard_) guard_->drop_unit(device, hook);
+    return st.error();
+  }
+  by_ifindex_[{slot.ifindex, key.second}] = key;
   return &attachments_.emplace(key, std::move(slot)).first->second;
+}
+
+void Deployer::withdraw(Slots::iterator it) {
+  if (kernel_.dev(it->second.ifindex)) {
+    degrade_to_pass(it->second);
+  } else {
+    free_slot(it);
+  }
+}
+
+void Deployer::free_slot(Slots::iterator it) {
+  Slot& slot = it->second;
+  // A deleted device took its hook with it; one still present (a release
+  // of a live device) is detached before its program goes.
+  if (const kern::NetDevice* dev = kernel_.dev(slot.ifindex)) {
+    ebpf::detach_from_device(kernel_, dev->name(), slot.hook);
+  }
+  if (guard_) guard_->drop_unit(slot.device, slot.hook);
+  freed_flow_cache_ += slot.attachment->flow_cache_stats();
+  by_ifindex_.erase({slot.ifindex, static_cast<int>(slot.hook)});
+  // ~Attachment folds its metrics sources into the registry.
+  attachments_.erase(it);
+}
+
+void Deployer::release_device(int ifindex) {
+  auto at = by_ifindex_.lower_bound({ifindex, INT_MIN});
+  while (at != by_ifindex_.end() && at->first.first == ifindex) {
+    const SlotKey key = (at++)->second;
+    free_slot(attachments_.find(key));
+  }
 }
 
 void Deployer::degrade_to_pass(Slot& slot) {
@@ -173,9 +219,11 @@ util::Status Deployer::deploy_one(const SynthesisResult& result,
     return st;
   }
 
-  slot.next_chain_index = std::max(
-      slot.next_chain_index,
-      base + static_cast<std::uint32_t>(ids.size() ? ids.size() : 1));
+  slot.next_chain_index =
+      base + static_cast<std::uint32_t>(ids.size() ? ids.size() : 1);
+  if (slot.next_chain_index + kMaxChainPrograms > prog_array->max_entries()) {
+    slot.next_chain_index = 1;
+  }
   slot.has_deployed = true;
   // Committed: nothing reaches the replaced object any more.
   release_live(slot);
@@ -191,8 +239,24 @@ util::Status Deployer::deploy_one(const SynthesisResult& result,
 
 DeployReport Deployer::deploy(const std::vector<SynthesisResult>& results,
                               bool old_is_current,
-                              const std::set<std::pair<std::string, int>>*
-                                  coverage) {
+                              const std::set<SlotKey>* coverage) {
+  std::vector<SlotKey> withdrawn;
+  for (const auto& [key, slot] : attachments_) {
+    if (coverage && coverage->count(key)) continue;
+    const bool in_results =
+        std::any_of(results.begin(), results.end(),
+                    [&key = key](const SynthesisResult& r) {
+                      return static_cast<int>(r.hook) == key.second &&
+                             r.device == key.first;
+                    });
+    if (!in_results) withdrawn.push_back(key);
+  }
+  return deploy_delta(results, old_is_current, withdrawn);
+}
+
+DeployReport Deployer::deploy_delta(const std::vector<SynthesisResult>& results,
+                                    bool old_is_current,
+                                    const std::vector<SlotKey>& withdrawn) {
   DeployReport report;
   bool has_filter = false;
   for (const SynthesisResult& r : results) {
@@ -221,19 +285,9 @@ DeployReport Deployer::deploy(const std::vector<SynthesisResult>& results,
     }
   }
   // Withdraw acceleration from devices no longer covered by any graph.
-  // Devices covered by a synthesis result — including ones whose deploy
-  // failed — are kept; a delta deploy passes the full desired coverage
-  // explicitly, since its `results` hold only the changed graphs.
-  auto covered = [&](const std::pair<std::string, int>& key) {
-    if (coverage && coverage->count(key)) return true;
-    return std::any_of(results.begin(), results.end(),
-                       [&](const SynthesisResult& r) {
-                         return static_cast<int>(r.hook) == key.second &&
-                                r.device == key.first;
-                       });
-  };
-  for (auto& [key, slot] : attachments_) {
-    if (!covered(key)) degrade_to_pass(slot);
+  for (const SlotKey& key : withdrawn) {
+    auto it = attachments_.find(key);
+    if (it != attachments_.end()) withdraw(it);
   }
   ++deploys_;
   report.modeled_compile_seconds =

@@ -18,6 +18,12 @@
 // created is rolled back and the device is atomically degraded to the bare
 // slow path (dispatcher PASS fallback) — the datapath never observes a torn
 // or structurally stale program. The controller then retries with backoff.
+//
+// A slot records the ifindex of the device it attached to. When that device
+// is deleted, the slot is freed: its guard unit is dropped and its
+// attachment destroyed, which folds the attachment's metrics sources into
+// the registry. A device re-created under the same name gets a new slot on
+// the new device.
 #pragma once
 
 #include <map>
@@ -55,36 +61,48 @@ struct DeployReport {
 
 class Deployer {
  public:
+  // (device, hook-int): what a slot serves.
+  using SlotKey = std::pair<std::string, int>;
+
   Deployer(kern::Kernel& kernel, const ebpf::HelperRegistry& helpers)
       : kernel_(kernel), helpers_(helpers) {}
 
-  // Deploys every synthesis result; devices with an existing attachment are
-  // atomically swapped, new devices get a fresh attachment. Devices that had
-  // a fast path but are absent from `results` are swapped to a PASS program
-  // (acceleration withdrawn, Linux handles everything). A device whose
-  // deploy fails is rolled back, recorded in report.failures, and does not
-  // abort the rest of the batch. The failure fallback depends on
-  // `old_is_current`: when true (forced redeploy with unchanged structural
-  // signature, e.g. snippet injection) the previously active program still
-  // matches the live configuration and keeps serving; when false (structure
-  // changed) the old program is stale, so the device degrades to the bare
-  // slow path (PASS) to preserve fast/slow coherence.
-  //
-  // `coverage` widens the withdrawal rule for delta synthesis (DESIGN.md
-  // §17): when non-null it names every (device, hook-int) the desired
-  // configuration still wants — devices in `coverage` but absent from
-  // `results` were synthesized before, are unchanged, and keep their current
-  // program untouched. When null (from-scratch deploy), coverage is exactly
-  // the devices in `results`, preserving the original semantics.
+  // Deploys every synthesis result, then withdraws the slots in
+  // `withdrawn`: the keys that left the desired coverage since the last
+  // deploy (DESIGN.md §17). Devices with an existing attachment are
+  // atomically swapped, new devices get a fresh attachment; every other
+  // slot keeps its program untouched. A withdrawn slot is swapped to its
+  // PASS program (acceleration withdrawn, Linux handles everything), or
+  // freed when its device is gone. A device whose deploy fails is rolled
+  // back, recorded in report.failures, and does not abort the rest of the
+  // batch. The failure fallback depends on `old_is_current`: when true
+  // (forced redeploy with unchanged structural signature, e.g. snippet
+  // injection) the previously active program still matches the live
+  // configuration and keeps serving; when false (structure changed) the old
+  // program is stale, so the device degrades to the bare slow path (PASS)
+  // to preserve fast/slow coherence.
+  DeployReport deploy_delta(const std::vector<SynthesisResult>& results,
+                            bool old_is_current,
+                            const std::vector<SlotKey>& withdrawn);
+
+  // deploy_delta with the withdrawals derived from a full coverage set:
+  // every slot neither in `coverage` nor in `results` is withdrawn. When
+  // `coverage` is null (from-scratch deploy), coverage is exactly the
+  // devices in `results`.
   DeployReport deploy(const std::vector<SynthesisResult>& results,
                       bool old_is_current = false,
-                      const std::set<std::pair<std::string, int>>* coverage =
-                          nullptr);
+                      const std::set<SlotKey>* coverage = nullptr);
+
+  // Frees every slot attached to the device `ifindex`, which was deleted.
+  void release_device(int ifindex);
 
   ebpf::Attachment* attachment(const std::string& device,
                                ebpf::HookType hook);
   // Next free dispatcher prog-array index for a device (1 if unattached);
-  // the controller passes this to the synthesizer as tail_call_base.
+  // the controller passes this to the synthesizer as tail_call_base. Each
+  // chain goes right after the live one and wraps to the start of the prog
+  // array before it could overrun its end, so a chain never overlaps the
+  // live one, whose replaced predecessor release_live erased.
   std::uint32_t next_chain_index(const std::string& device,
                                  ebpf::HookType hook) const;
   std::size_t attachment_count() const { return attachments_.size(); }
@@ -113,12 +131,13 @@ class Deployer {
   // attachment, present and future. Control-plane call.
   void set_flow_cache(bool on);
   bool flow_cache_enabled() const { return flow_cache_; }
-  // Summed over all attachments' per-CPU caches.
+  // Summed over all attachments' per-CPU caches, freed ones included.
   engine::FlowCacheStats flow_cache_stats() const;
 
  private:
   struct Slot {
     std::string device;
+    int ifindex = 0;  // of the device the hook program is attached to
     ebpf::HookType hook = ebpf::HookType::kXdp;
     std::unique_ptr<ebpf::Attachment> attachment;
     std::uint32_t next_chain_index = 1;
@@ -130,7 +149,11 @@ class Deployer {
     ebpf::LoadedObject live;
     std::uint32_t live_base = 0;
   };
+  using Slots = std::map<SlotKey, Slot>;
+
   util::Status deploy_one(const SynthesisResult& result, DeployReport& report);
+  // The slot of `device`'s hook; a slot left by a deleted device of that
+  // name is freed first.
   util::Result<Slot*> slot_for(const std::string& device, ebpf::HookType hook);
   // Atomically swaps the device to its PASS fallback (bare slow path).
   // Fault-suppressed: degradation is the terminal fallback and must not fail.
@@ -138,10 +161,20 @@ class Deployer {
   // Releases slot.live, which a swap has just replaced: erases its chain's
   // prog-array entries and frees its code.
   void release_live(Slot& slot);
+  // Parks a slot that left coverage on PASS, or frees it if its device is
+  // gone.
+  void withdraw(Slots::iterator it);
+  // Detaches the slot if its device still exists, drops its guard unit and
+  // destroys it.
+  void free_slot(Slots::iterator it);
 
   kern::Kernel& kernel_;
   const ebpf::HelperRegistry& helpers_;
-  std::map<std::pair<std::string, int>, Slot> attachments_;
+  Slots attachments_;
+  // (ifindex, hook-int) -> key, for release_device.
+  std::map<std::pair<int, int>, SlotKey> by_ifindex_;
+  // The flow-cache counts of freed attachments.
+  engine::FlowCacheStats freed_flow_cache_;
   std::uint64_t deploys_ = 0;
   std::uint64_t rollbacks_ = 0;
   util::MetricsRegistry* metrics_ = nullptr;

@@ -365,7 +365,8 @@ kern::PacketProgram* EquivalenceGuard::attach_unit(
     it->second->att_ = attachment;
     return it->second.get();
   }
-  const std::size_t id = units_.size();
+  std::size_t id = 0;
+  while (id < kMaxUnits && by_id_[id].load(std::memory_order_relaxed)) ++id;
   LFP_CHECK_MSG(id < kMaxUnits, "guard: too many guarded hooks");
   auto unit = std::make_unique<GuardUnit>(*this, static_cast<std::uint8_t>(id),
                                           device, hook, attachment);
@@ -373,6 +374,14 @@ kern::PacketProgram* EquivalenceGuard::attach_unit(
   units_.emplace(key, std::move(unit));
   by_id_[id].store(raw, std::memory_order_release);
   return raw;
+}
+
+void EquivalenceGuard::drop_unit(const std::string& device,
+                                 ebpf::HookType hook) {
+  auto it = units_.find(std::make_pair(device, static_cast<int>(hook)));
+  if (it == units_.end()) return;
+  by_id_[it->second->id_].store(nullptr, std::memory_order_release);
+  units_.erase(it);
 }
 
 GuardUnit* EquivalenceGuard::unit(const std::string& device,

@@ -246,6 +246,11 @@ class EquivalenceGuard : public kern::ShadowObserver {
   kern::PacketProgram* attach_unit(const std::string& device,
                                    ebpf::HookType hook,
                                    ebpf::Attachment* attachment);
+  // The deployer freed the unit's slot (its device was deleted, or the
+  // attach that created the unit failed): the unit goes, and a later unit
+  // may reuse its id. As with any program the deployer releases, no packet
+  // of the unit's hook may still be in flight.
+  void drop_unit(const std::string& device, ebpf::HookType hook);
   // A successful atomic swap activated a (possibly new) program: fresh units
   // and re-deploys re-enter canary shadow; a quarantined unit's redeploy
   // enters half-open probing.

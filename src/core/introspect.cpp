@@ -26,15 +26,8 @@ LinkObject link_from_attrs(const util::Json& a) {
   for (std::size_t i = 0; i < a.at("addrs").size(); ++i) {
     l.addrs.push_back(a.at("addrs").at(i).as_string());
   }
-  for (std::size_t i = 0; i < a.at("ports").size(); ++i) {
-    const util::Json& pj = a.at("ports").at(i);
-    PortObject p;
-    p.ifindex = static_cast<int>(pj.at("ifindex").as_int());
-    p.ifname = pj.at("ifname").as_string();
-    p.stp_state = pj.at("state").as_string();
-    p.pvid = static_cast<std::uint16_t>(pj.at("pvid").as_int(1));
-    l.ports.push_back(p);
-  }
+  l.stp_state = a.at("stp_state").as_string();
+  l.pvid = static_cast<std::uint16_t>(a.at("pvid").as_int(1));
   return l;
 }
 
@@ -102,6 +95,14 @@ ServiceObject service_from_attrs(const util::Json& a) {
   svc.scheduler = a.at("scheduler").as_string();
   svc.backend_count = a.at("backends").size();
   return svc;
+}
+
+// Where the port `ifindex` is, or belongs, in a bridge's ascending list.
+std::vector<PortObject>::iterator port_at(std::vector<PortObject>& ports,
+                                          int ifindex) {
+  return std::lower_bound(
+      ports.begin(), ports.end(), ifindex,
+      [](const PortObject& p, int i) { return p.ifindex < i; });
 }
 
 // Applies an add or a delete of `obj` to a table keyed by `same`: an add
@@ -184,10 +185,18 @@ bool ServiceIntrospection::sync(Table table) {
   stale_[table] = false;
   switch (table) {
     case kLinks:
+      for (const auto& [ifindex, l] : view_.links) {
+        changes_.links.push_back(ifindex);
+      }
       view_.links.clear();
       for (const nl::Message& m : bus_.dump(nl::DumpKind::kLinks)) {
         LinkObject l = link_from_attrs(m.attrs);
+        changes_.links.push_back(l.ifindex);
         view_.links[l.ifindex] = std::move(l);
+      }
+      // Every master is in the view now; ports ascend as the dump does.
+      for (const auto& [ifindex, l] : view_.links) {
+        if (l.master != 0) list_port(l);
       }
       break;
     case kRoutes:
@@ -232,6 +241,10 @@ bool ServiceIntrospection::sync(Table table) {
     case kTableCount:
       break;
   }
+  if (table == kRoutes || table == kRules || table == kServices ||
+      table == kSysctls) {
+    changes_.shared = true;
+  }
   return true;
 }
 
@@ -244,19 +257,14 @@ bool ServiceIntrospection::apply(const nl::Message& msg) {
                    msg.type == nl::MsgType::kDelService;
   switch (msg.type) {
     case nl::MsgType::kNewLink:
-    case nl::MsgType::kDelLink: {
-      LinkObject l = link_from_attrs(a);
-      if (del) view_.links.erase(l.ifindex);
-      else view_.links[l.ifindex] = std::move(l);
+    case nl::MsgType::kDelLink:
+      apply_link(link_from_attrs(a), del);
       return true;
-    }
     case nl::MsgType::kNewAddr:
-    case nl::MsgType::kDelAddr: {
+    case nl::MsgType::kDelAddr:
       // Addresses live inside link objects: their events carry the link.
-      LinkObject l = link_from_attrs(a.at("link"));
-      view_.links[l.ifindex] = std::move(l);
+      apply_link(link_from_attrs(a.at("link")), false);
       return true;
-    }
     case nl::MsgType::kNewRoute:
     case nl::MsgType::kDelRoute: {
       // Keyed by (prefix, metric), as in the FIB.
@@ -265,6 +273,7 @@ bool ServiceIntrospection::apply(const nl::Message& msg) {
         return o.metric == r.metric && o.dst == r.dst;
       };
       update(view_.routes, std::move(r), del, same);
+      changes_.shared = true;
       return true;
     }
     case nl::MsgType::kNewNeigh:
@@ -285,6 +294,7 @@ bool ServiceIntrospection::apply(const nl::Message& msg) {
     }
     case nl::MsgType::kNewRule:
     case nl::MsgType::kDelRule:
+      changes_.shared = true;
       return apply_rule(a);
     case nl::MsgType::kNewSet:
     case nl::MsgType::kDelSet: {
@@ -296,6 +306,7 @@ bool ServiceIntrospection::apply(const nl::Message& msg) {
     case nl::MsgType::kSysctl:
       view_.sysctls[a.at("key").as_string()] =
           static_cast<int>(a.at("value").as_int());
+      changes_.shared = true;
       return true;
     case nl::MsgType::kNewService:
     case nl::MsgType::kDelService: {
@@ -305,10 +316,56 @@ bool ServiceIntrospection::apply(const nl::Message& msg) {
         return o.port == svc.port && o.proto == svc.proto && o.vip == svc.vip;
       };
       update(view_.services, std::move(svc), del, same);
+      changes_.shared = true;
       return true;
     }
   }
   return false;
+}
+
+void ServiceIntrospection::apply_link(LinkObject link, bool del) {
+  changes_.links.push_back(link.ifindex);
+  auto it = view_.links.find(link.ifindex);
+  if (it != view_.links.end()) {
+    LinkObject& old = it->second;
+    // The ports' descriptions read their bridge.
+    for (const PortObject& p : old.ports) changes_.links.push_back(p.ifindex);
+    if (old.master != 0 && (del || old.master != link.master)) {
+      unlist_port(old.master, link.ifindex);
+    }
+    if (del) {
+      view_.links.erase(it);
+      return;
+    }
+    // Derived from the ports' own links, never carried by the bridge's.
+    link.ports = std::move(old.ports);
+  } else if (del) {
+    return;
+  }
+  if (link.master != 0) list_port(link);
+  view_.links[link.ifindex] = std::move(link);
+}
+
+void ServiceIntrospection::list_port(const LinkObject& port) {
+  auto master = view_.links.find(port.master);
+  if (master == view_.links.end()) return;
+  std::vector<PortObject>& ports = master->second.ports;
+  auto at = port_at(ports, port.ifindex);
+  if (at == ports.end() || at->ifindex != port.ifindex) {
+    at = ports.insert(at, PortObject{});
+  }
+  at->ifindex = port.ifindex;
+  at->ifname = port.ifname;
+  at->stp_state = port.stp_state;
+  at->pvid = port.pvid;
+}
+
+void ServiceIntrospection::unlist_port(int master, int port_ifindex) {
+  auto it = view_.links.find(master);
+  if (it == view_.links.end()) return;
+  std::vector<PortObject>& ports = it->second.ports;
+  auto at = port_at(ports, port_ifindex);
+  if (at != ports.end() && at->ifindex == port_ifindex) ports.erase(at);
 }
 
 bool ServiceIntrospection::apply_rule(const util::Json& a) {

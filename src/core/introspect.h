@@ -6,14 +6,31 @@
 // the view in place: an event costs O(change), not O(table). A table dump is
 // not cheap (about 1.2 ms for a 1k-rule FORWARD chain), so dumps happen only
 // in initial_sync() and to re-sync a table whose last dump failed.
+//
+// Each applied change is also recorded as what it touched (ViewChanges), so
+// a consumer re-derives only the devices a change can reach.
 #pragma once
 
 #include <array>
+#include <utility>
+#include <vector>
 
 #include "core/objects.h"
 #include "netlink/netlink.h"
 
 namespace linuxfp::core {
+
+// What the view changes since the last take_changes() touched.
+struct ViewChanges {
+  // The links that changed, appeared or were deleted, by ifindex, unsorted
+  // and possibly repeated. A bridge's own change also names its ports,
+  // whose descriptions read the bridge; an enslave or release names the
+  // port. A dump names every link before and after it.
+  std::vector<int> links;
+  // Routes, rules, sysctls or services changed, or were re-dumped: the
+  // inputs every device's description shares.
+  bool shared = false;
+};
 
 class ServiceIntrospection {
  public:
@@ -29,6 +46,8 @@ class ServiceIntrospection {
   bool poll();
 
   const WorldView& view() const { return view_; }
+  // What changed since the last call (initial_sync() changes everything).
+  ViewChanges take_changes() { return std::exchange(changes_, {}); }
 
   std::uint64_t events_processed() const { return events_; }
   // Netlink dump reads that failed (fault-injected). The affected table
@@ -55,10 +74,17 @@ class ServiceIntrospection {
   bool sync(Table table);
   bool apply(const nl::Message& msg);
   bool apply_rule(const util::Json& attrs);
+  // Applies a link's new object (or its deletion) and keeps the port list
+  // of its old and new master in step.
+  void apply_link(LinkObject link, bool del);
+  // Lists `port` in its master's port list, in ifindex order.
+  void list_port(const LinkObject& port);
+  void unlist_port(int master, int port_ifindex);
 
   nl::Bus& bus_;
   nl::Socket* socket_;
   WorldView view_;
+  ViewChanges changes_;
   std::array<bool, kTableCount> stale_{};
   std::uint64_t events_ = 0;
   std::uint64_t dump_failures_ = 0;

@@ -34,7 +34,11 @@ struct LinkObject {
   std::uint32_t mtu = 1500;
   int master = 0;
   std::vector<std::string> addrs;
-  // bridge-specific
+  // bridge-port-specific, set while enslaved
+  std::string stp_state;
+  std::uint16_t pvid = 1;
+  // bridge-specific. `ports` ascends by ifindex; the introspection derives
+  // it from the ports' links, which carry their master.
   bool stp = false;
   bool vlan_filtering = false;
   std::vector<PortObject> ports;

@@ -51,81 +51,93 @@ util::Json render_node(util::Json conf, bool next_router) {
 
 }  // namespace
 
-std::vector<DeviceGraph> TopologyManager::describe(
-    const WorldView& view) const {
-  // What every device's graph shares, read once per pass.
-  const std::size_t global_routes = view.global_route_count();
-  const bool routing_active = view.ip_forward() && global_routes > 0;
-  std::optional<FilterConf> filter;
+SharedInputs TopologyManager::shared_inputs(const WorldView& view) {
+  SharedInputs s;
+  s.global_routes = view.global_route_count();
+  s.routing_active = view.ip_forward() && s.global_routes > 0;
   if (view.forward_rule_count() > 0 || view.forward_has_policy_drop()) {
-    filter = FilterConf{view.forward_rule_count(), scan_forward_rules(view)};
+    s.filter = FilterConf{view.forward_rule_count(), scan_forward_rules(view)};
   }
   auto br_nf_it = view.sysctls.find("net.bridge.bridge-nf-call-iptables");
-  const bool br_nf = br_nf_it != view.sysctls.end() && br_nf_it->second != 0;
-  std::optional<LoadBalanceNode> loadbalance;
+  s.br_nf = br_nf_it != view.sysctls.end() && br_nf_it->second != 0;
   if (!view.services.empty()) {
     // The VIP endpoints are baked into the synthesized code: traffic not
     // addressed to any service skips the conntrack lookup entirely.
-    LoadBalanceNode& lb = loadbalance.emplace();
+    LoadBalanceNode& lb = s.loadbalance.emplace();
     lb.services.reserve(view.services.size());
     for (const ServiceObject& svc : view.services) {
       lb.services.push_back({svc.vip, svc.port, svc.proto});
     }
   }
+  return s;
+}
 
+std::optional<DeviceGraph> TopologyManager::describe(
+    const WorldView& view, const SharedInputs& shared,
+    const LinkObject& link) const {
+  if (!link.up) return std::nullopt;
+  bool attachable =
+      (options_.attach_physical && link.kind == "physical" &&
+       link.master == 0) ||
+      (options_.attach_bridge_ports && link.master != 0 &&
+       (link.kind == "veth" || link.kind == "physical")) ||
+      (options_.attach_overlay && link.kind == "vxlan" && link.master == 0);
+  if (!attachable) return std::nullopt;
+  std::optional<DeviceGraph> out;
+  DeviceGraph& g = out.emplace();
+  g.device = link.ifname;
+  g.ifindex = link.ifindex;
+  g.hook = options_.hook;
+  g.dev_mac = link.mac;
+
+  // Load balancer, filter and router for traffic routed at `owner`'s
+  // addresses. Locally-terminated traffic (addresses the owner holds) is
+  // a slow-path concern; the synthesized code punts it before the FIB
+  // lookup (configuration-specialized early exit).
+  auto add_l3 = [&](const LinkObject& owner) {
+    g.loadbalance = shared.loadbalance;
+    g.filter = shared.filter;
+    RouterNode& router = g.router.emplace();
+    router.route_count = shared.global_routes;
+    router.local_addrs.reserve(owner.addrs.size());
+    for (const std::string& addr : owner.addrs) {
+      router.local_addrs.push_back(addr.substr(0, addr.find('/')));
+    }
+  };
+
+  const LinkObject* master = nullptr;
+  if (link.master != 0) {
+    auto it = view.links.find(link.master);
+    if (it != view.links.end()) master = &it->second;
+  }
+  if (master && master->kind == "bridge") {
+    // The device is an enslaved bridge port.
+    BridgeNode& bridge = g.bridge.emplace();
+    bridge.bridge = master->ifname;
+    bridge.bridge_ifindex = master->ifindex;
+    bridge.bridge_mac = master->mac;
+    bridge.stp = master->stp;
+    bridge.vlan_filtering = master->vlan_filtering;
+    if (shared.br_nf) bridge.filter = shared.filter;
+    // Routed traffic addressed to the bridge interface continues to the
+    // router FPM when the bridge has addresses and routing is active
+    // (paper: "routes referring to the bridge interfaces will create a
+    // next_nf: router FPM within the bridge JSON description").
+    if (shared.routing_active && master->has_addresses()) add_l3(*master);
+  } else if (shared.routing_active && link.has_addresses()) {
+    add_l3(link);  // plain L3 device
+  }
+  return out;
+}
+
+std::vector<DeviceGraph> TopologyManager::describe(
+    const WorldView& view) const {
+  const SharedInputs shared = shared_inputs(view);
   std::vector<DeviceGraph> graphs;
   graphs.reserve(view.links.size());
   for (const auto& [ifindex, link] : view.links) {
-    if (!link.up) continue;
-    bool attachable =
-        (options_.attach_physical && link.kind == "physical" &&
-         link.master == 0) ||
-        (options_.attach_bridge_ports && link.master != 0 &&
-         (link.kind == "veth" || link.kind == "physical")) ||
-        (options_.attach_overlay && link.kind == "vxlan" && link.master == 0);
-    if (!attachable) continue;
-    DeviceGraph& g = graphs.emplace_back();
-    g.device = link.ifname;
-    g.ifindex = link.ifindex;
-    g.hook = options_.hook;
-    g.dev_mac = link.mac;
-
-    // Load balancer, filter and router for traffic routed at `owner`'s
-    // addresses. Locally-terminated traffic (addresses the owner holds) is
-    // a slow-path concern; the synthesized code punts it before the FIB
-    // lookup (configuration-specialized early exit).
-    auto add_l3 = [&](const LinkObject& owner) {
-      g.loadbalance = loadbalance;
-      g.filter = filter;
-      RouterNode& router = g.router.emplace();
-      router.route_count = global_routes;
-      router.local_addrs.reserve(owner.addrs.size());
-      for (const std::string& addr : owner.addrs) {
-        router.local_addrs.push_back(addr.substr(0, addr.find('/')));
-      }
-    };
-
-    const LinkObject* master = nullptr;
-    if (link.master != 0) {
-      auto it = view.links.find(link.master);
-      if (it != view.links.end()) master = &it->second;
-    }
-    if (master && master->kind == "bridge") {
-      // The device is an enslaved bridge port.
-      BridgeNode& bridge = g.bridge.emplace();
-      bridge.bridge = master->ifname;
-      bridge.bridge_ifindex = master->ifindex;
-      bridge.bridge_mac = master->mac;
-      bridge.stp = master->stp;
-      bridge.vlan_filtering = master->vlan_filtering;
-      if (br_nf) bridge.filter = filter;
-      // Routed traffic addressed to the bridge interface continues to the
-      // router FPM when the bridge has addresses and routing is active
-      // (paper: "routes referring to the bridge interfaces will create a
-      // next_nf: router FPM within the bridge JSON description").
-      if (routing_active && master->has_addresses()) add_l3(*master);
-    } else if (routing_active && link.has_addresses()) {
-      add_l3(link);  // plain L3 device
+    if (std::optional<DeviceGraph> g = describe(view, shared, link)) {
+      graphs.push_back(std::move(*g));
     }
   }
   return graphs;
@@ -190,21 +202,6 @@ util::Json TopologyManager::build(const WorldView& view) const {
     if (g.has_nodes()) graphs.push_back(render(g));
   }
   return util::Json(std::move(graphs));
-}
-
-std::string TopologyManager::join_signatures(
-    const std::vector<std::string>& sigs) {
-  std::size_t length = 2;
-  for (const std::string& sig : sigs) length += sig.size() + 2;
-  std::string joined;
-  joined.reserve(length);
-  joined += '[';
-  for (std::size_t i = 0; i < sigs.size(); ++i) {
-    if (i > 0) joined += ", ";
-    joined += sigs[i];
-  }
-  joined += ']';
-  return joined;
 }
 
 }  // namespace linuxfp::core

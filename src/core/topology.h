@@ -1,13 +1,15 @@
 // Topology Manager: derives relationships between LinuxFP objects and emits
 // the per-device processing graph (paper §IV-C2, Fig 3).
 //
-// `describe(view)` is the only graph builder. It returns one typed
-// description (`DeviceGraph`) per attachable device, which holds exactly
-// what the graph JSON says. `render(description)` writes that JSON, and
-// `build(view)` is the array of the rendered descriptions that have nodes.
-// Equal descriptions render byte-identical graphs, so a caller that keeps
-// the last description per device re-renders only the devices whose
-// description changed (DESIGN.md §17).
+// A device's typed description (`DeviceGraph`) holds exactly what its graph
+// JSON says. It is derived in two parts: the inputs every device shares
+// (`shared_inputs(view)`: routes, rules, sysctls, services), computed once
+// per change of those tables, and the per-device `describe(view, shared,
+// link)`, the only graph builder. `describe(view)` and `build(view)` loop
+// over it. `render(description)` writes the JSON. Equal descriptions render
+// byte-identical graphs, so a caller that keeps the last description per
+// device re-describes only the devices a change reaches and re-renders only
+// those whose description changed (DESIGN.md §17).
 //
 // Graph shape (one graph per attachable device with at least one node):
 //   {
@@ -114,6 +116,25 @@ struct DeviceGraph {
   bool operator==(const DeviceGraph&) const = default;
 };
 
+// What every device's description reads of the routes, rules, sysctls and
+// services. The gates decide which nodes a graph can have at all: routing
+// active, a FORWARD filter present, bridge-nf-call-iptables, and services
+// present. The rest is the content of the nodes they admit.
+struct SharedInputs {
+  std::size_t global_routes = 0;
+  bool routing_active = false;  // ip_forward and a global-scope route
+  std::optional<FilterConf> filter;
+  bool br_nf = false;
+  std::optional<LoadBalanceNode> loadbalance;
+
+  bool same_gates(const SharedInputs& o) const {
+    return routing_active == o.routing_active &&
+           filter.has_value() == o.filter.has_value() && br_nf == o.br_nf &&
+           loadbalance.has_value() == o.loadbalance.has_value();
+  }
+  bool operator==(const SharedInputs&) const = default;
+};
+
 struct TopologyOptions {
   // Which devices receive a fast path.
   bool attach_physical = true;
@@ -127,6 +148,21 @@ class TopologyManager {
   explicit TopologyManager(TopologyOptions options = {})
       : options_(std::move(options)) {}
 
+  static SharedInputs shared_inputs(const WorldView& view);
+
+  // The description of `link` (an element of view.links) when it is
+  // attachable, including one whose graph has no nodes; nullopt otherwise.
+  std::optional<DeviceGraph> describe(const WorldView& view,
+                                      const SharedInputs& shared,
+                                      const LinkObject& link) const;
+
+  // Whether `graph` read the content of the shared inputs (it has an L3
+  // node, or a bridge node with br_netfilter). While the gates hold, a
+  // change of the shared inputs changes no other description.
+  static bool reads_shared(const DeviceGraph& graph) {
+    return graph.router || (graph.bridge && graph.bridge->filter);
+  }
+
   // One description per attachable device, ascending by ifindex (the order
   // of view.links), including devices whose graph has no nodes.
   std::vector<DeviceGraph> describe(const WorldView& view) const;
@@ -137,16 +173,10 @@ class TopologyManager {
   // The rendered graphs of every described device with nodes: a JSON array.
   util::Json build(const WorldView& view) const;
 
-  // Stable signature for change detection: the controller re-synthesizes
-  // only when this changes.
+  // Stable signature for change detection, of one graph or of an array.
   static std::string signature(const util::Json& graphs) {
     return graphs.dump();
   }
-
-  // signature(graphs) formed from the signatures of its elements: "[" +
-  // the per-graph dumps joined by ", " + "]", byte for byte the array's
-  // dump. The controller keeps each graph's dump and joins them.
-  static std::string join_signatures(const std::vector<std::string>& sigs);
 
  private:
   TopologyOptions options_;

@@ -161,7 +161,9 @@ Status cmd_brctl(Kernel& k, const Tokens& t) {
     Bridge* br = k.bridge_by_name(t[2]);
     if (!br) return Error::make("bridge.missing", "no such bridge: " + t[2]);
     br->set_stp_enabled(t[3] == "on" || t[3] == "yes");
+    // The flag is the bridge's; the port states it resets are the ports'.
     k.publish_link(*k.dev_by_name(t[2]));
+    k.publish_ports(*br);
     return {};
   }
   if (sub == "setageing" && t.size() >= 4) {
@@ -197,9 +199,11 @@ Status cmd_bridge(Kernel& k, const Tokens& t) {
     if (pvid) port->pvid = v;
     if (untagged) port->untagged_vlans.insert(v);
     br->note_config_changed();  // mutated port VLAN config via port()
+    const bool filtering = br->vlan_filtering();
     br->set_vlan_filtering(true);
-    // The port's VLAN config and the filtering flag live in the bridge's link.
-    k.publish_link(*k.dev(d->master()));
+    // The pvid lives in the port's link, the filtering flag in the bridge's.
+    k.publish_link(*d);
+    if (!filtering) k.publish_link(*k.dev(d->master()));
     return {};
   }
   // bridge fdb add <mac> dev <dev> [vlan <vid>] [dst <ip>]

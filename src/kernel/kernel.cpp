@@ -140,8 +140,8 @@ void Kernel::tick() {
         if (peer_dev && peer_dev->master() != 0) {
           Bridge* peer_br = peer.bridge(peer_dev->master());
           if (peer_br && peer_br->process_bpdu(peer_dev->ifindex(), bpdu)) {
-            // Port STP states live in the bridge's link object.
-            peer.publish_link(*peer.dev(peer_dev->master()));
+            // Port STP states live in the ports' link objects.
+            peer.publish_ports(*peer_br);
           }
           ++peer.counters_.bpdus_processed;
         }
@@ -258,15 +258,24 @@ util::Status Kernel::del_dev(const std::string& name) {
   }
   int ifi = it->second;
   NetDevice* d = dev(ifi);
-  // Remove from any bridge it is enslaved to.
+  // Remove from any bridge it is enslaved to. The deleted link carries its
+  // master, which is all the bridge's port list needs.
   if (d->master() != 0) {
     Bridge* br = bridge(d->master());
-    if (br) {
-      br->del_port(ifi);
-      publish_link(*dev(d->master()));
+    if (br) br->del_port(ifi);
+  }
+  // Deleting a bridge device releases its ports, each publishing its own
+  // link, and deletes the bridge object.
+  if (Bridge* br = bridge(ifi)) {
+    std::vector<int> ports;
+    for (const auto& [port_ifi, p] : br->ports()) ports.push_back(port_ifi);
+    for (int port_ifi : ports) {
+      br->del_port(port_ifi);
+      NetDevice* pd = dev(port_ifi);
+      pd->set_master(0);
+      publish_link(*pd);
     }
   }
-  // Deleting a bridge device deletes the bridge object.
   bridges_.erase(ifi);
   for (Route& r : fib_.purge_interface(ifi)) {
     netlink_.publish(nl::MsgType::kDelRoute, route_attrs(r, name));
@@ -341,7 +350,6 @@ util::Status Kernel::enslave(const std::string& port,
   p->set_master(b->ifindex());
   br->add_port(p->ifindex());
   bump_dev_generation();
-  publish_link(*b);  // the bridge's port list changed too
   publish_link(*p);
   return {};
 }
@@ -357,7 +365,6 @@ util::Status Kernel::release(const std::string& port) {
   if (br) br->del_port(p->ifindex());
   p->set_master(0);
   bump_dev_generation();
-  if (br) publish_link(*dev(master));
   publish_link(*p);
   return {};
 }
@@ -664,22 +671,19 @@ util::Json Kernel::link_attrs(const NetDevice& d) const {
   attrs["up"] = d.is_up();
   attrs["mtu"] = static_cast<std::int64_t>(d.mtu());
   attrs["master"] = d.master();
+  // A port carries its own bridge-port state, so a port change publishes
+  // one port's link and a bridge's link never lists its ports.
+  if (const Bridge* br = d.master() != 0 ? bridge(d.master()) : nullptr) {
+    if (const BridgePort* p = br->port(d.ifindex())) {
+      attrs["stp_state"] = stp_state_name(p->state);
+      attrs["pvid"] = p->pvid;
+    }
+  }
   if (d.kind() == DevKind::kBridge) {
     const Bridge* br = bridge(d.ifindex());
     if (br) {
       attrs["stp"] = br->stp_enabled();
       attrs["vlan_filtering"] = br->vlan_filtering();
-      util::Json ports = util::Json::array();
-      for (const auto& [ifi, p] : br->ports()) {
-        util::Json pj = util::Json::object();
-        pj["ifindex"] = ifi;
-        const NetDevice* pd = dev(ifi);
-        pj["ifname"] = pd ? pd->name() : "";
-        pj["state"] = stp_state_name(p.state);
-        pj["pvid"] = p.pvid;
-        ports.push_back(std::move(pj));
-      }
-      attrs["ports"] = std::move(ports);
     }
   }
   if (d.kind() == DevKind::kVxlan) {
@@ -695,6 +699,12 @@ util::Json Kernel::link_attrs(const NetDevice& d) const {
 void Kernel::publish_link(const NetDevice& d, bool deleted) {
   netlink_.publish(deleted ? nl::MsgType::kDelLink : nl::MsgType::kNewLink,
                    link_attrs(d));
+}
+
+void Kernel::publish_ports(const Bridge& br) {
+  for (const auto& [ifi, p] : br.ports()) {
+    if (const NetDevice* pd = dev(ifi)) publish_link(*pd);
+  }
 }
 
 // Addresses live in their link object, so an address carries the whole link.

@@ -166,12 +166,16 @@ class Kernel : public nl::DumpProvider {
   std::vector<NetDevice*> devices();
 
   util::Status set_link_up(const std::string& name, bool up);
-  // Port changes publish the port's link and the bridge's (its port list).
+  // Port changes publish the port's link only: it carries its master and,
+  // while enslaved, its STP state and pvid. The bridge's link carries the
+  // bridge's own attributes and is published when they change.
   util::Status enslave(const std::string& port, const std::string& bridge);
   util::Status release(const std::string& port);
   // Publishes a device's whole link object (RTM_NEWLINK/DELLINK), for
   // changes made through a subsystem handle (brctl stp, bridge vlan).
   void publish_link(const NetDevice& dev, bool deleted = false);
+  // Publishes the link of every port of `br`, whose STP states changed.
+  void publish_ports(const Bridge& br);
 
   // --- addresses and routes ------------------------------------------------
   util::Status add_addr(const std::string& dev, const net::IfAddr& addr);

@@ -8,6 +8,7 @@
 // re-synthesized), the withdrawal rule, and the failed-device retry path.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,19 @@ struct MixedDut {
     run("ip link del pod" + std::to_string(pods));
   }
 
+  // Deletes pod `i` and creates a new device under its name, enslaved as
+  // the old one was.
+  void recreate_pod(int i) {
+    const std::string port = "pod" + std::to_string(i);
+    run("ip link del " + port);
+    run("ip link add " + port + " type veth peer name re" +
+        std::to_string(recreated++));
+    run("ip link set " + port + " up");
+    run("ip link set " + port + " master br0");
+  }
+
+  int recreated = 0;
+
   std::vector<std::string> device_names() const {
     std::vector<std::string> names{"eth0", "eth1", "eth2"};
     for (int i = 0; i < pods; ++i) names.push_back("pod" + std::to_string(i));
@@ -84,18 +98,25 @@ ControllerOptions mixed_options(bool delta) {
 
 // The deployed-FPM-set equivalence check: for every device and hook, both
 // controllers expose the same attachment presence and a bit-identical active
-// program (name + instruction stream).
+// program (name + instruction stream), and `a`'s attachment is what the hook
+// of `dut`'s device runs (these controllers have no guard in front of it).
 void compare_deployments(Controller& a, Controller& b, MixedDut& dut,
                          const char* where) {
   ASSERT_EQ(a.deployer().attachment_count(), b.deployer().attachment_count())
       << where;
   for (const std::string& dev : dut.device_names()) {
+    const kern::NetDevice* d = dut.kernel.dev_by_name(dev);
+    ASSERT_NE(d, nullptr) << where << " " << dev;
     for (ebpf::HookType hook :
          {ebpf::HookType::kXdp, ebpf::HookType::kTcIngress}) {
       ebpf::Attachment* aa = a.deployer().attachment(dev, hook);
       ebpf::Attachment* ab = b.deployer().attachment(dev, hook);
       ASSERT_EQ(aa == nullptr, ab == nullptr) << where << " " << dev;
       if (!aa) continue;
+      const kern::PacketProgram* on_hook =
+          hook == ebpf::HookType::kXdp ? d->xdp_prog() : d->tc_ingress_prog();
+      EXPECT_EQ(on_hook, static_cast<kern::PacketProgram*>(aa))
+          << where << " " << dev;
       const ebpf::Program& pa = aa->programs()[aa->active_prog_id()];
       const ebpf::Program& pb = ab->programs()[ab->active_prog_id()];
       EXPECT_EQ(pa.name, pb.name) << where << " " << dev;
@@ -162,12 +183,13 @@ TEST(DeltaSynth, ConvergesWithFromScratchUnderChurn) {
     const Reaction f = full_ctl.run_once();
     const Reaction m = mainline_ctl.run_once();
     check(d, f, m, where);
+    return d;
   };
   auto both = [&](const std::string& cmd) {
     delta_dut.run(cmd);
     full_dut.run(cmd);
     mainline_dut.run(cmd);
-    react(cmd);
+    return react(cmd);
   };
   auto add_pod = [&] {
     delta_dut.add_pod();
@@ -229,6 +251,41 @@ TEST(DeltaSynth, ConvergesWithFromScratchUnderChurn) {
   both("ip link set eth2 down");
   compare_deployments(delta_ctl, full_ctl, delta_dut, "link down");
   both("ip link set eth2 up");
+
+  // A static neighbour changes no description: nothing is rendered and the
+  // reaction reads unchanged.
+  {
+    const std::uint64_t rendered = delta_ctl.graph_render_count();
+    const Reaction r = both("ip neigh add 10.10.3.7 lladdr " +
+                            net::MacAddr::from_id(0x78).to_string() +
+                            " dev eth2 nud permanent");
+    EXPECT_FALSE(r.changed);
+    EXPECT_EQ(delta_ctl.graph_render_count(), rendered);
+  }
+
+  // A device deleted and re-created under its name, within one reaction
+  // and across two.
+  for (MixedDut* dut : {&delta_dut, &full_dut, &mainline_dut}) {
+    dut->recreate_pod(0);
+  }
+  react("pod0 re-created");
+  compare_deployments(delta_ctl, full_ctl, delta_dut, "pod0 re-created");
+  both("ip link del pod1");
+  for (MixedDut* dut : {&delta_dut, &full_dut, &mainline_dut}) {
+    dut->run("ip link add pod1 type veth peer name re1x");
+    dut->run("ip link set pod1 up");
+  }
+  react("pod1 re-created");
+  both("ip link set pod1 master br0");
+  compare_deployments(delta_ctl, full_ctl, delta_dut, "pod1 re-created");
+
+  // The bridge deleted while it has ports, then a new one.
+  both("ip link del br0");
+  compare_deployments(delta_ctl, full_ctl, delta_dut, "bridge deleted");
+  both("ip link add br0 type bridge");
+  both("ip link set br0 up");
+  add_pod();
+  compare_deployments(delta_ctl, full_ctl, delta_dut, "new bridge");
   del_pod();
   compare_deployments(delta_ctl, full_ctl, delta_dut, "final");
   EXPECT_GT(mainline_drops, 0u);
@@ -238,6 +295,59 @@ TEST(DeltaSynth, ConvergesWithFromScratchUnderChurn) {
   EXPECT_EQ(delta_ctl.resynth_count(), full_ctl.resynth_count());
   EXPECT_LT(delta_ctl.graph_resynth_count() * 2,
             full_ctl.graph_resynth_count());
+}
+
+// A reaction describes the devices its events reach, not the devices the
+// host has: each kind of storm event describes (and renders) as many
+// devices at 8 pods as at 64. Only a gate flip (here ip_forward) describes
+// every device.
+TEST(DeltaSynth, EventsDescribeTheSameDevicesAtAnySize) {
+  struct Work {
+    std::vector<std::uint64_t> described, rendered;
+    bool operator==(const Work&) const = default;
+  };
+  auto storm_work = [](int pods) {
+    MixedDut dut;
+    for (int i = 0; i < pods; ++i) dut.add_pod();
+    // The first FORWARD rule is a gate flip (a filter appears everywhere);
+    // the storm's rules follow one.
+    dut.run("iptables -A FORWARD -s 10.66.1.1 -j DROP");
+    Controller ctl(dut.kernel, mixed_options(true));
+    ctl.start();
+    Work work;
+    auto event = [&](const std::function<void()>& commands) {
+      const std::uint64_t described = ctl.describe_count();
+      const std::uint64_t rendered = ctl.graph_render_count();
+      commands();
+      ctl.run_once();
+      work.described.push_back(ctl.describe_count() - described);
+      work.rendered.push_back(ctl.graph_render_count() - rendered);
+    };
+    for (int round = 0; round < 2; ++round) {
+      event([&] { dut.run("ip route add 10.130.0.0/24 via 10.10.2.2 dev eth1"); });
+      event([&] {
+        dut.run("iptables -A FORWARD -s 10.66.0." + std::to_string(round) +
+                " -j DROP");
+      });
+      event([&] { dut.add_pod(); });
+      event([&] { dut.run("ip route del 10.130.0.0/24"); });
+      event([&] { dut.del_pod(); });
+    }
+    const std::uint64_t described = ctl.describe_count();
+    dut.run("sysctl -w net.ipv4.ip_forward=0");
+    ctl.run_once();
+    EXPECT_EQ(ctl.describe_count() - described,
+              static_cast<std::uint64_t>(3 + pods));
+    return work;
+  };
+  const Work small = storm_work(8);
+  EXPECT_EQ(small, storm_work(64));
+  // Route and rule events describe the three routed uplinks, a pod add its
+  // port and the port's peer, a pod delete nothing.
+  EXPECT_EQ(small.described,
+            (std::vector<std::uint64_t>{3, 3, 2, 3, 0, 3, 3, 2, 3, 0}));
+  EXPECT_EQ(small.rendered,
+            (std::vector<std::uint64_t>{3, 3, 1, 3, 0, 3, 3, 1, 3, 0}));
 }
 
 TEST(DeltaSynth, ReusesUnchangedGraphs) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/controller.h"
+#include "net/headers.h"
 #include "tests/kernel/test_topo.h"
 #include "util/rng.h"
 
@@ -176,6 +177,150 @@ TEST(Deployer, ReleasedChainsLeaveTheProgArray) {
   EXPECT_TRUE(summary.fast_path);
   EXPECT_EQ(dut.tx_eth1.size(), 1u);
   EXPECT_EQ(att->stats().aborted, 0u);
+}
+
+// A route's worth of FORWARD churn in tail-call mode: every rule event
+// redeploys eth0 and eth1 with a fresh chain. The chain index wraps around
+// the dispatcher's 256-entry prog array instead of running off its end, so
+// the fast path survives every redeploy.
+TEST(Deployer, TailCallChainsKeepTheFastPathUnderChurn) {
+  RouterDut dut;
+  dut.add_prefixes(2);
+  dut.run("iptables -A FORWARD -s 10.77.0.0/24 -j DROP");
+  ControllerOptions opts;
+  opts.chain = ChainMode::kTailCalls;
+  Controller controller(dut.kernel, opts);
+  controller.start();
+  for (int i = 0; i < 1000; ++i) {
+    dut.run("iptables -A FORWARD -s 10." + std::to_string(78 + i / 250) +
+            "." + std::to_string(i % 250) + ".0/24 -j DROP");
+    const Reaction r = controller.run_once();
+    ASSERT_TRUE(r.changed) << "event " << i;
+    ASSERT_FALSE(r.deploy_failed) << "event " << i;
+    kern::CycleTrace t;
+    const auto summary =
+        dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(0), t);
+    ASSERT_TRUE(summary.fast_path) << "event " << i;
+  }
+  EXPECT_EQ(controller.deployer().rollbacks(), 0u);
+  EXPECT_EQ(dut.tx_eth1.size(), 1000u);
+  auto* att = controller.deployer().attachment("eth0", ebpf::HookType::kXdp);
+  ASSERT_NE(att, nullptr);
+  EXPECT_EQ(att->stats().aborted, 0u);
+}
+
+// A container host: a bridge whose veth pod ports each carry a bridge-port
+// FPM (attach_bridge_ports).
+struct PodHost {
+  kern::Kernel kernel{"host"};
+
+  explicit PodHost(int pods) {
+    run("ip link add br0 type bridge");
+    run("ip link set br0 up");
+    for (int i = 0; i < pods; ++i) add_pod("pod" + std::to_string(i));
+  }
+
+  void run(const std::string& cmd) {
+    auto st = kern::run_command(kernel, cmd);
+    ASSERT_TRUE(st.ok()) << cmd << " — " << st.error().message;
+  }
+
+  // Each pod's peer gets a name of its own, re-creations included.
+  void add_pod(const std::string& name) {
+    run("ip link add " + name + " type veth peer name ns" +
+        std::to_string(peers++));
+    run("ip link set " + name + " up");
+    run("ip link set " + name + " master br0");
+  }
+
+  int peers = 0;
+};
+
+ControllerOptions pod_options() {
+  ControllerOptions opts;
+  opts.attach_bridge_ports = true;
+  return opts;
+}
+
+// A device deleted and re-created under its name is another device: the
+// deleted one's slot is freed, and the new one gets a slot, a hook program
+// and a fast path of its own.
+TEST(Deployer, RecreatedDeviceGetsItsFastPathBack) {
+  PodHost host(2);
+  Controller controller(host.kernel, pod_options());
+  ASSERT_FALSE(controller.start().deploy_failed);
+  ASSERT_NE(controller.deployer().attachment("pod1", ebpf::HookType::kXdp),
+            nullptr);
+  const std::size_t slots = controller.deployer().attachment_count();
+
+  host.run("ip link del pod1");
+  controller.run_once();
+  EXPECT_EQ(controller.deployer().attachment("pod1", ebpf::HookType::kXdp),
+            nullptr);
+  EXPECT_EQ(controller.deployer().attachment_count(), slots - 1);
+
+  host.add_pod("pod1");
+  const Reaction r = controller.run_once();
+  EXPECT_FALSE(r.deploy_failed);
+  kern::NetDevice* pod1 = host.kernel.dev_by_name("pod1");
+  ebpf::Attachment* att =
+      controller.deployer().attachment("pod1", ebpf::HookType::kXdp);
+  ASSERT_NE(att, nullptr);
+  EXPECT_EQ(pod1->xdp_prog(), att);
+  EXPECT_EQ(att->programs()[att->active_prog_id()].name, "lfp_pod1");
+  EXPECT_EQ(controller.deployer().attachment_count(), slots);
+
+  // A frame in through the new pod1 runs its bridge FPM.
+  net::FlowKey f;
+  f.src_ip = net::Ipv4Addr::parse("10.20.0.2").value();
+  f.dst_ip = net::Ipv4Addr::parse("10.20.0.3").value();
+  f.proto = net::kIpProtoUdp;
+  f.src_port = 1000;
+  f.dst_port = 7;
+  kern::CycleTrace t;
+  host.kernel.rx(pod1->ifindex(),
+                 net::build_udp_packet(net::MacAddr::from_id(0x701),
+                                       net::MacAddr::from_id(0x702), f, 64),
+                 t);
+  EXPECT_EQ(att->stats().runs, 1u);
+  EXPECT_EQ(att->stats().aborted, 0u);
+}
+
+// Deleted devices free their slots: 1,000 uniquely named pods come and go,
+// half of them parked on PASS (link down) before their deletion, and the
+// deployer ends with the slots it started with. With the guard on, each
+// freed slot's guard unit goes too, so the guard's bounded unit ids
+// (kMaxUnits, fewer than the pods) are reused.
+TEST(Deployer, DeletedDevicesFreeTheirSlots) {
+  for (bool guarded : {false, true}) {
+    SCOPED_TRACE(guarded ? "guard on" : "guard off");
+    PodHost host(2);
+    ControllerOptions opts = pod_options();
+    opts.guard.enabled = guarded;
+    opts.guard.expectation_slots = 16;
+    Controller controller(host.kernel, opts);
+    controller.start();
+    const std::size_t slots = controller.deployer().attachment_count();
+    ASSERT_EQ(slots, 2u);
+    for (int i = 0; i < 1000; ++i) {
+      const std::string name = "tmp" + std::to_string(i);
+      host.add_pod(name);
+      controller.run_once();
+      ASSERT_NE(controller.deployer().attachment(name, ebpf::HookType::kXdp),
+                nullptr)
+          << name;
+      if (i % 2) {
+        host.run("ip link set " + name + " down");
+        controller.run_once();
+      }
+      host.run("ip link del " + name);
+      controller.run_once();
+      ASSERT_EQ(controller.deployer().attachment_count(), slots) << name;
+    }
+    if (guarded) {
+      EXPECT_EQ(controller.guard()->units().size(), slots);
+    }
+  }
 }
 
 TEST(Deployer, ReportAccountsProgramsAndInsns) {

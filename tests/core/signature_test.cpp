@@ -1,10 +1,7 @@
-// The controller's change detection on graph dumps: it dumps each pruned
-// graph once per reaction and joins the dumps into the whole-set signature,
-// so the join must equal the array's own dump byte for byte. The capability
-// prune moves the graphs it is given, so pruning a moved graph set must give
-// exactly what pruning a copy gives. Both are checked on the worlds the
-// controller meets: none, one graph, the 68-graph container host of the
-// reaction storm, the 1,000-rule gateway and the topology tests' shapes.
+// The capability prune moves the graphs it is given, so pruning a moved
+// graph set must give exactly what pruning a copy gives. Checked on the
+// worlds the controller meets: none, one graph, the 68-graph container host
+// of the reaction storm and the topology tests' shapes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,7 +15,6 @@
 #include "ebpf/kernel_helpers.h"
 #include "kernel/commands.h"
 #include "kernel/kernel.h"
-#include "sim/testbed.h"
 
 namespace linuxfp::core {
 namespace {
@@ -111,14 +107,6 @@ util::Json build(kern::Kernel& k, const TopologyOptions& options) {
   return TopologyManager(options).build(si.view());
 }
 
-std::string joined(const util::Json& graphs) {
-  std::vector<std::string> sigs;
-  for (const util::Json& g : graphs.array_items()) {
-    sigs.push_back(TopologyManager::signature(g));
-  }
-  return TopologyManager::join_signatures(sigs);
-}
-
 // The helper sets the prune is checked under. "bridge, no filter" keeps the
 // bridge FPM but loses the filter, and with it the router: a bridge node's
 // next_nf to the router dangles and is stripped.
@@ -138,39 +126,6 @@ std::vector<HelperSet> helper_sets(const kern::CostModel& cost) {
   ebpf::register_mainline_helpers(*sets.back().registry, cost);
   sets.back().registry->register_helper(ebpf::kHelperFdbLookup, "fdb", {});
   return sets;
-}
-
-TEST(GraphSignature, JoinOfPerGraphDumpsEqualsWholeDump) {
-  EXPECT_EQ(TopologyManager::join_signatures({}), "[]");
-  EXPECT_EQ(joined(util::Json::array()),
-            TopologyManager::signature(util::Json::array()));
-  for (const World& w : worlds()) {
-    kern::Kernel k("host");
-    w.configure(k);
-    const util::Json raw = build(k, w.topology);
-    ASSERT_EQ(raw.size(), w.expected_graphs) << w.name;
-    EXPECT_EQ(joined(raw), TopologyManager::signature(raw)) << w.name;
-    for (const HelperSet& h : helper_sets(k.cost())) {
-      const util::Json pruned = CapabilityManager(*h.registry).prune(raw);
-      EXPECT_EQ(joined(pruned), TopologyManager::signature(pruned))
-          << w.name << " / " << h.name;
-    }
-  }
-}
-
-TEST(GraphSignature, JoinMatchesTheGatewayControllerGraphs) {
-  sim::ScenarioConfig cfg;
-  cfg.accel = sim::Accel::kLinuxFpXdp;
-  cfg.filter_rules = 1000;
-  cfg.rule_classifier = true;
-  cfg.flow_cache = true;
-  sim::LinuxTestbed gw(cfg);
-  const util::Json& graphs = gw.controller()->current_graphs();
-  ASSERT_EQ(graphs.size(), 2u);
-  EXPECT_TRUE(graphs.at(0).at("nodes").contains("filter"));
-  EXPECT_EQ(joined(graphs), TopologyManager::signature(graphs));
-  const util::Json raw = build(gw.kernel(), {});
-  EXPECT_EQ(joined(raw), TopologyManager::signature(raw));
 }
 
 TEST(GraphSignature, PruneOfMovedGraphsEqualsPruneOfCopy) {

@@ -184,6 +184,27 @@ if doc["storm_full_rendered"] != rendered:
     raise SystemExit(f"from-scratch storm rendered "
                      f"{doc['storm_full_rendered']:.0f} graphs, delta "
                      f"{rendered:.0f}")
+# The delta storm at scale (smoke: 64 and 512 pods). A reaction touches
+# only the devices its event reached, so every size renders the 64-pod
+# count of graphs per 1,000 events, 2,600, and deploys what a controller
+# started fresh on the storm's final config deploys. Wall p50 per reaction
+# and set-up time are host time, report-only.
+scale = doc["storm_scale"]
+if not {"64", "512"} <= scale.keys():
+    raise SystemExit(f"storm ran at {sorted(scale)} pods, want 64 and 512")
+for pods, row in scale.items():
+    print(f"reaction storm at {pods} pods: rendered/1k events="
+          f"{row['rendered_per_kevent']:.0f} equivalent={row['equivalent']}; "
+          f"wall p50 {row['wall_p50_ms']:.4f} ms, setup {row['setup_s']:.2f} s "
+          f"(host time, report-only)")
+for pods, row in scale.items():
+    if row["rendered_per_kevent"] != 2600:
+        raise SystemExit(f"storm at {pods} pods rendered "
+                         f"{row['rendered_per_kevent']:.0f} graphs per 1,000 "
+                         f"events, want the 64-pod 2,600")
+    if not row["equivalent"]:
+        raise SystemExit(f"storm at {pods} pods: deployed FPM set diverged "
+                         f"from a controller started on its final config")
 EOF
 
 # Modeled numbers repeat exactly: the engine benches run a second time and
