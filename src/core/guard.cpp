@@ -81,21 +81,8 @@ void GuardUnit::prepare_cpus(unsigned n) {
 
 std::string GuardUnit::name() const { return "guard(" + att_->name() + ")"; }
 
-// The kernel's inline datapath enters through run() (shadow captures arm on
-// the kernel directly: same thread); the engine's workers enter through
-// run_on_cpu() (the cookie rides in the packet and the slow-path thread
-// adopts it). The two entry points are the inline/deferred discriminator.
-GuardUnit::RunResult GuardUnit::run(net::Packet& pkt, int ingress_ifindex) {
-  return dispatch(pkt, ingress_ifindex, 0, /*inline_path=*/true);
-}
-
-GuardUnit::RunResult GuardUnit::run_on_cpu(net::Packet& pkt,
-                                           int ingress_ifindex, unsigned cpu) {
-  return dispatch(pkt, ingress_ifindex, cpu, /*inline_path=*/false);
-}
-
-GuardUnit::RunResult GuardUnit::dispatch(net::Packet& pkt, int ingress_ifindex,
-                                         unsigned cpu, bool inline_path) {
+GuardUnit::RunResult GuardUnit::run(net::Packet& pkt, int ingress_ifindex,
+                                    unsigned cpu) {
   switch (mode_.load(std::memory_order_acquire)) {
     case GuardMode::kQuarantined:
       // Breaker open: unconditional PASS before the flow-cache probe — the
@@ -105,7 +92,7 @@ GuardUnit::RunResult GuardUnit::dispatch(net::Packet& pkt, int ingress_ifindex,
       return RunResult{};
     case GuardMode::kShadow:
     case GuardMode::kHalfOpen:
-      return run_shadowed(pkt, ingress_ifindex, cpu, inline_path);
+      return run_shadowed(pkt, ingress_ifindex, cpu);
     case GuardMode::kActive:
       break;
   }
@@ -113,21 +100,21 @@ GuardUnit::RunResult GuardUnit::dispatch(net::Packet& pkt, int ingress_ifindex,
   if (k != 0 &&
       EquivalenceGuard::sampled_hash(engine::rss_hash_cached(pkt), k)) {
     sampled_.fetch_add(1, std::memory_order_relaxed);
-    return run_shadowed(pkt, ingress_ifindex, cpu, inline_path);
+    return run_shadowed(pkt, ingress_ifindex, cpu);
   }
-  RunResult r = att_->run_on_cpu(pkt, ingress_ifindex, cpu);
+  RunResult r = att_->run(pkt, ingress_ifindex, cpu);
   note_abort_window(r.verdict == Verdict::kAborted);
   return r;
 }
 
 GuardUnit::RunResult GuardUnit::run_shadowed(net::Packet& pkt,
-                                             int ingress_ifindex, unsigned cpu,
-                                             bool inline_path) {
+                                             int ingress_ifindex,
+                                             unsigned cpu) {
   LFP_CHECK_MSG(cpu < cpus_.size(), "guard: cpu beyond prepare_cpus");
   // The program may rewrite headers (MACs, TTL), so it runs on a copy; the
   // original continues down the slow path untouched and authoritative.
   net::Packet copy(pkt);
-  RunResult r = att_->run_on_cpu(copy, ingress_ifindex, cpu);
+  RunResult r = att_->run(copy, ingress_ifindex, cpu);
   note_abort_window(r.verdict == Verdict::kAborted);
   shadow_runs_.fetch_add(1, std::memory_order_relaxed);
 
@@ -157,40 +144,45 @@ GuardUnit::RunResult GuardUnit::run_shadowed(net::Packet& pkt,
   }
   const std::uint64_t cookie = cookie_of(id_, cpu, seq);
   slot.cookie.store(cookie, std::memory_order_release);
-
-  if (inline_path) {
-    if (!guard_.kernel().shadow_begin(cookie)) {
-      // Nested rx (veth/loopback re-entry): capture unavailable, skip.
-      slot.cookie.store(0, std::memory_order_relaxed);
-      skipped_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    // Engine path: the cookie rides with the packet; the slow-path thread
-    // adopts it at rx_from_engine and resolves when the packet terminates.
-    pkt.guard_cookie = cookie;
-  }
+  // The cookie rides with the packet; the kernel adopts it where the stack
+  // takes the packet from this hook and resolves it when the packet
+  // terminates, or reports it skipped when it cannot capture.
+  pkt.guard_cookie = cookie;
   // PASS hands the packet to the stack; the shadow fast-path run's cycles
   // are still charged — that cost IS the guard's overhead.
   return RunResult{Verdict::kPass, 0, r.cycles};
 }
 
-void GuardUnit::resolve(unsigned cpu, std::uint64_t cookie,
-                        const kern::RxSummary& summary,
-                        const std::vector<kern::ShadowEmission>& emissions) {
-  if (cpu >= cpus_.size()) return;
+GuardUnit::Slot* GuardUnit::claim(std::uint64_t cookie) {
+  const unsigned cpu = static_cast<unsigned>((cookie >> 48) & 0xff);
+  if (cpu >= cpus_.size()) return nullptr;
   CpuSlots& cs = *cpus_[cpu];
   Slot& slot = cs.slots[((cookie & 0xffff'ffff'ffffULL) - 1) &
                         (cs.slots.size() - 1)];
   if (slot.cookie.load(std::memory_order_acquire) != cookie) {
     stale_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return nullptr;
   }
-  const Verdict verdict = slot.verdict;
-  const int oif = slot.oif;
+  return &slot;
+}
+
+void GuardUnit::skip(std::uint64_t cookie) {
+  Slot* slot = claim(cookie);
+  if (slot == nullptr) return;
+  slot->cookie.store(0, std::memory_order_release);
+  skipped_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void GuardUnit::resolve(std::uint64_t cookie, const kern::RxSummary& summary,
+                        const std::vector<kern::ShadowEmission>& emissions) {
+  Slot* slot = claim(cookie);
+  if (slot == nullptr) return;
+  const Verdict verdict = slot->verdict;
+  const int oif = slot->oif;
   // The slot is only reclaimed by its owning worker a full ring-depth later,
   // so reading the payload after the acquire and then clearing is safe.
-  const std::vector<std::uint8_t> bytes = slot.bytes;
-  slot.cookie.store(0, std::memory_order_release);
+  const std::vector<std::uint8_t> bytes = slot->bytes;
+  slot->cookie.store(0, std::memory_order_release);
 
   bool match = true;
   switch (verdict) {
@@ -516,15 +508,20 @@ GuardTotals EquivalenceGuard::totals() const {
   return t;
 }
 
+GuardUnit* EquivalenceGuard::unit_of(std::uint64_t cookie) const {
+  const std::size_t id = static_cast<std::size_t>(cookie >> 56);
+  if (id == 0 || id > kMaxUnits) return nullptr;
+  return by_id_[id - 1].load(std::memory_order_acquire);
+}
+
 void EquivalenceGuard::on_shadow_resolved(
     std::uint64_t cookie, const kern::RxSummary& summary,
     std::vector<kern::ShadowEmission>&& emissions) {
-  const std::size_t id = static_cast<std::size_t>(cookie >> 56);
-  if (id == 0 || id > kMaxUnits) return;
-  GuardUnit* u = by_id_[id - 1].load(std::memory_order_acquire);
-  if (u == nullptr) return;
-  u->resolve(static_cast<unsigned>((cookie >> 48) & 0xff), cookie, summary,
-             emissions);
+  if (GuardUnit* u = unit_of(cookie)) u->resolve(cookie, summary, emissions);
+}
+
+void EquivalenceGuard::on_shadow_skipped(std::uint64_t cookie) {
+  if (GuardUnit* u = unit_of(cookie)) u->skip(cookie);
 }
 
 }  // namespace linuxfp::core

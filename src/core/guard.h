@@ -101,7 +101,7 @@ struct GuardUnitStats {
   std::uint64_t shadow_runs = 0;      // verdicts recorded for comparison
   std::uint64_t compares = 0;         // resolved comparisons
   std::uint64_t divergences = 0;
-  std::uint64_t skipped = 0;          // uncomparable (ARP-pending, AF_XDP…)
+  std::uint64_t skipped = 0;  // uncomparable (ARP-pending, AF_XDP, re-entry)
   std::uint64_t stale = 0;            // cookie never resolved in time
   std::uint64_t sampled = 0;          // active-mode sampled packets
   std::uint64_t quarantine_passes = 0;  // packets short-circuited while open
@@ -121,12 +121,10 @@ class GuardUnit : public kern::PacketProgram {
   GuardUnit(EquivalenceGuard& guard, std::uint8_t id, std::string device,
             ebpf::HookType hook, ebpf::Attachment* attachment);
 
-  // kern::PacketProgram. run() is the inline (sim) entry: shadow captures
-  // arm on the kernel directly. run_on_cpu() is the engine-worker entry:
-  // the cookie rides in pkt.guard_cookie and the slow-path thread adopts it.
-  RunResult run(net::Packet& pkt, int ingress_ifindex) override;
-  RunResult run_on_cpu(net::Packet& pkt, int ingress_ifindex,
-                       unsigned cpu) override;
+  // kern::PacketProgram. A shadowed packet leaves with its cookie in
+  // pkt.guard_cookie for the kernel's stack to adopt (kern::Kernel).
+  RunResult run(net::Packet& pkt, int ingress_ifindex,
+                unsigned cpu = 0) override;
   void prepare_cpus(unsigned n) override;
   std::string name() const override;
 
@@ -158,18 +156,17 @@ class GuardUnit : public kern::PacketProgram {
     std::vector<Slot> slots;
   };
 
-  // Common path behind both entry points; inline_path distinguishes the
-  // kernel's same-thread rx (run) from an engine worker (run_on_cpu).
-  RunResult dispatch(net::Packet& pkt, int ingress_ifindex, unsigned cpu,
-                     bool inline_path);
   // Shadow-semantics run shared by kShadow/kHalfOpen/sampled-kActive:
-  // records the expectation, arms the capture, returns kPass.
-  RunResult run_shadowed(net::Packet& pkt, int ingress_ifindex, unsigned cpu,
-                         bool inline_path);
+  // records the expectation, puts its cookie on the packet, returns kPass.
+  RunResult run_shadowed(net::Packet& pkt, int ingress_ifindex, unsigned cpu);
+  // The slot still holding `cookie`'s expectation; null (counted stale
+  // when the slot has moved on) otherwise. The caller clears the slot.
+  Slot* claim(std::uint64_t cookie);
   // Resolution: compare one expectation against the slow path's truth.
-  void resolve(unsigned cpu, std::uint64_t cookie,
-               const kern::RxSummary& summary,
+  void resolve(std::uint64_t cookie, const kern::RxSummary& summary,
                const std::vector<kern::ShadowEmission>& emissions);
+  // The kernel could not capture the packet: drop the expectation.
+  void skip(std::uint64_t cookie);
   void note_clean();
   void trip(TripReason reason, std::uint64_t now_ns);
   void note_abort_window(bool aborted);
@@ -276,10 +273,12 @@ class EquivalenceGuard : public kern::ShadowObserver {
   std::vector<GuardUnit*> units();
   GuardTotals totals() const;
 
-  // kern::ShadowObserver: the slow path finished a shadowed packet.
+  // kern::ShadowObserver: the slow path finished a shadowed packet, or
+  // could not capture one.
   void on_shadow_resolved(std::uint64_t cookie, const kern::RxSummary& summary,
                           std::vector<kern::ShadowEmission>&& emissions)
       override;
+  void on_shadow_skipped(std::uint64_t cookie) override;
 
   // Deterministic per-flow sampler: true when the (mixed) hash falls in the
   // 1-in-K sample. Exposed for tests and the sampling-cost bench.
@@ -292,6 +291,8 @@ class EquivalenceGuard : public kern::ShadowObserver {
  private:
   friend class GuardUnit;
   std::uint64_t reprobe_delay_ns(std::uint32_t consecutive_trips);
+  // The unit a cookie names; null once that unit is gone.
+  GuardUnit* unit_of(std::uint64_t cookie) const;
 
   kern::Kernel& kernel_;
   GuardPolicy policy_;

@@ -261,10 +261,6 @@ void Attachment::add_metric_sources() {
   });
 }
 
-Attachment::RunResult Attachment::run(net::Packet& pkt, int ingress_ifindex) {
-  return run_on_cpu(pkt, ingress_ifindex, 0);
-}
-
 Attachment::RunResult Attachment::finish_cache_hit(
     const engine::FlowCache::Hit& hit, AttachmentStats& sh) {
   RunResult out;
@@ -297,10 +293,9 @@ Attachment::RunResult Attachment::finish_cache_hit(
   return out;
 }
 
-Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
-                                             int ingress_ifindex,
-                                             unsigned cpu) {
-  LFP_CHECK_MSG(cpu < vms_.size(), "run_on_cpu without prepare_cpus");
+Attachment::RunResult Attachment::run(net::Packet& pkt, int ingress_ifindex,
+                                      unsigned cpu) {
+  LFP_CHECK_MSG(cpu < vms_.size(), "run on a cpu without prepare_cpus");
   AttachmentStats& sh = cpu_stats_[cpu].s;
   RunResult out;
   if (!has_entry_) {

@@ -106,13 +106,12 @@ class Attachment : public kern::PacketProgram {
   std::uint32_t active_prog_id() const { return active_prog_; }
 
   // --- kern::PacketProgram -----------------------------------------------------
-  RunResult run(net::Packet& pkt, int ingress_ifindex) override;
-  // Engine entry point: runs on `cpu`'s private VM against the shared map
-  // set and charges `cpu`'s stats shard; safe concurrently across distinct
-  // cpus after prepare_cpus. AF_XDP delivery is not per-CPU sharded — XSK
-  // redirect programs must be driven single-queue.
-  RunResult run_on_cpu(net::Packet& pkt, int ingress_ifindex,
-                       unsigned cpu) override;
+  // Runs on `cpu`'s private VM against the shared map set and charges
+  // `cpu`'s stats shard; safe concurrently across distinct cpus after
+  // prepare_cpus. AF_XDP delivery is not per-CPU sharded — XSK redirect
+  // programs must be driven single-queue.
+  RunResult run(net::Packet& pkt, int ingress_ifindex,
+                unsigned cpu = 0) override;
   // Grows the per-CPU VM/stat shards to `n` (control plane, no workers
   // running). Idempotent; cpu 0 always exists.
   void prepare_cpus(unsigned n) override;

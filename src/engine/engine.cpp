@@ -143,7 +143,7 @@ void Engine::process_packet(unsigned q, net::Packet&& pkt) {
       static_cast<std::uint64_t>(cost.per_byte_rx * static_cast<double>(size));
   kern::PacketProgram::RunResult r;  // defaults to kPass when no program
   if (prog_) {
-    r = prog_->run_on_cpu(pkt, ifindex_, q);
+    r = prog_->run(pkt, ifindex_, q);
     cycles += r.cycles + cost.xdp_hook_overhead;
   }
   st.fast_cycles += cycles;
@@ -293,7 +293,7 @@ void Engine::slow_main() {
     const std::uint32_t segs = p.gso_segs();
     kern::CycleTrace trace;
     kern::RxSummary summary =
-        kernel_.rx_from_engine(ifindex_, std::move(p), trace);
+        kernel_.netif_receive_skb(ifindex_, std::move(p), trace);
     slow_stats_.processed += segs;
     slow_stats_.cycles += trace.total();
     if (segs > 1 && summary.drop != kern::Drop::kNone &&

@@ -10,9 +10,9 @@
 //                     ...                    ┘  (kPass/kAborted funnel)
 //
 // Threading discipline (DESIGN.md §11):
-//  * Each worker owns one rx ring and one per-CPU VM (PacketProgram::
-//    run_on_cpu); it only reads kernel tables through helpers and only
-//    writes its own cache-line-padded stat shard and per-CPU map slots.
+//  * Each worker owns one rx ring and one per-CPU VM (PacketProgram::run
+//    on its queue's cpu); it only reads kernel tables through helpers and
+//    only writes its own cache-line-padded stat shard and per-CPU map slots.
 //  * ALL kernel-state mutation — the stack, ARP, conntrack, dev_xmit — runs
 //    on the single slow-path thread, preserving the kernel's single-writer
 //    discipline; workers hand kPass packets over the bounded MPSC ring.
@@ -88,9 +88,9 @@ struct EngineConfig {
   // Always on — fast-path kTx/kRedirect verdicts transmit through dev_xmit
   // via the rings; tx.burst=1 models the per-packet-doorbell driver.
   TxConfig tx;
-  // GRO (gro.h): slow-path segment coalescing ahead of rx_from_engine, one
-  // GRO list per rx queue, flushed every napi_budget folds of that queue.
-  // Off by default.
+  // GRO (gro.h): slow-path segment coalescing ahead of netif_receive_skb,
+  // one GRO list per rx queue, flushed every napi_budget folds of that
+  // queue. Off by default.
   GroConfig gro;
 };
 

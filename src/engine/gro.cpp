@@ -64,7 +64,7 @@ GroEngine::Classified GroEngine::classify(const net::Packet& pkt) const {
   c.key.proto = proto;
   c.key.src_port = net::load_be16(base + l4_off);
   c.key.dst_port = net::load_be16(base + l4_off + 2);
-  if (ip.is_fragment()) return c;
+  if (ip.is_fragment() || pkt.guard_cookie != 0) return c;
   if (!tcp && !cfg_.udp) return c;
   // Link-layer padding (total_len < frame) would be lost on refold; require
   // the frame to be exactly the IP datagram.

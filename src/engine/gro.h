@@ -2,8 +2,8 @@
 //
 // The slow-path thread pops raw segments from the MPSC ring one at a time;
 // every segment pays the full linear stage walk (ip_rcv, fib_lookup, ...).
-// GRO sits between the ring and rx_from_engine(): consecutive same-flow TCP
-// segments are folded into one super-packet so the linear stages run once
+// GRO sits between the ring and netif_receive_skb(): consecutive same-flow
+// TCP segments are folded into one super-packet so the linear stages run once
 // per burst, and dev_xmit resegments at TX (net::gso_segment) restoring the
 // original wire bytes exactly. This mirrors the kernel's napi_gro_receive /
 // GSO pairing — the observable packet stream is unchanged, only the cycles
@@ -20,6 +20,9 @@
 //   - fold only standard IPv4+TCP frames (ihl=5, data offset 5, not a
 //     fragment, no SYN/FIN/RST, non-empty payload, no link padding); UDP
 //     folding is opt-in (GroConfig::udp) for UDP-GRO style workloads.
+//   - a packet carrying a guard cookie (core/guard.h) never folds: a
+//     super-packet carries one cookie, and the guard compares every
+//     shadowed packet's own slow path.
 //   - segments must be header-identical to the held super-packet except the
 //     per-segment fields that resegmentation restores (IP total_len/id/
 //     checksum; TCP seq/checksum or UDP length/checksum).

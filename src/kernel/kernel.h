@@ -100,14 +100,17 @@ struct ShadowEmission {
 
 // Receiver of shadow-capture results (the equivalence guard, core/guard.h).
 // While a cookie is active, every dev_xmit records an emission; when the
-// top-level rx that activated it completes, the observer gets the packet's
-// terminal summary plus everything it transmitted.
+// entry (rx or netif_receive_skb) that adopted it completes, the observer
+// gets the packet's terminal summary plus everything it transmitted. A
+// cookie that arrives while another capture is active cannot be captured
+// and comes back through on_shadow_skipped instead.
 class ShadowObserver {
  public:
   virtual ~ShadowObserver() = default;
   virtual void on_shadow_resolved(std::uint64_t cookie,
                                   const RxSummary& summary,
                                   std::vector<ShadowEmission>&& emissions) = 0;
+  virtual void on_shadow_skipped(std::uint64_t cookie) = 0;
 };
 
 // TX batching hook (DESIGN.md §16): when installed, dev_xmit routes the
@@ -247,15 +250,17 @@ class Kernel : public nl::DumpProvider {
   std::vector<nl::Message> dump(nl::DumpKind kind) const override;
 
   // --- datapath ----------------------------------------------------------------
-  // Packet arrives on a device (from a NIC, a veth peer, or XDP_TX bounce).
+  // Packet arrives on a device (from a NIC, a veth peer, or XDP_TX bounce):
+  // driver RX and the XDP hook, then the stack, on the calling thread.
   RxSummary rx(int ifindex, net::Packet&& pkt, CycleTrace& trace);
 
-  // Engine handoff: a packet whose driver poll and XDP run already happened
-  // on an engine worker enters the stack here — no driver_rx charge, no
-  // device rx accounting (the engine reconciles those per queue) and no XDP
-  // hook re-run. Must only be called from the engine's single slow-path
-  // thread; it touches the same single-writer kernel state as rx().
-  RxSummary rx_from_engine(int ifindex, net::Packet&& pkt, CycleTrace& trace);
+  // The stack half of rx(), for a packet whose driver poll and XDP hook
+  // already ran on an engine worker: no driver_rx charge, no device rx
+  // accounting (the engine reconciles those per queue) and no XDP re-run.
+  // Must only be called from the engine's single slow-path thread; it
+  // touches the same single-writer kernel state as rx().
+  RxSummary netif_receive_skb(int ifindex, net::Packet&& pkt,
+                              CycleTrace& trace);
 
   // Transmit out of a device from the stack / fast path.
   void dev_xmit(int ifindex, net::Packet&& pkt, CycleTrace& trace);
@@ -313,17 +318,14 @@ class Kernel : public nl::DumpProvider {
   util::TraceRing* trace_ring() { return trace_ring_; }
 
   // --- shadow capture (equivalence guard) -----------------------------------
-  // At most one observer; null detaches. Must only change with no packet in
-  // flight. Only the single slow-path writer thread drives captures, so the
+  // A hook program that shadows a packet leaves a cookie in
+  // pkt.guard_cookie; the stack adopts it where it takes the packet from
+  // the hook (an XDP or TC ingress pass, or netif_receive_skb). At most one
+  // observer; null detaches. Must only change with no packet in flight.
+  // Only the single slow-path writer thread drives captures, so the
   // active-cookie state needs no synchronization.
   void set_shadow_observer(ShadowObserver* obs) { shadow_observer_ = obs; }
   ShadowObserver* shadow_observer() const { return shadow_observer_; }
-  // Starts capturing emissions under `cookie` (non-zero). Returns false —
-  // and captures nothing — when a capture is already active (a nested rx
-  // via loopback/veth re-entry) or no observer is attached; the caller then
-  // skips comparison for this packet. Resolution happens automatically when
-  // the top-level rx()/rx_from_engine() that is executing completes.
-  bool shadow_begin(std::uint64_t cookie);
 
   // Enables conntrack consultation on forwarded/delivered packets (off by
   // default; the Kubernetes scenario turns it on, like kube-proxy does).
@@ -351,8 +353,20 @@ class Kernel : public nl::DumpProvider {
   }
 
  private:
+  // The per-packet scope of rx and netif_receive_skb around `path`: stage
+  // attribution, the packet's trace record, and resolution of a capture
+  // adopted inside it.
+  template <typename Path>
+  RxSummary rx_scope(int ifindex, CycleTrace& trace, Path&& path);
   // Slow-path stages (slowpath.cpp).
   RxSummary rx_inner(int ifindex, net::Packet&& pkt, CycleTrace& trace);
+  // Serves a terminal verdict of the XDP or TC ingress program on `dev`
+  // (`drop`: the hook's drop reason); on PASS or ABORTED returns none and
+  // adopts the packet's guard cookie for the stack.
+  std::optional<RxSummary> hook_verdict(NetDevice& dev,
+                                        const PacketProgram::RunResult& result,
+                                        Drop drop, net::Packet& pkt,
+                                        CycleTrace& trace);
   RxSummary stack_rx(NetDevice& dev, net::Packet&& pkt, CycleTrace& trace);
   RxSummary bridge_rx(Bridge& br, NetDevice& port_dev, net::Packet&& pkt,
                       CycleTrace& trace);
@@ -459,9 +473,10 @@ class Kernel : public nl::DumpProvider {
 
   std::map<std::pair<std::uint8_t, std::uint16_t>, L4Handler> l4_handlers_;
 
-  // Resolves an active shadow capture begun during the current top-level
-  // entry: hands summary + emissions to the observer and clears the state.
-  void shadow_resolve(const RxSummary& summary);
+  // Takes the guard cookie off `pkt` and captures under it; reports it
+  // skipped when a capture is already active (loopback or same-kernel veth
+  // re-entry). rx_scope resolves the capture.
+  void adopt_shadow(net::Packet& pkt);
 
   // Guards against unbounded recursion through veth/vxlan chains.
   int rx_depth_ = 0;

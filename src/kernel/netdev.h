@@ -41,21 +41,16 @@ class PacketProgram {
   };
 
   virtual ~PacketProgram() = default;
-  virtual RunResult run(net::Packet& pkt, int ingress_ifindex) = 0;
+  // Runs the program on `cpu`'s execution state. The kernel's hooks run it
+  // on cpu 0; the engine's worker for `cpu` runs it concurrently with the
+  // other workers, so implementations shard per-run state per CPU (the eBPF
+  // loader keeps one VM per CPU).
+  virtual RunResult run(net::Packet& pkt, int ingress_ifindex,
+                        unsigned cpu = 0) = 0;
   virtual std::string name() const = 0;
 
-  // Multi-queue entry point: the engine's worker for `cpu` runs the program
-  // here, concurrently with other workers. Implementations that keep per-run
-  // state must shard it per CPU (the eBPF loader keeps one VM per CPU);
-  // single-threaded implementations inherit this fallback and may only be
-  // driven with one queue.
-  virtual RunResult run_on_cpu(net::Packet& pkt, int ingress_ifindex,
-                               unsigned cpu) {
-    (void)cpu;
-    return run(pkt, ingress_ifindex);
-  }
   // Called once, single-threaded, before workers for cpus [0, n) start —
-  // the implementation allocates per-CPU execution state here so run_on_cpu
+  // the implementation allocates per-CPU execution state here so run()
   // never allocates or locks.
   virtual void prepare_cpus(unsigned n) { (void)n; }
 };

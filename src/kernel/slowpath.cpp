@@ -4,6 +4,8 @@
 // paper Fig 1.
 #include "kernel/kernel.h"
 
+#include <utility>
+
 #include "net/checksum.h"
 #include "util/logging.h"
 
@@ -23,35 +25,33 @@ net::FlowKey flow_key_of(const net::ParsedPacket& info) {
 }
 }  // namespace
 
-bool Kernel::shadow_begin(std::uint64_t cookie) {
-  if (shadow_observer_ == nullptr || cookie == 0) return false;
-  if (active_shadow_cookie_ != 0) return false;  // nested rx; skip this one
+void Kernel::adopt_shadow(net::Packet& pkt) {
+  const std::uint64_t cookie = pkt.guard_cookie;
+  if (cookie == 0) return;
+  pkt.guard_cookie = 0;
+  if (shadow_observer_ == nullptr) return;
+  if (active_shadow_cookie_ != 0) {
+    shadow_observer_->on_shadow_skipped(cookie);
+    return;
+  }
   active_shadow_cookie_ = cookie;
   shadow_emissions_.clear();
-  return true;
 }
 
-void Kernel::shadow_resolve(const RxSummary& summary) {
-  std::uint64_t cookie = active_shadow_cookie_;
-  active_shadow_cookie_ = 0;
-  std::vector<ShadowEmission> emissions;
-  emissions.swap(shadow_emissions_);
-  if (shadow_observer_) {
-    shadow_observer_->on_shadow_resolved(cookie, summary, std::move(emissions));
-  }
-}
-
-RxSummary Kernel::rx(int ifindex, net::Packet&& pkt, CycleTrace& trace) {
+template <typename Path>
+[[gnu::always_inline]] inline RxSummary Kernel::rx_scope(int ifindex,
+                                                         CycleTrace& trace,
+                                                         Path&& path) {
   // Attribute stage charges to this kernel while the packet is here; a veth
   // hop into a peer kernel re-binds on entry and restores on the way out.
   util::StageSink* prev_sink = trace.sink();
   trace.bind_sink(metrics_.enabled() ? &stage_sink_ : nullptr);
-  // A shadow capture armed inside this rx (by the guard, at the XDP/TC hook)
-  // resolves when this call completes; one armed by an outer rx (loopback /
-  // veth re-entry) keeps accumulating and resolves there.
+  // A shadow capture adopted inside this scope resolves when it ends; one
+  // adopted by an outer scope (loopback / veth re-entry) keeps accumulating
+  // and resolves there.
   bool shadow_was_active = active_shadow_cookie_ != 0;
 
-  // The outermost rx() of a traced packet opens the trace record; nested
+  // The outermost entry of a traced packet opens the trace record; nested
   // hops (veth, vxlan, XDP_TX bounces) keep appending to the same record so
   // the dump shows the full journey in order.
   util::PacketTrace* started = nullptr;
@@ -62,7 +62,7 @@ RxSummary Kernel::rx(int ifindex, net::Packet&& pkt, CycleTrace& trace) {
     util::set_active_packet_trace(started);
   }
 
-  RxSummary summary = rx_inner(ifindex, std::move(pkt), trace);
+  RxSummary summary = path();
 
   if (started) {
     started->fast_path = summary.fast_path;
@@ -76,55 +76,73 @@ RxSummary Kernel::rx(int ifindex, net::Packet&& pkt, CycleTrace& trace) {
     util::set_active_packet_trace(nullptr);
   }
   if (!shadow_was_active && active_shadow_cookie_ != 0) {
-    shadow_resolve(summary);
+    std::vector<ShadowEmission> emissions;
+    emissions.swap(shadow_emissions_);
+    shadow_observer_->on_shadow_resolved(
+        std::exchange(active_shadow_cookie_, 0), summary, std::move(emissions));
   }
   trace.bind_sink(prev_sink);
   return summary;
 }
 
-RxSummary Kernel::rx_from_engine(int ifindex, net::Packet&& pkt,
-                                 CycleTrace& trace) {
-  util::StageSink* prev_sink = trace.sink();
-  trace.bind_sink(metrics_.enabled() ? &stage_sink_ : nullptr);
-  // Engine packets get the same pwru-style trace records as rx(): the worker
-  // already ran the XDP hook, so the record starts at the slow-path handoff.
-  util::PacketTrace* started = nullptr;
-  if (trace_ring_ && !trace.packet_trace()) {
-    const NetDevice* in_dev = dev(ifindex);
-    started = trace_ring_->begin_packet(ifindex, in_dev ? in_dev->name() : "?");
-    trace.bind_packet_trace(started);
-    util::set_active_packet_trace(started);
-  }
-  if (pkt.gso_segs() > 1) {
-    if (auto* t = trace.packet_trace()) {
-      t->add("gro", "superpacket", 0,
-             std::to_string(pkt.gso_segs()) + " segments");
+RxSummary Kernel::rx(int ifindex, net::Packet&& pkt, CycleTrace& trace) {
+  return rx_scope(ifindex, trace, [&] {
+    return rx_inner(ifindex, std::move(pkt), trace);
+  });
+}
+
+RxSummary Kernel::netif_receive_skb(int ifindex, net::Packet&& pkt,
+                                    CycleTrace& trace) {
+  return rx_scope(ifindex, trace, [&] {
+    if (pkt.gso_segs() > 1) {
+      if (auto* t = trace.packet_trace()) {
+        t->add("gro", "superpacket", 0,
+               std::to_string(pkt.gso_segs()) + " segments");
+      }
     }
-  }
-  // Deferred shadow adoption: an engine worker recorded this packet's
-  // fast-path verdict under pkt.guard_cookie; the slow-path traversal here is
-  // the authoritative run the guard compares against.
-  bool shadow_began = shadow_begin(pkt.guard_cookie);
-  NetDevice* d = dev(ifindex);
-  RxSummary summary;
-  if (!d || !d->is_up()) {
-    summary = drop(Drop::kLinkDown);
-  } else {
+    // The XDP hook ran on an engine worker: a shadowed packet carries its
+    // cookie here, and adopting it before the link check lets a packet
+    // dropped there still resolve.
+    adopt_shadow(pkt);
+    NetDevice* d = dev(ifindex);
+    if (!d || !d->is_up()) return drop(Drop::kLinkDown);
     pkt.ingress_ifindex = static_cast<std::uint32_t>(ifindex);
-    summary = stack_rx(*d, std::move(pkt), trace);
+    return stack_rx(*d, std::move(pkt), trace);
+  });
+}
+
+// Inlined into both hooks: out of line, the call added about 15 ns to a
+// router fast-path process() (212 -> 228 ns on a shared 4-vCPU VM;
+// EXPERIMENTS.md, "One packet driver").
+[[gnu::always_inline]] inline std::optional<RxSummary> Kernel::hook_verdict(
+    NetDevice& dev, const PacketProgram::RunResult& result, Drop drop,
+    net::Packet& pkt, CycleTrace& trace) {
+  switch (result.verdict) {
+    case PacketProgram::Verdict::kDrop:
+      ++counters_.fast_path_packets;
+      count_drop(drop);
+      return RxSummary{true, drop};
+    case PacketProgram::Verdict::kTx:
+    case PacketProgram::Verdict::kRedirect:
+      ++counters_.fast_path_packets;
+      dev_xmit(result.verdict == PacketProgram::Verdict::kTx
+                   ? dev.ifindex()
+                   : result.redirect_ifindex,
+               std::move(pkt), trace);
+      return RxSummary{true, Drop::kNone};
+    case PacketProgram::Verdict::kUserspace:
+      // AF_XDP: the attachment already queued the frame on the socket.
+      ++counters_.fast_path_packets;
+      return RxSummary{true, Drop::kNone};
+    case PacketProgram::Verdict::kAborted:
+      LFP_WARN("kernel") << (drop == Drop::kXdpDrop ? "XDP" : "TC")
+                         << " program aborted on " << dev.name();
+      break;
+    case PacketProgram::Verdict::kPass:
+      break;
   }
-  if (shadow_began) shadow_resolve(summary);
-  if (started) {
-    started->fast_path = summary.fast_path;
-    started->verdict =
-        summary.drop == Drop::kNone ? "ok" : drop_name(summary.drop);
-    started->total_cycles = trace.total();
-    if (summary.drop == Drop::kNone) started->add("verdict", "ok", 0);
-    trace.bind_packet_trace(nullptr);
-    util::set_active_packet_trace(nullptr);
-  }
-  trace.bind_sink(prev_sink);
-  return summary;
+  adopt_shadow(pkt);
+  return std::nullopt;
 }
 
 RxSummary Kernel::rx_inner(int ifindex, net::Packet&& pkt, CycleTrace& trace) {
@@ -150,28 +168,8 @@ RxSummary Kernel::rx_inner(int ifindex, net::Packet&& pkt, CycleTrace& trace) {
   if (PacketProgram* prog = d->xdp_prog()) {
     auto result = prog->run(pkt, ifindex);
     trace.charge("xdp_prog", result.cycles + cost_.xdp_hook_overhead);
-    switch (result.verdict) {
-      case PacketProgram::Verdict::kDrop:
-        ++counters_.fast_path_packets;
-        count_drop(Drop::kXdpDrop);
-        return RxSummary{true, Drop::kXdpDrop};
-      case PacketProgram::Verdict::kTx:
-        ++counters_.fast_path_packets;
-        dev_xmit(ifindex, std::move(pkt), trace);
-        return RxSummary{true, Drop::kNone};
-      case PacketProgram::Verdict::kRedirect:
-        ++counters_.fast_path_packets;
-        dev_xmit(result.redirect_ifindex, std::move(pkt), trace);
-        return RxSummary{true, Drop::kNone};
-      case PacketProgram::Verdict::kUserspace:
-        // AF_XDP: the attachment already queued the frame on the socket.
-        ++counters_.fast_path_packets;
-        return RxSummary{true, Drop::kNone};
-      case PacketProgram::Verdict::kAborted:
-        LFP_WARN("kernel") << "XDP program aborted on " << d->name();
-        [[fallthrough]];
-      case PacketProgram::Verdict::kPass:
-        break;  // continue into the stack
+    if (auto done = hook_verdict(*d, result, Drop::kXdpDrop, pkt, trace)) {
+      return *done;
     }
   }
 
@@ -205,25 +203,8 @@ RxSummary Kernel::stack_rx(NetDevice& d, net::Packet&& pkt,
         (terminal && d.kind() == DevKind::kPhysical ? cost_.tc_path_extra
                                                     : 0);
     trace.charge("tc_ingress_prog", result.cycles + hook_cost);
-    switch (result.verdict) {
-      case PacketProgram::Verdict::kDrop:
-        ++counters_.fast_path_packets;
-        count_drop(Drop::kTcDrop);
-        return RxSummary{true, Drop::kTcDrop};
-      case PacketProgram::Verdict::kTx:
-      case PacketProgram::Verdict::kRedirect:
-        ++counters_.fast_path_packets;
-        dev_xmit(result.verdict == PacketProgram::Verdict::kTx
-                     ? d.ifindex()
-                     : result.redirect_ifindex,
-                 std::move(pkt), trace);
-        return RxSummary{true, Drop::kNone};
-      case PacketProgram::Verdict::kUserspace:
-        ++counters_.fast_path_packets;
-        return RxSummary{true, Drop::kNone};
-      case PacketProgram::Verdict::kAborted:
-      case PacketProgram::Verdict::kPass:
-        break;
+    if (auto done = hook_verdict(d, result, Drop::kTcDrop, pkt, trace)) {
+      return *done;
     }
   }
 

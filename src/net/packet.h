@@ -79,8 +79,9 @@ class Packet {
   bool rss_hash_valid = false;
   // Equivalence-guard shadow handle (core/guard.h): non-zero marks a packet
   // whose fast-path verdict was recorded for comparison and that is now
-  // traversing the slow path authoritatively; the slow-path entry point
-  // adopts the cookie and reports the packet's fate back to the guard.
+  // traversing the slow path authoritatively; the stack adopts (and clears)
+  // the cookie where it takes the packet from the hook and reports the
+  // packet's fate back to the guard.
   std::uint64_t guard_cookie = 0;
   // GRO super-packet state: one entry per coalesced segment, in arrival
   // order (skb_shinfo gso_segs analogue). Empty for ordinary packets; a

@@ -371,7 +371,7 @@ TEST(FlowCacheConcurrency, WorkersShareMetricsWithoutRaces) {
       for (int i = 0; i < kPerCpu; ++i) {
         net::Packet pkt = dut.forward_packet(
             i % 8, static_cast<std::uint16_t>(cpu * 64 + i % 16));
-        att->run_on_cpu(pkt, dut.ingress_ifindex(), cpu);
+        att->run(pkt, dut.ingress_ifindex(), cpu);
       }
     });
   }

@@ -335,9 +335,9 @@ TEST(Steering, FlowcacheStaysCoherentWhenFlowMigratesCpus) {
   const std::uint32_t hash = rss_hash_cached(warm);
 
   // Flow lives on CPU 0: miss then hits.
-  auto r0 = att->run_on_cpu(warm, dut.ingress_ifindex(), 0);
+  auto r0 = att->run(warm, dut.ingress_ifindex(), 0);
   net::Packet again = dut.forward_packet(1, 5);
-  auto r0b = att->run_on_cpu(again, dut.ingress_ifindex(), 0);
+  auto r0b = att->run(again, dut.ingress_ifindex(), 0);
   EXPECT_EQ(r0b.verdict, r0.verdict);
   ASSERT_NE(att->flow_cache(0), nullptr);
   ASSERT_NE(att->flow_cache(1), nullptr);
@@ -347,7 +347,7 @@ TEST(Steering, FlowcacheStaysCoherentWhenFlowMigratesCpus) {
   // Migration: the same flow now arrives on CPU 1. Verdict identical, entry
   // re-recorded there, CPU 0's entry untouched and both at the same epoch.
   net::Packet migrated = dut.forward_packet(1, 5);
-  auto r1 = att->run_on_cpu(migrated, dut.ingress_ifindex(), 1);
+  auto r1 = att->run(migrated, dut.ingress_ifindex(), 1);
   EXPECT_EQ(r1.verdict, r0.verdict);
   EXPECT_TRUE(att->flow_cache(1)->contains(hash, epoch));
   EXPECT_TRUE(att->flow_cache(0)->contains(hash, epoch));
@@ -356,7 +356,7 @@ TEST(Steering, FlowcacheStaysCoherentWhenFlowMigratesCpus) {
   // And the warm entry still serves on the new CPU: one more run is a hit.
   std::uint64_t hits_before = att->flow_cache(1)->stats().hits;
   net::Packet settled = dut.forward_packet(1, 5);
-  auto r1b = att->run_on_cpu(settled, dut.ingress_ifindex(), 1);
+  auto r1b = att->run(settled, dut.ingress_ifindex(), 1);
   EXPECT_EQ(r1b.verdict, r0.verdict);
   EXPECT_EQ(att->flow_cache(1)->stats().hits, hits_before + 1);
 }

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/guard.h"
 #include "core/status.h"
 #include "ebpf/builder.h"
 #include "ebpf/kernel_helpers.h"
@@ -746,7 +747,7 @@ TEST(TxGroObservabilityTest, SuperpacketTraceShowsGroAndResegmentation) {
 
   const std::uint64_t fwd_before = bed.kernel().counters().forwarded;
   kern::CycleTrace trace;
-  kern::RxSummary sum = bed.kernel().rx_from_engine(
+  kern::RxSummary sum = bed.kernel().netif_receive_skb(
       bed.ingress_ifindex(), std::move(out[0]), trace);
   EXPECT_EQ(sum.drop, kern::Drop::kNone);
   // Segment-aware counters and DevStats: one super counts as four wire
@@ -931,6 +932,65 @@ TEST(TxGroEquivalence, GroIsInvisibleOnTheSlowPathForwarder) {
     EXPECT_EQ(off.c.eth1_tx_packets, kPackets);  // everything routable
     EXPECT_EQ(off.c, on.c) << "queues=" << queues;
     EXPECT_EQ(off.sigs, on.sigs) << "queues=" << queues;
+  }
+}
+
+// --- Guard expectations through GRO ------------------------------------------
+
+// A canary longer than the traffic shadows every packet, and each shadowed
+// packet must come back compared (or skipped) on every driver. A
+// super-packet carries one guard cookie, so a shadowed segment must bypass
+// GRO; folded, the other segments' expectations would vanish uncounted.
+TEST(GroGuard, EveryShadowedSegmentIsComparedOnEveryDriver) {
+  constexpr std::uint16_t kFlows = 4;
+  constexpr std::uint32_t kSegs = 64;
+  constexpr std::size_t kFrame = 512;
+  constexpr std::uint32_t kPayload = kFrame - 54;
+  constexpr std::uint64_t kPackets = kFlows * kSegs;
+  enum class Driver { kInline, kEngine, kEngineGro };
+  for (Driver driver : {Driver::kInline, Driver::kEngine, Driver::kEngineGro}) {
+    SCOPED_TRACE(driver == Driver::kInline   ? "inline"
+                 : driver == Driver::kEngine ? "engine, GRO off"
+                                             : "engine, GRO on");
+    sim::ScenarioConfig cfg;
+    cfg.prefixes = 4;
+    cfg.accel = sim::Accel::kLinuxFpXdp;
+    cfg.guard.enabled = true;
+    cfg.guard.canary_packets = 1000;
+    sim::LinuxTestbed bed(cfg);
+    // Written by the slow thread on the engine; read after stop().
+    std::atomic<std::uint64_t> eth1_out{0};
+    bed.kernel().dev_by_name("eth1")->set_phys_tx(
+        [&eth1_out](net::Packet&&) { eth1_out.fetch_add(1); });
+    // Four in-sequence TCP flows, interleaved segment by segment.
+    auto segment = [&bed](std::uint64_t i) {
+      const auto k = static_cast<std::uint32_t>(i / kFlows);
+      return bed.forward_tcp_segment(0, static_cast<std::uint16_t>(i % kFlows),
+                                     kFrame, 1 + k * kPayload,
+                                     static_cast<std::uint16_t>(k));
+    };
+    if (driver == Driver::kInline) {
+      for (std::uint64_t i = 0; i < kPackets; ++i) bed.process(segment(i));
+    } else {
+      EngineConfig ecfg;
+      ecfg.backpressure = true;
+      ecfg.gro.enabled = driver == Driver::kEngineGro;
+      Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);
+      eng.start();
+      for (std::uint64_t i = 0; i < kPackets; ++i) eng.inject(segment(i));
+      eng.stop();
+    }
+
+    const core::GuardUnit* unit =
+        bed.controller()->guard()->unit("eth0", ebpf::HookType::kXdp);
+    ASSERT_NE(unit, nullptr);
+    const core::GuardUnitStats s = unit->stats();
+    EXPECT_EQ(unit->mode(), core::GuardMode::kShadow);
+    EXPECT_EQ(s.shadow_runs, kPackets);
+    EXPECT_EQ(s.compares + s.skipped, s.shadow_runs);
+    EXPECT_EQ(s.stale, 0u);
+    EXPECT_EQ(s.divergences, 0u);
+    EXPECT_EQ(eth1_out.load(), kPackets);
   }
 }
 

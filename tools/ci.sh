@@ -75,6 +75,16 @@ echo "=== bench smoke: BENCH_*.json emission ==="
  test -s BENCH_ruleset.json &&
  ./bench_table6_reaction --smoke >/dev/null &&
  test -s BENCH_reaction.json)
+# Modeled numbers are pinned: these eight smoke files hold only modeled and
+# simulated-clock values, so they repeat byte for byte and must match the
+# committed baselines. A change that moves a modeled number updates the
+# baseline in the same diff and says why in CHANGES.md. BENCH_reaction holds
+# host time and stays out.
+for f in fig1_hotspots fig5_router_tput scaling_queues steering flowcache \
+         guard forwarding ruleset; do
+  diff -u "bench/baseline/smoke/BENCH_${f}.json" "build/bench/BENCH_${f}.json"
+done
+echo "bench smoke baselines: 8 modeled JSON files match bench/baseline/smoke"
 # The flowcache bench's headline fields must be present and sane: a real
 # hit rate and the >= 1.5x steady-state speedup the cache exists for.
 python3 - <<'EOF'
